@@ -100,6 +100,11 @@ def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
         v.append("h_points must be >= 1")
     if cfg.variant not in ("raw", "plus", "minus"):
         v.append(f"unknown variant {cfg.variant!r}")
+    if experiment in ("weyl_sweep", "critical_sweep") and cfg.h_points < 4:
+        v.append(
+            f"h_points = {cfg.h_points}: the {experiment} exponent fit "
+            "needs at least 4 h values"
+        )
     if experiment == "critical_sweep":
         # second-order fibers: the sharp-remainder sweep additionally needs
         # delta0 > (1 - 1/(4 m0 - 1))/2 = 1/3 for m0 = 1
@@ -273,7 +278,7 @@ def _exp_sublevel_lemma(cfg: ExperimentConfig, out):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("degree,calibrated_constant\n")
         for deg in sorted(rep.constants):
-            fh.write(f"{deg},{rep.constants[deg]!r}\n")
+            fh.write(f"{deg},{float(rep.constants[deg])!r}\n")
     return [
         {
             "name": "polynomial_sublevel_bound",

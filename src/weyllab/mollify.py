@@ -3,13 +3,24 @@
 The kernel family is gamma(x) = (c0 + c2 |x|^2) * bump(|x| / rho) with the
 standard compactly supported bump; (c0, c2) solve the 2x2 linear system that
 forces unit mass and vanishing second moments.  Odd moments vanish by radial
-symmetry.  Convolution at scale h^delta0 then reproduces quadratics exactly,
-which is what makes the regularized coefficients track the originals to
-O(h^((2+r0) delta0)).
+symmetry.  Convolution at scale s = h^delta0 then reproduces quadratics
+exactly, which is what makes the regularized coefficients track the originals
+to O(h^((2+r0) delta0)).
+
+A polynomial coefficient p is regularized in closed form, by Taylor expansion
+under the integral:
+
+    (p * gamma_s)(x) = sum_alpha (-s)^|alpha| m_alpha d^alpha p(x) / alpha!,
+
+with kernel moments m_alpha = integral of y^alpha gamma(y) (m_0 = 1 and the
+odd and second moments are 0 by construction), so a polynomial of degree <= 2
+comes back with identical terms.  Every other coefficient is convolved by a
+tensor Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -20,7 +31,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from ._fitting import ExponentFit, fit_loglog
-from .symbols import Coefficient, _sobol
+from .symbols import (
+    Coefficient,
+    PolynomialCoefficient,
+    _poly_derivative,
+    _sobol,
+)
 
 __all__ = [
     "MollifierKernel",
@@ -57,30 +73,37 @@ def _sphere_area(d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _kernel_derivatives_1d(rho: float, c0: float, c2: float):
-    """Sympy-generated derivatives of the 1-D kernel profile, orders 0..2."""
-    import sympy as sp
+def _radial_integral(
+    d: int, rho: float, k: int, c0: float = 1.0, c2: float = 0.0
+) -> float:
+    """Integral over R^d of |x|^k (c0 + c2 |x|^2) bump(|x| / rho)."""
+    val, _ = quad(
+        lambda r: (c0 + c2 * r**2)
+        * float(_bump(np.array([r / rho]))[0])
+        * r ** (k + d - 1),
+        0.0,
+        rho,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return _sphere_area(d) * val
 
-    z = sp.Symbol("z")
-    expr = (c0 + c2 * z**2) * sp.exp(-1 / (1 - (z / rho) ** 2))
-    funcs = []
-    for k in range(3):
-        f = sp.lambdify(z, sp.diff(expr, z, k), "numpy")
-        funcs.append(f)
 
-    def make(k):
-        fk = funcs[k]
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            inside = np.abs(x) < rho * (1.0 - 1e-12)
-            out[inside] = fk(x[inside])
-            return out
-
-        return g
-
-    return [make(k) for k in range(3)]
+def _profile_derivatives(z: np.ndarray, rho: float, c0: float, c2: float):
+    """Orders 0..2 of the 1-D kernel profile g = q e^phi inside its support,
+    with q = c0 + c2 z^2, u = z / rho and phi = -1 / (1 - u^2)."""
+    u = z / rho
+    w = 1.0 - u * u
+    ephi = np.exp(-1.0 / w)
+    dphi = -2.0 * u / (rho * w * w)
+    d2phi = -(2.0 / rho**2) * (1.0 + 3.0 * u * u) / w**3
+    q, dq, d2q = c0 + c2 * z * z, 2.0 * c2 * z, 2.0 * c2
+    return (
+        q * ephi,
+        (dq + q * dphi) * ephi,
+        (d2q + 2.0 * dq * dphi + q * (d2phi + dphi * dphi)) * ephi,
+    )
 
 
 @dataclass(frozen=True)
@@ -104,9 +127,36 @@ class MollifierKernel:
             raise NotImplementedError("profile derivatives are 1-D only")
         if order > 2:
             raise ValueError("kernel derivative orders above 2 are unused")
-        return _kernel_derivatives_1d(self.support_radius, self.c0, self.c2)[
-            order
-        ]
+        rho, c0, c2 = self.support_radius, self.c0, self.c2
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            inside = np.abs(x) < rho * (1.0 - 1e-12)
+            out[inside] = _profile_derivatives(x[inside], rho, c0, c2)[order]
+            return out
+
+        return g
+
+    def moment(self, alpha: tuple) -> float:
+        """m_alpha = integral of y^alpha gamma(y): a sphere factor times one
+        radial integral.  Order 0 is 1 and orders 1 and 2 are 0 by
+        construction, as is every moment with an odd exponent."""
+        order = sum(alpha)
+        if order == 0:
+            return 1.0
+        if order <= 2 or any(a % 2 for a in alpha):
+            return 0.0
+        d = self.dimension
+        # mean of theta^alpha over the unit sphere S^(d-1)
+        sphere = (
+            math.prod(math.gamma((a + 1) / 2.0) for a in alpha)
+            * math.gamma(d / 2.0)
+            / (math.pi ** (d / 2.0) * math.gamma((order + d) / 2.0))
+        )
+        return sphere * _radial_integral(
+            d, self.support_radius, order, self.c0, self.c2
+        )
 
     def quadrature(self, nodes_per_axis: int = 0):
         """Tensor Gauss-Legendre rule (points (n, d), weights (n,)) covering
@@ -132,21 +182,7 @@ def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
     if support_radius <= 0:
         raise ValueError("support radius must be positive")
     rho = float(support_radius)
-    area = _sphere_area(d)
-
-    def radial_moment(k: int) -> float:
-        # integral of |x|^(2k) * bump(|x|/rho) over R^d
-        val, _ = quad(
-            lambda r: r ** (2 * k + d - 1) * float(_bump(np.array([r / rho]))[0]),
-            0.0,
-            rho,
-            epsabs=1e-14,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return area * val
-
-    i0, i1, i2 = radial_moment(0), radial_moment(1), radial_moment(2)
+    i0, i1, i2 = (_radial_integral(d, rho, k) for k in (0, 2, 4))
     det = i0 * i2 - i1 * i1
     if abs(det) < 1e-300:
         raise MollifierConstructionFault("singular moment system")
@@ -154,21 +190,8 @@ def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
     c2 = -i1 / det
 
     # measured defects, via adaptive quadrature of the final kernel
-    def radial_kernel_moment(k: int) -> float:
-        val, _ = quad(
-            lambda r: (c0 + c2 * r**2)
-            * float(_bump(np.array([r / rho]))[0])
-            * r ** (2 * k + d - 1),
-            0.0,
-            rho,
-            epsabs=1e-14,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return area * val
-
-    mass = radial_kernel_moment(0)
-    second_diag = radial_kernel_moment(1) / d  # integral of x_j^2 gamma
+    mass = _radial_integral(d, rho, 0, c0, c2)
+    second_diag = _radial_integral(d, rho, 2, c0, c2) / d  # of x_j^2 gamma
     defects = {
         "mass": mass - 1.0,
         "first_moment": 0.0,  # exact: radial symmetry
@@ -186,7 +209,8 @@ def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
 
 @dataclass
 class RegularizedCoefficient:
-    """Coefficient smoothed by convolution with the dilated kernel.
+    """Non-polynomial coefficient smoothed by quadrature against the dilated
+    kernel.
 
     Exposes the same (value, grad, hess) surface as a plain Coefficient: the
     first two derivative orders fall on the base coefficient under the
@@ -268,13 +292,32 @@ class RegularizedCoefficient:
         return (vals @ w) * self.scale ** (-excess)
 
 
+def _regularize_polynomial(
+    p: PolynomialCoefficient, s: float, kernel: MollifierKernel
+) -> PolynomialCoefficient:
+    """Exact convolution sum_alpha (-s)^|alpha| m_alpha d^alpha p / alpha!."""
+    d = p.dimension
+    degree = max((sum(e) for e in p.terms), default=0)
+    out: dict = {}
+    for alpha in itertools.product(range(degree + 1), repeat=d):
+        m = kernel.moment(alpha) if sum(alpha) <= degree else 0.0
+        if m == 0.0:  # beyond the degree, odd, or of order 1-2
+            continue
+        factor = (-s) ** sum(alpha) * m / math.prod(map(math.factorial, alpha))
+        for expo, coef in _poly_derivative(p.terms, alpha).items():
+            out[expo] = out.get(expo, 0.0) + factor * coef
+    return PolynomialCoefficient(out, d)
+
+
 def regularize(
     a: Coefficient,
     h: float,
     delta0: float,
     kernel: MollifierKernel,
     r0: Optional[float] = None,
-) -> RegularizedCoefficient:
+) -> Coefficient:
+    """Coefficient smoothed at scale h^delta0: in closed form for a
+    polynomial, by quadrature otherwise."""
     if h <= 0:
         raise ValueError("h must be positive")
     if r0 is not None and not admissible_delta0(delta0, r0):
@@ -284,6 +327,8 @@ def regularize(
         )
     if not (0.0 < delta0 < 0.5):
         raise ValueError("delta0 must lie in (0, 1/2)")
+    if isinstance(a, PolynomialCoefficient):
+        return _regularize_polynomial(a, h**delta0, kernel)
     return RegularizedCoefficient(a, h, delta0, kernel)
 
 

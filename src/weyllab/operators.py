@@ -197,17 +197,9 @@ def assemble(
             return coef
         if mollifier is None:
             raise ValueError("variants plus/minus require a mollifier kernel")
-        reg = regularize(coef, h, delta0, mollifier)
-        # vanishing kernel moments reproduce degree-<=2 coefficients exactly;
-        # detect that on probe points and skip the quadrature for the grid
-        rng = np.random.default_rng(12345)
-        probes = rng.uniform(-grid.halfwidth, grid.halfwidth, size=(32, d))
-        base = coef.value(probes)
-        if np.abs(reg.value(probes) - base).max() <= 1e-12 * (
-            1.0 + np.abs(base).max()
-        ):
-            return coef
-        return reg
+        # polynomial coefficients come back as exact polynomials (degree
+        # <= 2 unchanged); any other coefficient is convolved by quadrature
+        return regularize(coef, h, delta0, mollifier)
 
     nodes = grid.nodes()
     shape = (grid.points_per_axis,) * d
@@ -470,24 +462,6 @@ class MollifiedCounter:
                 f"smoothing kernel mass defect {self.mass_defect:.2e} "
                 f"exceeds {MASS_TOL}; raise the node budget"
             )
-
-    def gamma0(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        half = self.t0 / 2.0
-        out = np.zeros_like(t)
-        inside = np.abs(t) < half
-        out[inside] = np.exp(-1.0 / (1.0 - (t[inside] / half) ** 2))
-        return out
-
-    def gamma1(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        half = self.t0 / 2.0
-        s, w = leggauss(512)
-        s = s * half
-        w = w * half
-        g = np.exp(-1.0 / (1.0 - (s / half) ** 2))
-        conv0 = float(np.dot(w, g * g))
-        return (self.gamma0(t[:, None] - s[None, :]) * (w * g)).sum(axis=1) / conv0
 
     def _psi(self, zeta) -> np.ndarray:
         grid, _, psi_half, total = _counter_tables(self.t0)

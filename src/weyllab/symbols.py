@@ -22,9 +22,6 @@ __all__ = [
     "SymbolModel",
     "CriticalPointReport",
     "HypothesisReport",
-    "eval_symbol",
-    "eval_gradient",
-    "eval_hessian",
     "find_critical_points",
     "check_theorem_hypotheses",
     "make_model",
@@ -97,47 +94,66 @@ def _poly_eval(terms: dict[tuple, float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def PolynomialCoefficient(terms: dict[tuple, float], d: int) -> Coefficient:
+def _poly_derivative(terms: dict[tuple, float], alpha: tuple) -> dict:
+    """Term table of d^alpha of the polynomial {exponent-tuple: scalar}."""
+    out = {}
+    for expo, coef in terms.items():
+        if any(e < a for e, a in zip(expo, alpha)):
+            continue
+        low = tuple(e - a for e, a in zip(expo, alpha))
+        out[low] = coef * math.prod(map(math.perm, expo, alpha))
+    return out
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class PolynomialCoefficient(Coefficient):
     """Coefficient given by a polynomial {exponent-tuple: scalar} table."""
-    terms = {tuple(k): float(v) for k, v in terms.items()}
-    for k in terms:
-        if len(k) != d:
-            raise ValueError(f"exponent {k} does not match dimension {d}")
 
-    def _shift(expo, j):
-        lst = list(expo)
-        lst[j] -= 1
-        return tuple(lst)
+    terms: dict
+    dimension: int
 
-    grads = []
-    for j in range(d):
-        grads.append(
-            {_shift(e, j): c * e[j] for e, c in terms.items() if e[j] > 0}
-        )
-    hesses = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            hesses[i][j] = {
-                _shift(e, j): c * e[j]
-                for e, c in grads[i].items()
-                if e[j] > 0
-            }
+    def __init__(self, terms: dict[tuple, float], d: int):
+        terms = {tuple(k): float(v) for k, v in terms.items()}
+        for k in terms:
+            if len(k) != d:
+                raise ValueError(f"exponent {k} does not match dimension {d}")
 
-    def value(x):
-        return _poly_eval(terms, x)
+        def unit(*axes):
+            return tuple(axes.count(k) for k in range(d))
 
-    def grad(x):
-        return np.stack([_poly_eval(g, x) for g in grads], axis=-1)
+        grads = [_poly_derivative(terms, unit(j)) for j in range(d)]
+        hesses = [
+            [_poly_derivative(terms, unit(i, j)) for j in range(d)]
+            for i in range(d)
+        ]
 
-    def hess(x):
-        n = x.shape[0]
-        h = np.empty((n, d, d))
-        for i in range(d):
-            for j in range(d):
-                h[:, i, j] = _poly_eval(hesses[i][j], x)
-        return h
+        def value(x):
+            return _poly_eval(terms, x)
 
-    return Coefficient(value, grad, hess)
+        def grad(x):
+            return np.stack([_poly_eval(g, x) for g in grads], axis=-1)
+
+        def hess(x):
+            n = x.shape[0]
+            h = np.empty((n, d, d))
+            for i in range(d):
+                for j in range(d):
+                    h[:, i, j] = _poly_eval(hesses[i][j], x)
+            return h
+
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "dimension", d)
+        super().__init__(value, grad, hess)
+
+    def derivative(self, x, order: int) -> np.ndarray:
+        """1-D derivative of order <= 4, the surface fit_smoothing_exponents
+        reads from a regularized coefficient."""
+        if self.dimension != 1:
+            raise NotImplementedError("high-order derivatives are 1-D only")
+        if order > 4:
+            raise ValueError("derivative orders above 4 are unused")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return _poly_eval(_poly_derivative(self.terms, (order,)), x)
 
 
 def GridCoefficient(
@@ -309,30 +325,6 @@ class SymbolModel:
                     f"coefficient pair ({nu},{nubar}) is not symmetric"
                 )
 
-    def check_ellipticity(self, n_samples: int = 10_000, seed: int = 0) -> float:
-        """Sampled lower bound of the top-order form on |xi| = 1.
-
-        Raises if the claimed ellipticity constant fails on any sample;
-        returns the observed minimum.
-        """
-        d, m0 = self.dimension, self.order
-        rng = np.random.default_rng(seed)
-        x = (_sobol(d, n_samples, seed) * 2.0 - 1.0) * self.box_x
-        xi = rng.normal(size=(n_samples, d))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        form = np.zeros(n_samples)
-        for (nu, nubar), coef in self.coefficients.items():
-            if sum(nu) == m0 and sum(nubar) == m0:
-                mu = tuple(np.add(nu, nubar))
-                form += coef.value(x) * _monomial(mu, xi)
-        observed = float(form.min())
-        if observed < self.ellipticity_constant - 1e-12:
-            raise ValueError(
-                f"ellipticity failed: observed {observed} < "
-                f"claimed {self.ellipticity_constant}"
-            )
-        return observed
-
     def boundary_min(self, n_samples: int = 4096, seed: int = 0) -> float:
         """Minimum of the symbol over sampled points of the box boundary."""
         d = self.dimension
@@ -414,21 +406,6 @@ class SymbolModel:
         pts[:, :d] *= self.box_x
         pts[:, d:] *= self.box_xi
         return pts
-
-
-# -- convenience wrappers ----------------------------------------------------
-
-
-def eval_symbol(model: SymbolModel, v) -> float:
-    return model.value(v)
-
-
-def eval_gradient(model: SymbolModel, v) -> np.ndarray:
-    return model.gradient(v)
-
-
-def eval_hessian(model: SymbolModel, v) -> np.ndarray:
-    return model.hessian(v)
 
 
 @dataclass

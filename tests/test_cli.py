@@ -122,3 +122,40 @@ def test_console_script_installed():
     )
     assert proc.returncode == 2
     assert "registry" in proc.stderr
+
+
+def test_sublevel_csv_constants_are_numbers(tmp_path):
+    cfg = dataclasses.replace(
+        parse_config("model=harmonic\nenergy=1.0\ntrials=40\n"),
+        out_dir=str(tmp_path),
+    )
+    assert run(cfg, "sublevel_lemma") == 0
+    lines = (tmp_path / "sublevel_lemma.csv").read_text().splitlines()
+    assert lines[0] == "degree,calibrated_constant"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        degree, constant = line.split(",")
+        int(degree)
+        assert float(constant) > 0.0
+
+
+@pytest.mark.parametrize("experiment", ["weyl_sweep", "critical_sweep"])
+def test_sweeps_need_four_h_points(experiment):
+    text = "model=double_well_2d\nenergy=1\nh_points=3\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, experiment=experiment)
+    assert any("h_points" in v for v in err.value.violations)
+    parse_config(text.replace("=3", "=4"), experiment=experiment)
+    parse_config(text, experiment="mollifier_rates")  # fits its own grid
+
+
+def test_main_rejects_short_h_grid_override(tmp_path):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("model=harmonic\nenergy=1.0\n")
+    out = tmp_path / "out"
+    code = main([
+        "--config", str(cfgfile), "--experiment", "weyl_sweep",
+        "--out", str(out), "--h-points", "3",
+    ])
+    assert code == 2
+    assert not out.exists()

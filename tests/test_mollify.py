@@ -1,8 +1,12 @@
 """Mollifier construction, moment defects, and regularization rates."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from weyllab import mollify
 from weyllab.mollify import (
     EXACT_ANNIHILATION,
     MOMENT_TOL,
@@ -12,7 +16,13 @@ from weyllab.mollify import (
     holder_test_field,
     regularize,
 )
-from weyllab.symbols import Coefficient, PolynomialCoefficient
+from weyllab.operators import GridSpec, assemble
+from weyllab.symbols import (
+    MODEL_REGISTRY,
+    Coefficient,
+    PolynomialCoefficient,
+    make_model,
+)
 
 
 def test_admissible_delta0_open_interval():
@@ -47,11 +57,71 @@ def test_regularize_reproduces_quadratics():
     # unit mass + vanishing moments 1-2 => polynomials of degree <= 2 are
     # reproduced exactly by the convolution
     kernel = build_mollifier(1, 1.0)
-    quad = PolynomialCoefficient({(0,): 1.5, (1,): -2.0, (2,): 0.75}, 1)
-    reg = regularize(quad, 0.1, 0.41, kernel)
+    quadratic = PolynomialCoefficient({(0,): 1.5, (1,): -2.0, (2,): 0.75}, 1)
+    reg = regularize(quadratic, 0.1, 0.41, kernel)
+    assert reg.terms == quadratic.terms
     x = np.linspace(-1, 1, 17)[:, None]
-    np.testing.assert_allclose(reg.value(x), quad.value(x), atol=1e-9)
-    np.testing.assert_allclose(reg.grad(x), quad.grad(x), atol=1e-9)
+    np.testing.assert_array_equal(reg.value(x), quadratic.value(x))
+    np.testing.assert_array_equal(reg.grad(x), quadratic.grad(x))
+
+
+def test_double_well_regularizes_to_fourth_moment_shift():
+    # p * gamma_s = p + s^4 m40 (d^4 p / d x1^4) / 4! = p + s^4 m40 for the
+    # double well: odd and second moments vanish, and only x1^4 has order 4
+    kernel = build_mollifier(2, 1.0)
+    pot = make_model("double_well_2d").coefficients[((0, 0), (0, 0))]
+    h, delta0 = 0.07, 0.41
+    reg = regularize(pot, h, delta0, kernel)
+
+    def bump(r):
+        return math.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
+
+    # m40 = (mean of cos^4 on the circle) * 2 pi * int r^4 gamma(r) r dr
+    radial, _ = quad(
+        lambda r: r**5 * (kernel.c0 + kernel.c2 * r * r) * bump(r),
+        0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200,
+    )
+    m40 = 3.0 / 8.0 * 2.0 * math.pi * radial
+    shift = h ** (4 * delta0) * m40
+    assert abs(shift) > 1e-4
+    assert set(reg.terms) == set(pot.terms)
+    assert abs(reg.terms[(0, 0)] - (pot.terms[(0, 0)] + shift)) <= 1e-13
+    for expo in ((4, 0), (2, 0), (0, 2)):
+        assert reg.terms[expo] == pot.terms[expo]
+
+
+def test_polynomial_models_assemble_without_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial coefficient convolved by quadrature")
+
+    monkeypatch.setattr(mollify, "RegularizedCoefficient", refuse)
+    models = [make_model(name) for name in sorted(MODEL_REGISTRY)]
+    polynomial = [
+        m for m in models
+        if all(isinstance(c, PolynomialCoefficient)
+               for c in m.coefficients.values())
+    ]
+    assert {m.name for m in polynomial} >= {
+        "harmonic", "separable_harmonic_2d", "double_well_2d"
+    }
+    for m in polynomial:
+        kernel = build_mollifier(m.dimension, 1.0)
+        grid = GridSpec(m.box_x, 16)
+        op = assemble(m, kernel, 0.1, 0.41, grid, variant="minus",
+                      strict_resolution=False)
+        assert op.size == 16**m.dimension
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_profile_derivative_matches_central_difference(order):
+    kernel = build_mollifier(1, 1.0)
+    lower = kernel.profile_derivative(order - 1)
+    exact = kernel.profile_derivative(order)
+    z = np.linspace(-0.9, 0.9, 37)
+    eps = 1e-5
+    central = (lower(z + eps) - lower(z - eps)) / (2 * eps)
+    scale = np.abs(exact(z)).max()
+    np.testing.assert_allclose(exact(z), central, atol=1e-8 * scale)
 
 
 def test_regularize_rejects_bad_delta0():
