@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,31 +22,28 @@ class ExponentFit:
 def fit_loglog(xs, ys, min_points: int = 4) -> ExponentFit:
     """OLS slope of log(y) vs log(x).
 
-    Nonpositive y values are excluded (and counted).  The normal equations
-    are solved in exact rational arithmetic on the log values, so two runs on
-    the same data give bit-identical slopes regardless of summation order.
+    Nonpositive y values are excluded (and counted).  The sums of the normal
+    equations are correctly rounded (math.fsum), so two runs on the same data
+    give bit-identical slopes regardless of summation order.
     """
     pairs = [(x, y) for x, y in zip(xs, ys) if y > 0 and x > 0]
     excluded = len(list(xs)) - len(pairs)
     n = len(pairs)
     if n < min_points:
         raise ValueError(f"need at least {min_points} positive points, got {n}")
-    lx = [Fraction(math.log(x)) for x, _ in pairs]
-    ly = [Fraction(math.log(y)) for _, y in pairs]
-    sx, sy = sum(lx), sum(ly)
-    sxx = sum(v * v for v in lx)
-    sxy = sum(u * v for u, v in zip(lx, ly))
-    det = n * sxx - sx * sx
-    if det == 0:
+    lx = [math.log(x) for x, _ in pairs]
+    ly = [math.log(y) for _, y in pairs]
+    if min(lx) == max(lx):
         raise ValueError("degenerate fit: all abscissae coincide")
-    slope = (n * sxy - sx * sy) / det
+    sx, sy = math.fsum(lx), math.fsum(ly)
+    sxx = math.fsum(v * v for v in lx)
+    sxy = math.fsum(u * v for u, v in zip(lx, ly))
+    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     intercept = (sy - slope * sx) / n
-    slope_f, intercept_f = float(slope), float(intercept)
 
     # 95% confidence half-width for the slope (floating point is fine here)
-    lxf = np.array([float(v) for v in lx])
-    lyf = np.array([float(v) for v in ly])
-    resid = lyf - (slope_f * lxf + intercept_f)
+    lxf = np.array(lx)
+    resid = np.array(ly) - (slope * lxf + intercept)
     if n > 2:
         s2 = float(resid @ resid) / (n - 2)
         sxx_c = float(((lxf - lxf.mean()) ** 2).sum())
@@ -57,8 +53,8 @@ def fit_loglog(xs, ys, min_points: int = 4) -> ExponentFit:
     else:
         half = math.inf
     return ExponentFit(
-        slope=slope_f,
-        intercept=intercept_f,
+        slope=slope,
+        intercept=intercept,
         ci_halfwidth=half,
         n_points=n,
         excluded=excluded,

@@ -168,7 +168,10 @@ def emit_config(cfg: ExperimentConfig) -> str:
 # -- experiments -----------------------------------------------------------------
 
 
-def _exp_weyl_sweep(cfg: ExperimentConfig, out):
+def _run_sweep(
+    cfg: ExperimentConfig, out, csv_name: str, out_of_scope_ok: bool = False
+):
+    """The configured h-sweep, with its CSV written to `out`."""
     model = make_model(cfg.model)
     res = harness.run_h_sweep(
         model,
@@ -183,18 +186,27 @@ def _exp_weyl_sweep(cfg: ExperimentConfig, out):
         max_grid_points=cfg.max_grid_points,
         volume_budget=cfg.budget,
         seed=cfg.seed,
-        out_of_scope_ok=True,  # baseline sweep; d=1 sanity runs allowed
+        out_of_scope_ok=out_of_scope_ok,
     )
-    harness.write_sweep_csv(os.path.join(out, "weyl_sweep.csv"), res)
+    harness.write_sweep_csv(os.path.join(out, csv_name), res)
+    return model, res
+
+
+def _sweep_status(ok: bool, res) -> str:
+    if not res.complete:
+        return "partial"
+    return "pass" if ok else "fail"
+
+
+def _exp_weyl_sweep(cfg: ExperimentConfig, out):
+    # baseline sweep; d=1 sanity runs allowed
+    model, res = _run_sweep(cfg, out, "weyl_sweep.csv", out_of_scope_ok=True)
     fit = harness.fit_exponent(res.records, "remainder")
     target = 1.0 - model.dimension
-    status = "pass" if abs(fit.slope - target) <= 0.2 else "fail"
-    if not res.complete:
-        status = "partial"
     return [
         {
             "name": "weyl_remainder_slope",
-            "status": status,
+            "status": _sweep_status(abs(fit.slope - target) <= 0.2, res),
             "slope": fit.slope,
             "target": target,
             "tolerance": 0.2,
@@ -205,31 +217,13 @@ def _exp_weyl_sweep(cfg: ExperimentConfig, out):
 
 
 def _exp_critical_sweep(cfg: ExperimentConfig, out):
-    model = make_model(cfg.model)
-    res = harness.run_h_sweep(
-        model,
-        cfg.energy,
-        cfg.h_grid(),
-        delta0=cfg.delta0,
-        epsilon=cfg.epsilon,
-        variant=cfg.variant,
-        kernel=None if cfg.variant == "raw" else build_mollifier(
-            model.dimension, 1.0
-        ),
-        max_grid_points=cfg.max_grid_points,
-        volume_budget=cfg.budget,
-        seed=cfg.seed,
-    )
-    harness.write_sweep_csv(os.path.join(out, "critical_sweep.csv"), res)
+    _, res = _run_sweep(cfg, out, "critical_sweep.csv")
     fit = harness.fit_exponent(res.records, "ratio")
     alt = harness.log_corrected_ratio_fit(res.records)
-    status = "pass" if abs(fit.slope) <= 0.25 else "fail"
-    if not res.complete:
-        status = "partial"
     return [
         {
             "name": "bounded_remainder_ratio",
-            "status": status,
+            "status": _sweep_status(abs(fit.slope) <= 0.25, res),
             "ratio_slope": fit.slope,
             "log_corrected_slope": alt.slope,
             "max_ratio": res.max_ratio,

@@ -23,7 +23,7 @@ from ._fitting import ExponentFit, fit_loglog
 from .mollify import MollifierKernel
 from .operators import GridSpec, assemble, count_below
 from .phasevol import (
-    RemainderFunctional,
+    FiberCloud,
     VolumeEstimate,
     remainder_functional,
     weyl_volume,
@@ -123,9 +123,10 @@ def run_h_sweep(
 ) -> SweepResult:
     """Counts, Weyl volumes, and remainder functionals across an h grid.
 
-    The phase-space volume is computed once and shared by every h.  A fault
-    at one h aborts that sample only; the gap is recorded and the sweep
-    continues.
+    One fiber cloud serves the phase-space volume and every h's remainder
+    sup; it is dropped before the first operator is assembled, so it does
+    not stay resident through the factorizations.  A fault at one h aborts
+    that sample only; the gap is recorded and the sweep continues.
     """
     problems = check_hypotheses(model, energy)
     if problems and not out_of_scope_ok:
@@ -133,9 +134,18 @@ def run_h_sweep(
             "model/energy outside scope: " + "; ".join(problems)
         )
     d = model.dimension
-    vol = weyl_volume(model, energy, budget=volume_budget, seed=seed)
+    hs = sorted(float(x) for x in h_grid)
+    cloud = FiberCloud(model, volume_budget, seed)
+    vol = weyl_volume(cloud, energy)
+    sups = []
+    for h in hs:
+        try:
+            sups.append(remainder_functional(cloud, energy, epsilon, h))
+        except Exception as exc:
+            sups.append(exc)
+    del cloud
     records, gaps = [], []
-    for h in sorted(float(x) for x in h_grid):
+    for h, rem in zip(hs, sups):
         try:
             grid = grid_for(h) if grid_for else _default_grid(
                 model, h, max_grid_points
@@ -151,9 +161,8 @@ def run_h_sweep(
                 strict_resolution=False,
             )
             n = count_below(op, energy).count
-            rem = remainder_functional(
-                model, energy, epsilon, h, budget=volume_budget, seed=seed
-            )
+            if isinstance(rem, Exception):
+                raise rem
             weyl = (2.0 * math.pi * h) ** (-d) * vol.value
             weyl_se = (2.0 * math.pi * h) ** (-d) * vol.std_error
             deviation = n - weyl

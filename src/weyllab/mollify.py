@@ -36,6 +36,7 @@ from .symbols import (
     PolynomialCoefficient,
     _poly_derivative,
     _sobol,
+    holder_test_field,
 )
 
 __all__ = [
@@ -330,49 +331,6 @@ def regularize(
     if isinstance(a, PolynomialCoefficient):
         return _regularize_polynomial(a, h**delta0, kernel)
     return RegularizedCoefficient(a, h, delta0, kernel)
-
-
-# -- Hoelder test corpus ------------------------------------------------------
-
-
-def holder_test_field(r0: float) -> Coefficient:
-    """cutoff(x) * |x|^(2+r0) on R: C^2 with r0-Hoelder second derivative."""
-    from .symbols import smooth_cutoff
-
-    p = 2.0 + r0
-
-    def chi(x):
-        return smooth_cutoff(x, 1.0, 2.0)
-
-    def dchi(x):
-        eps = 1e-6
-        return (chi(x + eps) - chi(x - eps)) / (2 * eps)
-
-    def d2chi(x):
-        eps = 1e-4
-        return (chi(x + eps) - 2 * chi(x) + chi(x - eps)) / eps**2
-
-    def value(pts):
-        x = pts[:, 0]
-        return chi(x) * np.abs(x) ** p
-
-    def grad(pts):
-        x = pts[:, 0]
-        g = dchi(x) * np.abs(x) ** p + chi(x) * p * np.abs(x) ** (
-            p - 1
-        ) * np.sign(x)
-        return g[:, None]
-
-    def hess(pts):
-        x = pts[:, 0]
-        h = (
-            d2chi(x) * np.abs(x) ** p
-            + 2 * dchi(x) * p * np.abs(x) ** (p - 1) * np.sign(x)
-            + chi(x) * p * (p - 1) * np.abs(x) ** (p - 2)
-        )
-        return h[:, None, None]
-
-    return Coefficient(value, grad, hess)
 
 
 def _sample_points(n: int, lo: float, hi: float, seed: int = 7) -> np.ndarray:

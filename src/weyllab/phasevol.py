@@ -1,17 +1,20 @@
 """Phase-space volume functionals for the counting estimates.
 
 Everything here reduces to Lebesgue measures on the classical phase space:
-the volume of the sublevel set {a0 < E} (the leading counting term), thin
-energy shells {|a0 - E'| <= h}, the remainder functional built from the worst
-shell near E, the h^delta0-thickened near-critical set, directional slice
-measures through near-critical points, and exact 1-D polynomial sublevel
-measures.
+the volume of the sublevel set {a0 < E} (the leading counting term), the
+remainder functional built from the worst thin energy shell
+{|a0 - E'| <= h} near E, the h^delta0-thickened near-critical set,
+directional slice measures through near-critical points, and exact 1-D
+polynomial sublevel measures.
 
 For second-order symbols the fiber in the first momentum coordinate is a
-quadratic polynomial, so its sublevel measure has a closed form.  All Monte
-Carlo estimators integrate that exact fiber measure over the remaining
-coordinates, which removes the indicator-function variance in the thin-shell
-regime and makes the relative error h-independent.
+quadratic polynomial, so its sublevel measure has a closed form.  A
+`FiberCloud` holds that polynomial at every base point (a midpoint grid in x
+for d = 1, a stratified Monte Carlo cloud over the remaining coordinates for
+d >= 2), and `weyl_volume` and `remainder_functional` integrate the exact
+fiber measure over it.  This removes the indicator-function variance in the
+thin-shell regime and makes the relative error h-independent; a sweep builds
+one cloud and measures every energy level on it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ __all__ = [
     "PolySublevelQuery",
     "SublevelLemmaReport",
     "ContainmentFault",
+    "FiberCloud",
     "weyl_volume",
-    "shell_volume",
     "remainder_functional",
     "near_critical_volume",
     "direction_frame",
@@ -147,12 +150,6 @@ def _fiber_sublevel(A, B, C, level, L):
     return meas, reach
 
 
-def _batch_stats(batch_means: np.ndarray, factor: float, n_total: int, method: str):
-    value = factor * float(batch_means.mean())
-    se = factor * float(batch_means.std(ddof=1)) / math.sqrt(len(batch_means))
-    return VolumeEstimate(max(value, 0.0), se, method, n_total)
-
-
 def _base_cloud(model: SymbolModel, budget: int, seed: int):
     """Stratified phase points; the first momentum slot is a placeholder.
 
@@ -178,109 +175,97 @@ def _base_cloud(model: SymbolModel, budget: int, seed: int):
     return pts, per
 
 
-def _check_containment(model: SymbolModel, pts, active, reach):
-    """Fault if any point carrying fiber mass sits within 2% of the box
-    boundary, or if a fiber interval reaches 98% of the momentum range."""
-    if not np.any(active):
-        return
-    d = model.dimension
-    sub = pts[active]
-    mx = np.abs(sub[:, :d]).max(axis=1)
-    cols = [j for j in range(d, 2 * d) if j != d]
-    mxi = np.abs(sub[:, cols]).max(axis=1) if cols else np.zeros(len(sub))
-    if (
-        mx.max() > (1.0 - BOUNDARY_MARGIN) * model.box_x
-        or (cols and mxi.max() > (1.0 - BOUNDARY_MARGIN) * model.box_xi)
-        or reach[active].max() > (1.0 - BOUNDARY_MARGIN) * model.box_xi
-    ):
-        raise ContainmentFault(
-            "sublevel/shell set reaches within 2% of the sampling box; "
-            "enlarge box_x/box_xi"
-        )
+class FiberCloud:
+    """Base points of phase space reduced to their quadratic momentum fibers.
+
+    d = 1 takes a midpoint grid of max(budget, 2^14) points in x; d >= 2
+    takes the stratified 32-batch cloud of `_base_cloud`.  The points are
+    reduced once to the fiber coefficients (A, B, C) and to a mask of the
+    points within 2% of the box edge in a non-fiber coordinate; the points
+    themselves are not kept.  Every volume of one sweep is measured on the
+    same cloud.
+    """
+
+    def __init__(self, model: SymbolModel, budget: int = 2**18, seed: int = 0):
+        d = model.dimension
+        if d == 1:
+            n = max(budget, 2**14)
+            pts = np.zeros((n, 2))
+            x = (np.arange(n) + 0.5) / n * (2 * model.box_x) - model.box_x
+            pts[:, 0] = x
+            self.base_volume = 2 * model.box_x
+            self.batches = None
+        else:
+            pts, per = _base_cloud(model, budget, seed)
+            n = per * N_BATCHES
+            # all but the fiber
+            self.base_volume = model.box_volume() / (2.0 * model.box_xi)
+            self.batches = N_BATCHES
+        self.size = n
+        self.box_xi = model.box_xi
+        self.A, self.B, self.C = _fiber_coefficients(model, pts)
+        limit = 1.0 - BOUNDARY_MARGIN
+        self.edge = np.abs(pts[:, :d]).max(axis=1) > limit * model.box_x
+        if d > 1:
+            xi_rest = np.abs(pts[:, d + 1 :]).max(axis=1)
+            self.edge |= xi_rest > limit * model.box_xi
+
+    def measure(self, upper: float, lower: float | None = None) -> np.ndarray:
+        """Per-point fiber measure of {lower <= a0 < upper} ({a0 < upper}
+        without `lower`).
+
+        Raises ContainmentFault if a point carrying mass sits within 2% of
+        the box edge, or if a fiber interval reaches 98% of the momentum
+        range.
+        """
+        fiber = (self.A, self.B, self.C)
+        meas, reach = _fiber_sublevel(*fiber, upper, self.box_xi)
+        if lower is not None:
+            meas = meas - _fiber_sublevel(*fiber, lower, self.box_xi)[0]
+        active = meas > 0
+        if np.any(active) and (
+            np.any(self.edge[active])
+            or reach[active].max() > (1.0 - BOUNDARY_MARGIN) * self.box_xi
+        ):
+            raise ContainmentFault(
+                "sublevel/shell set reaches within 2% of the sampling box; "
+                "enlarge box_x/box_xi"
+            )
+        return meas
 
 
-def weyl_volume(
-    model: SymbolModel, energy: float, budget: int = 2**18, seed: int = 0
-) -> VolumeEstimate:
+def weyl_volume(cloud: FiberCloud, energy: float) -> VolumeEstimate:
     """vol{v : a0(v) < E}, the leading term of the counting asymptotics.
 
-    d = 1 integrates the exact momentum-fiber measure over x on a tensor
-    grid; d >= 2 averages the same fiber measure over Monte Carlo samples of
-    the remaining coordinates (32 batches, counter-based RNG).
+    d = 1 integrates the exact momentum-fiber measure over the x grid, with
+    the midpoint rule's refinement gap as the error; d >= 2 averages it over
+    the Monte Carlo cloud, with the spread of the 32 batch means as the
+    standard error.
     """
-    d, L = model.dimension, model.box_xi
-    if d == 1:
-        n = max(budget, 2**14)
-        xs = (np.arange(n) + 0.5) / n * (2 * model.box_x) - model.box_x
-        pts = np.zeros((n, 2))
-        pts[:, 0] = xs
-        A, B, C = _fiber_coefficients(model, pts)
-        meas, reach = _fiber_sublevel(A, B, C, energy, L)
-        _check_containment(model, pts, meas > 0, reach)
-        dx = 2 * model.box_x / n
-        value = float(meas.sum() * dx)
-        # refinement gap of the midpoint rule as the error proxy
-        coarse = float(meas[::2].sum() * 2 * dx)
-        return VolumeEstimate(value, abs(value - coarse), "tensor_grid", n)
-
-    pts, per = _base_cloud(model, budget, seed)
-    A, B, C = _fiber_coefficients(model, pts)
-    meas, reach = _fiber_sublevel(A, B, C, energy, L)
-    _check_containment(model, pts, meas > 0, reach)
-    base_vol = model.box_volume() / (2.0 * model.box_xi)  # all but the fiber
-    means = meas.reshape(N_BATCHES, per).mean(axis=1)
-    return _batch_stats(means, base_vol, per * N_BATCHES, "monte_carlo")
-
-
-def shell_volume(
-    model: SymbolModel,
-    e_prime: float,
-    width: float,
-    budget: int = 2**18,
-    seed: int = 0,
-) -> VolumeEstimate:
-    """vol{v : |a0(v) - E'| <= width} via exact momentum fibers."""
-    d, L = model.dimension, model.box_xi
-    if d == 1:
-        n = max(budget, 2**14)
-        xs = (np.arange(n) + 0.5) / n * (2 * model.box_x) - model.box_x
-        pts = np.zeros((n, 2))
-        pts[:, 0] = xs
-        A, B, C = _fiber_coefficients(model, pts)
-        m_hi, r_hi = _fiber_sublevel(A, B, C, e_prime + width, L)
-        m_lo, _ = _fiber_sublevel(A, B, C, e_prime - width, L)
-        meas = m_hi - m_lo
-        _check_containment(model, pts, meas > 0, r_hi)
-        dx = 2 * model.box_x / n
+    meas = cloud.measure(energy)
+    if cloud.batches is None:
+        dx = cloud.base_volume / cloud.size
         value = float(meas.sum() * dx)
         coarse = float(meas[::2].sum() * 2 * dx)
-        return VolumeEstimate(value, abs(value - coarse), "tensor_grid", n)
-
-    pts, per = _base_cloud(model, budget, seed)
-    A, B, C = _fiber_coefficients(model, pts)
-    m_hi, r_hi = _fiber_sublevel(A, B, C, e_prime + width, L)
-    m_lo, _ = _fiber_sublevel(A, B, C, e_prime - width, L)
-    meas = m_hi - m_lo
-    _check_containment(model, pts, meas > 0, r_hi)
-    base_vol = model.box_volume() / (2.0 * model.box_xi)
-    means = meas.reshape(N_BATCHES, per).mean(axis=1)
-    return _batch_stats(means, base_vol, per * N_BATCHES, "monte_carlo")
+        return VolumeEstimate(
+            value, abs(value - coarse), "tensor_grid", cloud.size
+        )
+    means = meas.reshape(cloud.batches, -1).mean(axis=1)
+    value = cloud.base_volume * float(means.mean())
+    se = cloud.base_volume * float(means.std(ddof=1)) / math.sqrt(cloud.batches)
+    return VolumeEstimate(max(value, 0.0), se, "monte_carlo", cloud.size)
 
 
 def remainder_functional(
-    model: SymbolModel,
-    energy: float,
-    epsilon: float,
-    h: float,
-    budget: int = 2**18,
-    seed: int = 0,
+    cloud: FiberCloud, energy: float, epsilon: float, h: float
 ) -> RemainderFunctional:
-    """h plus the worst shell volume over E' in [E - h^(1-eps), E + h^(1-eps)].
+    """h plus the worst shell volume vol{|a0 - E'| <= h} over
+    E' in [E - h^(1-eps), E + h^(1-eps)].
 
     The E'-grid has ceil(4 h^(-eps)) + 1 points, so its spacing is at most
-    h/2 and no width-h shell can slip between grid points.  One sample cloud
-    (and its fiber coefficients) is shared by every E', which makes the
-    discrete sup exact up to the common Monte Carlo error.
+    h/2 and no width-h shell can slip between grid points.  Every E' is
+    measured on the same cloud, which makes the discrete sup exact up to the
+    common Monte Carlo error.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -290,25 +275,10 @@ def remainder_functional(
     n_grid = int(math.ceil(4.0 * h ** (-epsilon))) + 1
     grid = np.linspace(energy - half, energy + half, n_grid)
 
-    d, L = model.dimension, model.box_xi
-    if d == 1:
-        n = max(budget, 2**14)
-        pts = np.zeros((n, 2))
-        pts[:, 0] = (np.arange(n) + 0.5) / n * (2 * model.box_x) - model.box_x
-        weight = 2 * model.box_x / n
-    else:
-        pts, per = _base_cloud(model, budget, seed)
-        n = per * N_BATCHES
-        weight = model.box_volume() / (2.0 * model.box_xi) / n
-    A, B, C = _fiber_coefficients(model, pts)
-
+    weight = cloud.base_volume / cloud.size
     best_vol, best_e = -1.0, grid[0]
     for e_prime in grid:
-        m_hi, r_hi = _fiber_sublevel(A, B, C, e_prime + h, L)
-        m_lo, _ = _fiber_sublevel(A, B, C, e_prime - h, L)
-        meas = m_hi - m_lo
-        _check_containment(model, pts, meas > 0, r_hi)
-        vol = float(meas.sum() * weight)
+        vol = float(cloud.measure(e_prime + h, e_prime - h).sum() * weight)
         if vol > best_vol:
             best_vol, best_e = vol, float(e_prime)
     return RemainderFunctional(

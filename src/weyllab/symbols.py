@@ -27,6 +27,7 @@ __all__ = [
     "make_model",
     "MODEL_REGISTRY",
     "smooth_cutoff",
+    "holder_test_field",
 ]
 
 # Eigenvalues below this relative threshold do not count toward the Hessian rank.
@@ -573,8 +574,8 @@ def smooth_cutoff(x: np.ndarray, inner: float = 1.0, outer: float = 2.0):
     return out
 
 
-def _holder_coefficient(r0: float) -> Coefficient:
-    """1-D potential x^2 + cutoff(x)*|x|^(2+r0): C^{2,r0} but not C^3."""
+def holder_test_field(r0: float) -> Coefficient:
+    """cutoff(x) * |x|^(2+r0) on R: C^2 with r0-Hoelder second derivative."""
     p = 2.0 + r0
 
     def chi(x):
@@ -590,28 +591,35 @@ def _holder_coefficient(r0: float) -> Coefficient:
 
     def value(pts):
         x = pts[:, 0]
-        return x**2 + chi(x) * np.abs(x) ** p
+        return chi(x) * np.abs(x) ** p
 
     def grad(pts):
         x = pts[:, 0]
-        s = np.sign(x)
-        g = 2 * x + dchi(x) * np.abs(x) ** p + chi(x) * p * np.abs(x) ** (
+        g = dchi(x) * np.abs(x) ** p + chi(x) * p * np.abs(x) ** (
             p - 1
-        ) * s
+        ) * np.sign(x)
         return g[:, None]
 
     def hess(pts):
         x = pts[:, 0]
-        s = np.sign(x)
         h = (
-            2.0
-            + d2chi(x) * np.abs(x) ** p
-            + 2 * dchi(x) * p * np.abs(x) ** (p - 1) * s
+            d2chi(x) * np.abs(x) ** p
+            + 2 * dchi(x) * p * np.abs(x) ** (p - 1) * np.sign(x)
             + chi(x) * p * (p - 1) * np.abs(x) ** (p - 2)
         )
         return h[:, None, None]
 
     return Coefficient(value, grad, hess)
+
+
+def _holder_coefficient(r0: float) -> Coefficient:
+    """1-D potential x^2 + holder_test_field(r0): C^{2,r0} but not C^3."""
+    field = holder_test_field(r0)
+    return Coefficient(
+        lambda pts: pts[:, 0] ** 2 + field.value(pts),
+        lambda pts: 2 * pts[:, :1] + field.grad(pts),
+        lambda pts: 2.0 + field.hess(pts),
+    )
 
 
 def make_model(name: str, **overrides) -> SymbolModel:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weyllab import phasevol
 from weyllab._fitting import fit_loglog
 from weyllab.harness import (
     SweepRecord,
@@ -81,6 +82,23 @@ def test_sweep_counts_match_tensor_oracle():
                   for i in range(60) for j in range(60)]
         oracle = sum(1 for lam in levels if lam <= 1.0 + 1e-12)
         assert abs(rec.count - oracle) <= 2
+
+
+def test_sweep_draws_one_cloud(monkeypatch):
+    # the volume and every h's remainder sup share one fiber cloud
+    calls = []
+    draw = phasevol._base_cloud
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(phasevol, "_base_cloud", counting)
+    m = make_model("separable_harmonic_2d")
+    res = run_h_sweep(m, 1.0, [0.1, 0.08, 0.07], delta0=0.41,
+                      max_grid_points=100, volume_budget=2**16)
+    assert len(res.records) == 3
+    assert len(calls) == 1
 
 
 def test_sweep_gap_on_fault():

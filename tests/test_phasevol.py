@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyllab.phasevol import (
+    ContainmentFault,
+    FiberCloud,
     direction_frame,
     directional_measure,
     near_critical_volume,
     poly_sublevel_measure,
     remainder_functional,
-    shell_volume,
     verify_sublevel_lemma,
     weyl_volume,
 )
@@ -23,7 +24,7 @@ from weyllab.symbols import find_critical_points, make_model
 def test_harmonic_disk_volume():
     # {x^2 + xi^2 < E} is a disk of area pi E
     m = make_model("harmonic")
-    est = weyl_volume(m, 1.0)
+    est = weyl_volume(FiberCloud(m), 1.0)
     assert est.method == "tensor_grid"
     assert est.value == pytest.approx(math.pi, abs=1e-4)
 
@@ -31,7 +32,7 @@ def test_harmonic_disk_volume():
 def test_separable_harmonic_ball_volume():
     # {|x|^2 + |xi|^2 < 1} is the unit 4-ball of volume pi^2/2
     m = make_model("separable_harmonic_2d")
-    est = weyl_volume(m, 1.0, budget=2**18)
+    est = weyl_volume(FiberCloud(m, budget=2**18), 1.0)
     assert est.method == "monte_carlo"
     assert est.std_error > 0
     assert abs(est.value - math.pi**2 / 2) <= 3 * est.std_error
@@ -39,20 +40,34 @@ def test_separable_harmonic_ball_volume():
 
 def test_volume_monotone_in_energy():
     m = make_model("double_well_2d")
-    vals = [weyl_volume(m, e, budget=2**16).value for e in (0.5, 1.0, 1.5)]
+    cloud = FiberCloud(m, budget=2**16)
+    vals = [weyl_volume(cloud, e).value for e in (0.5, 1.0, 1.5)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_shell_volume_annulus():
-    # annulus between radii sqrt(E - h) and sqrt(E + h): area 2 pi h
-    m = make_model("harmonic")
-    v = shell_volume(m, 1.0, 0.05)
-    assert v.value == pytest.approx(2 * math.pi * 0.05, rel=1e-3)
+    # every shell {|x^2 + xi^2 - E'| <= h} is an annulus of area 2 pi h, so
+    # the sup over E' adds exactly that to the h floor
+    h = 0.05
+    rem = remainder_functional(FiberCloud(make_model("harmonic")), 1.0, 0.1, h)
+    assert rem.value == pytest.approx(h + 2 * math.pi * h, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "separable_harmonic_2d"])
+@pytest.mark.parametrize("box", [{"box_x": 1.0}, {"box_xi": 1.0}])
+def test_containment_fault(name, box):
+    # the unit sublevel set and the shells near E = 0.9 reach the 2% edge
+    # band of a unit position or momentum box
+    cloud = FiberCloud(make_model(name, **box))
+    with pytest.raises(ContainmentFault):
+        weyl_volume(cloud, 1.0)
+    with pytest.raises(ContainmentFault):
+        remainder_functional(cloud, 0.9, 0.1, 0.05)
 
 
 def test_remainder_functional_floor_and_grid():
     m = make_model("harmonic")
-    rem = remainder_functional(m, 1.0, 0.1, 0.05)
+    rem = remainder_functional(FiberCloud(m), 1.0, 0.1, 0.05)
     assert rem.value >= 0.05
     assert rem.grid_size >= math.ceil(4 * 0.05 ** (-0.1)) + 1
     assert abs(rem.argmax_energy - 1.0) <= 0.05 ** (1 - 0.1) + 1e-12
@@ -60,7 +75,8 @@ def test_remainder_functional_floor_and_grid():
 
 def test_remainder_functional_near_linear_in_h():
     m = make_model("harmonic")
-    vals = {h: remainder_functional(m, 1.0, 0.1, h).value for h in (0.02, 0.04)}
+    cloud = FiberCloud(m)
+    vals = {h: remainder_functional(cloud, 1.0, 0.1, h).value for h in (0.02, 0.04)}
     assert vals[0.04] == pytest.approx(2 * vals[0.02], rel=0.1)
 
 
