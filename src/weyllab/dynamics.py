@@ -10,12 +10,18 @@ the first-order Taylor error is quadratic in t.
 Oscillatory integrals (2 pi h)^(-d) int exp(i t p/h) b dv are computed by
 panel-per-wavelength tensor Gauss-Legendre quadrature with a panel-halving
 error estimate; their decay in h off the critical set is the quantitative
-form of non-stationary phase.
+form of non-stationary phase.  The tensor rule is evaluated in chunks of
+CHUNK_POINTS nodes on a small thread pool, one thread per available core up
+to four; the chunk boundaries are fixed and the partial sums are added in
+chunk order, so the result does not depend on the number of cores.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,7 +50,12 @@ __all__ = [
 FLOW_TOL = 1e-11
 DRIFT_TOL = 1e-8
 NODE_BUDGET = 24 * 10**7
-CHUNK_POINTS = 2**22
+CHUNK_POINTS = 2**18
+# quadrature threads; the cap bounds the chunks in flight
+try:
+    _WORKERS = min(len(os.sched_getaffinity(0)), 4)
+except AttributeError:  # no sched_getaffinity on this platform
+    _WORKERS = min(os.cpu_count() or 1, 4)
 NODES_PER_PANEL = 8
 
 
@@ -193,7 +204,8 @@ def check_displacement_bounds(
 ) -> DisplacementReport:
     """Lower/upper displacement bounds along the flow, off the critical set.
 
-    Samples v with |grad a0(v)| > cbar h^delta0 (rejection on the box).  For
+    Samples v with |grad a0(v)| > cbar h^delta0 (rejection on the box; a
+    draw of 4 n_samples candidates that accepts none raises ValueError).  For
     each v and t: (i) |flow_t(v) - v| >= |t grad p(v)|/2 is asserted; the
     constants in (ii) |flow_t(v) - v| <= C1 |t grad p(v)| and (iii)
     |flow_t(v) - v - t J grad p(v)| <= C2 t^2 |grad p(v)| are fitted as the
@@ -207,7 +219,14 @@ def check_displacement_bounds(
     while len(samples) < n_samples:
         cand = model.sample_box(4 * n_samples, rng)
         gn = np.linalg.norm(model.gradient(cand), axis=1)
-        samples.extend(cand[gn > thresh][: n_samples - len(samples)])
+        kept = cand[gn > thresh]
+        if len(kept) == 0:
+            raise ValueError(
+                f"no point of {len(cand)} box samples has |grad p| above "
+                f"the threshold cbar h^delta0 = {thresh:.6g}; the largest "
+                f"sampled |grad p| is {gn.max():.6g}"
+            )
+        samples.extend(kept[: n_samples - len(samples)])
     samples = np.asarray(samples)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     t0 = float(np.abs(t_grid).max())
@@ -279,35 +298,40 @@ def _panel_rule(lo: float, hi: float, panels: int):
 
 
 def _tensor_quadrature(model, amplitude, t, h, box, panels):
-    d2 = len(box)
     rules = [_panel_rule(lo, hi, panels) for lo, hi in box]
-    n_axis = [len(r[0]) for r in rules]
-    total = int(np.prod(n_axis))
+    total = math.prod(len(pts) for pts, _ in rules)
     if total > NODE_BUDGET:
         raise MemoryError(total)
-    acc = 0.0 + 0.0j
-    # chunk over the leading axis to bound memory
-    lead_pts, lead_wts = rules[0]
-    rest = rules[1:]
-    rest_mesh = np.meshgrid(*[r[0] for r in rest], indexing="ij")
-    rest_pts = np.stack([m.ravel() for m in rest_mesh], axis=-1)
-    rest_wts = np.ones(rest_pts.shape[0])
-    for j, r in enumerate(rest):
-        rest_wts *= np.meshgrid(*[rr[1] for rr in rest], indexing="ij")[j].ravel()
-    chunk = max(1, CHUNK_POINTS // rest_pts.shape[0])
-    for lo in range(0, len(lead_pts), chunk):
+    (lead_pts, lead_wts), rest = rules[0], rules[1:]
+    rest_pts = np.stack(
+        np.meshgrid(*[pts for pts, _ in rest], indexing="ij"), axis=-1
+    ).reshape(-1, len(rest))
+    rest_wts = functools.reduce(np.multiply.outer, [w for _, w in rest]).ravel()
+    m = len(rest_wts)
+    chunk = max(1, CHUNK_POINTS // m)
+
+    def partial_sum(lo):
+        # the chunk is lead nodes [lo, lo + chunk) times every rest node
         lp = lead_pts[lo : lo + chunk]
-        lw = lead_wts[lo : lo + chunk]
-        pts = np.empty((len(lp) * rest_pts.shape[0], d2))
-        pts[:, 0] = np.repeat(lp, rest_pts.shape[0])
-        pts[:, 1:] = np.tile(rest_pts, (len(lp), 1))
-        wts = np.repeat(lw, rest_pts.shape[0]) * np.tile(rest_wts, len(lp))
+        pts = np.empty((len(lp), m, len(box)))
+        pts[:, :, 0] = lp[:, None]
+        pts[:, :, 1:] = rest_pts
+        pts = pts.reshape(-1, len(box))
         amp = amplitude(pts)
-        live = amp != 0.0
-        if not np.any(live):
-            continue
+        live = np.flatnonzero(amp)
+        if len(live) == 0:
+            return 0.0 + 0.0j
+        wts = np.multiply.outer(lead_wts[lo : lo + chunk], rest_wts).ravel()
         phase = model.value(pts[live]) * (t / h)
-        acc += np.sum(wts[live] * amp[live] * np.exp(1j * phase))
+        return np.sum(wts[live] * amp[live] * np.exp(1j * phase))
+
+    # fixed chunk boundaries and an in-order sum: the result does not depend
+    # on the worker count; numpy's loops release the GIL, so threads overlap
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        parts = list(pool.map(partial_sum, range(0, len(lead_pts), chunk)))
+    acc = 0.0 + 0.0j
+    for part in parts:
+        acc += part
     return acc
 
 

@@ -15,7 +15,8 @@ under the integral:
 with kernel moments m_alpha = integral of y^alpha gamma(y) (m_0 = 1 and the
 odd and second moments are 0 by construction), so a polynomial of degree <= 2
 comes back with identical terms.  Every other coefficient is convolved by a
-tensor Gauss-Legendre rule.
+tensor Gauss-Legendre rule whose weights are corrected so that its moments of
+order <= 2 are exactly (1, 0, 0), like the kernel's.
 """
 
 from __future__ import annotations
@@ -208,6 +209,30 @@ def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
     return kernel
 
 
+def _exact_low_moments(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Least change of the weights w, measured relative to |w|, that makes
+    the rule's moments of order <= 2 exactly the kernel's: mass 1, first and
+    second moments 0.  Quadratics are then reproduced even where the tensor
+    rule has not converged.  Each weight is scaled by a positive factor, so
+    zero weights stay zero and no weight changes sign."""
+    d = pts.shape[1]
+    phi = np.column_stack(
+        [np.ones(len(w))]
+        + [pts[:, j] for j in range(d)]
+        + [pts[:, j] * pts[:, k] for j in range(d) for k in range(j, d)]
+    )
+    target = np.zeros(phi.shape[1])
+    target[0] = 1.0
+    gram = phi.T @ (np.abs(w)[:, None] * phi)
+    lam = np.linalg.solve(gram, target - phi.T @ w)
+    factor = 1.0 + np.sign(w) * (phi @ lam)
+    if not np.all(factor > 0.0):
+        raise MollifierConstructionFault(
+            "moment correction would flip the sign of a quadrature weight"
+        )
+    return w * factor
+
+
 @dataclass
 class RegularizedCoefficient:
     """Non-polynomial coefficient smoothed by quadrature against the dilated
@@ -228,10 +253,7 @@ class RegularizedCoefficient:
     def __post_init__(self):
         pts, wts = self.kernel.quadrature()
         self._nodes = pts
-        w = wts * self.kernel(pts)
-        # rescale to exact unit mass so constants are reproduced exactly
-        # even when the tensor rule has not fully converged
-        self._weights = w / w.sum()
+        self._weights = _exact_low_moments(pts, wts * self.kernel(pts))
 
     @property
     def scale(self) -> float:

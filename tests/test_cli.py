@@ -159,3 +159,22 @@ def test_main_rejects_short_h_grid_override(tmp_path):
     ])
     assert code == 2
     assert not out.exists()
+
+
+def test_flow_bounds_unreachable_threshold_exit_1(tmp_path):
+    # c_lower h^delta0 = 100 * 0.05^0.41 = 29.3, above every |grad p| of
+    # double_well_2d on its box: the run must fail, not sample forever
+    cfgfile = tmp_path / "flow.cfg"
+    cfgfile.write_text(
+        "model=double_well_2d\nenergy=1.0\nh_min=0.05\ndelta0=0.41\n"
+        "c_lower=100\n"
+    )
+    code = main([
+        "--config", str(cfgfile), "--experiment", "flow_bounds",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    error = verdict["criteria"][0]["error"]
+    assert error.startswith("ValueError")
+    assert f"threshold cbar h^delta0 = {100 * 0.05**0.41:.6g}" in error

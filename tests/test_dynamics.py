@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from weyllab import dynamics
 from weyllab.dynamics import (
     bump_amplitude,
     check_displacement_bounds,
@@ -14,7 +15,7 @@ from weyllab.dynamics import (
     ring_amplitude,
 )
 from weyllab.mollify import build_mollifier
-from weyllab.symbols import make_model
+from weyllab.symbols import make_model, smooth_cutoff
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,16 @@ def test_displacement_with_regularized_flow(double_well):
     assert rep.gradient_discrepancy < 1e-3
 
 
+def test_displacement_threshold_out_of_reach_raises(double_well):
+    # cbar h^delta0 = 1000 * 0.05^0.41 = 293 exceeds every |grad p| on the
+    # box (at most about 17.1), so rejection sampling can accept nothing
+    with pytest.raises(ValueError, match="threshold"):
+        check_displacement_bounds(
+            double_well, n_samples=8, t_grid=[-0.1, 0.1], cbar=1000.0,
+            delta0=0.41, h=0.05,
+        )
+
+
 def test_oscillatory_t_zero_radial_oracle(harmonic):
     amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
     h = 0.01
@@ -135,3 +146,66 @@ def test_decay_requires_admissible_mu(harmonic):
             harmonic, lambda h: bump_amplitude([0, 0], 0.5), mu=0.6,
             n_max=2, h_grid=[0.01] * 4, delta0=0.25,
         )
+
+
+def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
+    # the fine rule has 1200^2 nodes, about 6 chunks of CHUNK_POINTS
+    amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(dynamics, "_WORKERS", workers)
+        results.append(oscillatory_integral(
+            harmonic, amp, 0.3, 0.01, support_box=[(-1.6, 1.6)] * 2
+        ))
+    one, two = results
+    assert one.value == two.value
+    assert one.quadrature_error == two.quadrature_error
+
+
+def test_oscillatory_four_dimensional_product_oracle():
+    # p = |v|^2 and a product amplitude: the integral factors into four
+    # copies of the 1-D integral of exp(i t v^2 / h) chi(v)
+    model = make_model("separable_harmonic_2d")
+    t, h = 0.1, 0.05
+
+    def amp(pts):
+        return np.prod(smooth_cutoff(pts, 0.1, 0.6), axis=1)
+
+    res = oscillatory_integral(model, amp, t, h,
+                               support_box=[(-0.7, 0.7)] * 4, min_panels=4)
+
+    def chi(v):
+        return float(smooth_cutoff(np.array([v]), 0.1, 0.6)[0])
+
+    def part(trig):
+        return quad(lambda v: trig(t * v * v / h) * chi(v), -0.6, 0.6,
+                    points=[-0.1, 0.1], epsabs=1e-14, epsrel=1e-13,
+                    limit=200)[0]
+
+    one_d = complex(part(np.cos), part(np.sin))
+    ref = one_d**4 / (2 * np.pi * h) ** 2
+    assert res.reliable
+    assert abs(res.value - ref) <= 1e-6 * abs(ref)
+    assert abs(res.value - ref) <= res.quadrature_error
+
+
+def test_node_budget_fallback(harmonic, monkeypatch):
+    amp = bump_amplitude([0.0, 0.0], 0.8)
+    box = [(-0.9, 0.9)] * 2
+    # h = 0.025, t = h^0.2: min_panels = 2 gives 16^2 = 256 nodes, the
+    # coarse rule 16 panels or 128^2 = 16384 nodes
+    monkeypatch.setattr(dynamics, "NODE_BUDGET", 10000)
+    res = oscillatory_integral(harmonic, amp, 0.025**0.2, 0.025,
+                               support_box=box)
+    assert not res.reliable
+    assert res.quadrature_error == 0
+    # the fine rule of h = 0.025 (256^2 = 65536 nodes) is over budget, that
+    # of h = 0.035 (208^2 = 43264 nodes) within it
+    monkeypatch.setattr(dynamics, "NODE_BUDGET", 50000)
+    rep = nonstationary_decay_check(
+        harmonic, lambda h: amp, mu=0.8, n_max=1,
+        h_grid=[0.1, 0.07, 0.05, 0.035, 0.025], delta0=0.25,
+        support_box=box,
+    )
+    assert rep.excluded == (0.025,)
+    assert rep.h_grid == (0.035, 0.05, 0.07, 0.1)

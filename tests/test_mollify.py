@@ -90,6 +90,26 @@ def test_double_well_regularizes_to_fourth_moment_shift():
         assert reg.terms[expo] == pot.terms[expo]
 
 
+def test_quadrature_path_reproduces_quadratics():
+    # a plain Coefficient takes the quadrature path; its rule's moments of
+    # order <= 2 are exact, so a quadratic comes back unchanged
+    def value(x):
+        return x[:, 0] ** 2 + x[:, 0] * x[:, 1]
+
+    def grad(x):
+        return np.stack([2 * x[:, 0] + x[:, 1], x[:, 0]], axis=1)
+
+    def hess(x):
+        return np.broadcast_to([[2.0, 1.0], [1.0, 0.0]], (len(x), 2, 2))
+
+    quadratic = Coefficient(value, grad, hess)
+    reg = regularize(quadratic, 0.07, 0.41, build_mollifier(2, 1.0))
+    assert isinstance(reg, mollify.RegularizedCoefficient)
+    x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 2))
+    np.testing.assert_allclose(reg.value(x), value(x), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(reg.grad(x), grad(x), rtol=0, atol=1e-13)
+
+
 def test_polynomial_models_assemble_without_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial coefficient convolved by quadrature")
