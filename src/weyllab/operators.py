@@ -106,7 +106,7 @@ class DiscreteOperator:
 @dataclass
 class SpectrumSlice:
     threshold: float
-    count: int
+    count: int  # #{eigenvalues < threshold}
     method: str  # inertia | dense
     eigenvalues: Optional[np.ndarray] = None
     complete_to: Optional[float] = None
@@ -116,7 +116,7 @@ class SpectrumSlice:
         if self.count < 0:
             raise ValueError("count must be nonnegative")
         if self.eigenvalues is not None:
-            below = int(np.sum(self.eigenvalues <= self.threshold))
+            below = int(np.sum(self.eigenvalues < self.threshold))
             if below != self.count:
                 raise ValueError("eigenvalue list inconsistent with count")
 
@@ -178,6 +178,10 @@ def assemble(
     """
     if variant not in ("raw", "plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
+    if model.dimension > 2:
+        raise NotImplementedError(
+            f"matrix assembly supports d <= 2; got d = {model.dimension}"
+        )
     if model.order != 1:
         raise NotImplementedError(
             "matrix assembly supports second-order symbols only"
@@ -347,16 +351,17 @@ def _banded_eigenvalues(op: DiscreteOperator, hi: float) -> np.ndarray:
     band[0] = mat.diagonal()
     band[1, : n - 1] = mat.diagonal(-1)
     lo = float(band[0].min() - 2.0 * np.abs(band[1]).max() - 1.0)
-    return eigvals_banded(
+    vals = eigvals_banded(
         band, lower=True, select="v", select_range=(lo, hi)
     )
+    return vals[vals < hi]  # the selected range (lo, hi] includes hi
 
 
 def eigenvalues_below(
     op: DiscreteOperator, energy: float, margin: float
 ) -> SpectrumSlice:
-    """All eigenvalues up to energy + margin, cross-checked against inertia
-    counts at both ends."""
+    """All eigenvalues below energy + margin, cross-checked against the
+    inertia count there; like `count_below`, every count is strict."""
     hi = energy + margin
     expected = count_below(op, hi).count
     if expected > 5 * 10**4:
@@ -374,7 +379,7 @@ def eigenvalues_below(
         eigs = _banded_eigenvalues(op, hi)
     elif op.size <= DENSE_LIMIT:
         allv = np.linalg.eigvalsh(op.matrix.toarray())
-        eigs = allv[allv <= hi]
+        eigs = allv[allv < hi]
     else:
         k = expected
         for attempt in range(3):
@@ -386,7 +391,7 @@ def eigenvalues_below(
                 which="LM",
                 return_eigenvectors=False,
             )
-            eigs = np.sort(vals[vals <= hi])
+            eigs = np.sort(vals[vals < hi])
             if len(eigs) == expected:
                 break
         else:
@@ -400,7 +405,7 @@ def eigenvalues_below(
         )
     return SpectrumSlice(
         threshold=energy,
-        count=int(np.sum(eigs <= energy)),
+        count=int(np.sum(eigs < energy)),
         method="dense",
         eigenvalues=eigs,
         complete_to=hi,

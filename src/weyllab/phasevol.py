@@ -8,13 +8,17 @@ directional slice measures through near-critical points, and exact 1-D
 polynomial sublevel measures.
 
 For second-order symbols the fiber in the first momentum coordinate is a
-quadratic polynomial, so its sublevel measure has a closed form.  A
-`FiberCloud` holds that polynomial at every base point (a midpoint grid in x
-for d = 1, a stratified Monte Carlo cloud over the remaining coordinates for
-d >= 2), and `weyl_volume` and `remainder_functional` integrate the exact
-fiber measure over it.  This removes the indicator-function variance in the
-thin-shell regime and makes the relative error h-independent; a sweep builds
-one cloud and measures every energy level on it.
+quadratic A (t - t0)^2 + m with A > 0.  While its sublevel interval stays
+inside the momentum box, which the containment check guarantees, the
+measure of {a0 < L} on the fiber is exactly 2 sqrt((L - m)_+ / A).  A
+`FiberCloud` holds (A, m, t0) at every base point (a midpoint grid in x for
+d = 1, a stratified Monte Carlo cloud over the remaining coordinates for
+d >= 2), and `weyl_volume` and `remainder_functional` integrate that one
+closed form over it.  This removes the indicator-function variance in the
+thin-shell regime and makes the relative error h-independent.  A sweep
+builds one cloud and measures every energy level on it; the remainder sup
+checks containment once per h and measures its shells only on the points
+whose fiber minimum lies below the top shell edge.
 """
 
 from __future__ import annotations
@@ -136,18 +140,11 @@ def _fiber_coefficients(model: SymbolModel, base: np.ndarray):
     return A, B, f0
 
 
-def _fiber_sublevel(A, B, C, level, L):
-    """Measure and max |endpoint| of {t in [-L, L] : A t^2 + B t + C < level},
-    with A > 0 elementwise."""
-    disc = B * B - 4.0 * A * (C - level)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    lo = (-B - sq) / (2.0 * A)
-    hi = (-B + sq) / (2.0 * A)
-    clo = np.clip(lo, -L, L)
-    chi = np.clip(hi, -L, L)
-    meas = np.where(disc > 0.0, np.maximum(chi - clo, 0.0), 0.0)
-    reach = np.where(meas > 0.0, np.maximum(np.abs(clo), np.abs(chi)), 0.0)
-    return meas, reach
+def _fiber_measure(A, minimum, level):
+    """Measure of {t : A (t - vertex)^2 + minimum < level}, with A > 0
+    elementwise: the whole sublevel interval, which containment keeps
+    inside the momentum box."""
+    return 2.0 * np.sqrt(np.maximum(level - minimum, 0.0) / A)
 
 
 def _base_cloud(model: SymbolModel, budget: int, seed: int):
@@ -179,11 +176,14 @@ class FiberCloud:
     """Base points of phase space reduced to their quadratic momentum fibers.
 
     d = 1 takes a midpoint grid of max(budget, 2^14) points in x; d >= 2
-    takes the stratified 32-batch cloud of `_base_cloud`.  The points are
-    reduced once to the fiber coefficients (A, B, C) and to a mask of the
+    takes the stratified 32-batch cloud of `_base_cloud`.  Each point's
+    fiber t -> A t^2 + B t + C is kept as its curvature A, its minimum
+    m = C - B^2/(4A) and its vertex -B/(2A), together with a mask of the
     points within 2% of the box edge in a non-fiber coordinate; the points
-    themselves are not kept.  Every volume of one sweep is measured on the
-    same cloud.
+    themselves are not kept.  Once `contained` has cleared a level, no
+    sublevel interval below it is clipped by the momentum box, so the fiber
+    measure of {a0 < L} is exactly 2 sqrt((L - m)_+ / A).  Every volume of
+    one sweep is measured on the same cloud.
     """
 
     def __init__(self, model: SymbolModel, budget: int = 2**18, seed: int = 0):
@@ -203,35 +203,40 @@ class FiberCloud:
             self.batches = N_BATCHES
         self.size = n
         self.box_xi = model.box_xi
-        self.A, self.B, self.C = _fiber_coefficients(model, pts)
+        A, B, C = _fiber_coefficients(model, pts)
         limit = 1.0 - BOUNDARY_MARGIN
         self.edge = np.abs(pts[:, :d]).max(axis=1) > limit * model.box_x
         if d > 1:
             xi_rest = np.abs(pts[:, d + 1 :]).max(axis=1)
             self.edge |= xi_rest > limit * model.box_xi
+        del pts  # free the points before the fiber temporaries below
+        self.A = A
+        self.minimum = C - B * B / (4.0 * A)
+        self.vertex = -B / (2.0 * A)
 
-    def measure(self, upper: float, lower: float | None = None) -> np.ndarray:
-        """Per-point fiber measure of {lower <= a0 < upper} ({a0 < upper}
-        without `lower`).
+    def contained(self, level: float) -> np.ndarray:
+        """Mask of the points whose fiber meets {a0 < level}.
 
-        Raises ContainmentFault if a point carrying mass sits within 2% of
-        the box edge, or if a fiber interval reaches 98% of the momentum
-        range.
+        Raises ContainmentFault if one of them sits within 2% of the box
+        edge, or if its sublevel interval reaches 98% of the momentum range.
+        Both the mask and the intervals only grow with the level, so a
+        cleared level clears every level below it.
         """
-        fiber = (self.A, self.B, self.C)
-        meas, reach = _fiber_sublevel(*fiber, upper, self.box_xi)
-        if lower is not None:
-            meas = meas - _fiber_sublevel(*fiber, lower, self.box_xi)[0]
-        active = meas > 0
-        if np.any(active) and (
-            np.any(self.edge[active])
-            or reach[active].max() > (1.0 - BOUNDARY_MARGIN) * self.box_xi
-        ):
-            raise ContainmentFault(
-                "sublevel/shell set reaches within 2% of the sampling box; "
-                "enlarge box_x/box_xi"
+        active = self.minimum < level
+        if np.any(active):
+            half = 0.5 * _fiber_measure(
+                self.A[active], self.minimum[active], level
             )
-        return meas
+            reach = np.abs(self.vertex[active]) + half
+            if (
+                np.any(self.edge[active])
+                or reach.max() > (1.0 - BOUNDARY_MARGIN) * self.box_xi
+            ):
+                raise ContainmentFault(
+                    "sublevel/shell set reaches within 2% of the sampling box; "
+                    "enlarge box_x/box_xi"
+                )
+        return active
 
 
 def weyl_volume(cloud: FiberCloud, energy: float) -> VolumeEstimate:
@@ -242,7 +247,8 @@ def weyl_volume(cloud: FiberCloud, energy: float) -> VolumeEstimate:
     the Monte Carlo cloud, with the spread of the 32 batch means as the
     standard error.
     """
-    meas = cloud.measure(energy)
+    cloud.contained(energy)
+    meas = _fiber_measure(cloud.A, cloud.minimum, energy)
     if cloud.batches is None:
         dx = cloud.base_volume / cloud.size
         value = float(meas.sum() * dx)
@@ -263,9 +269,11 @@ def remainder_functional(
     E' in [E - h^(1-eps), E + h^(1-eps)].
 
     The E'-grid has ceil(4 h^(-eps)) + 1 points, so its spacing is at most
-    h/2 and no width-h shell can slip between grid points.  Every E' is
-    measured on the same cloud, which makes the discrete sup exact up to the
-    common Monte Carlo error.
+    h/2 and no width-h shell can slip between grid points.  Containment is
+    checked once, at the top shell edge E + h^(1-eps) + h, and every shell
+    is measured on the points whose fiber minimum lies below that edge: the
+    others carry no shell mass.  The common cloud makes the discrete sup
+    exact up to the shared Monte Carlo error.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -275,18 +283,22 @@ def remainder_functional(
     n_grid = int(math.ceil(4.0 * h ** (-epsilon))) + 1
     grid = np.linspace(energy - half, energy + half, n_grid)
 
+    keep = cloud.contained(grid[-1] + h)
+    A, minimum = cloud.A[keep], cloud.minimum[keep]
     weight = cloud.base_volume / cloud.size
-    best_vol, best_e = -1.0, grid[0]
+    vols = []
     for e_prime in grid:
-        vol = float(cloud.measure(e_prime + h, e_prime - h).sum() * weight)
-        if vol > best_vol:
-            best_vol, best_e = vol, float(e_prime)
+        shell = _fiber_measure(A, minimum, e_prime + h) - _fiber_measure(
+            A, minimum, e_prime - h
+        )
+        vols.append(float(shell.sum() * weight))
+    best = int(np.argmax(vols))  # the first of equal maxima
     return RemainderFunctional(
         energy=energy,
         epsilon=epsilon,
         h=h,
-        value=h + best_vol,
-        argmax_energy=best_e,
+        value=h + vols[best],
+        argmax_energy=float(grid[best]),
         grid_size=n_grid,
     )
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from weyllab.mollify import build_mollifier
 from weyllab.operators import (
+    DiscreteOperator,
     GridSpec,
     ResolutionFault,
     assemble,
@@ -15,7 +17,7 @@ from weyllab.operators import (
     sharp_vs_smoothed_gap,
     smoothed_count,
 )
-from weyllab.symbols import make_model
+from weyllab.symbols import PolynomialCoefficient, SymbolModel, make_model
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,47 @@ def test_eigenvalues_below_matches_count(harmonic):
     assert slc.count == count_below(op, 1.0).count
     assert len(slc.eigenvalues) == slc.count
     assert np.all(np.diff(slc.eigenvalues) >= 0)
+
+
+def test_counts_are_strict_at_an_eigenvalue():
+    # diag(1, 2, 3) at E = 2: one eigenvalue lies strictly below, and the
+    # eigenvalue slice must count the same way as the inertia count
+    op = DiscreteOperator(
+        h=0.1,
+        grid=GridSpec(1.0, 3),
+        matrix=sp.diags([1.0, 2.0, 3.0]).tocsc(),
+        variant="raw",
+        dimension=1,
+    )
+    assert count_below(op, 2.0).count == 1
+    slc = eigenvalues_below(op, 2.0, 0.5)
+    assert slc.count == 1
+    np.testing.assert_array_equal(slc.eigenvalues, [1.0, 2.0])
+    exact = eigenvalues_below(op, 2.0, 0.0)
+    assert exact.count == 1
+    np.testing.assert_array_equal(exact.eigenvalues, [1.0])
+
+
+def test_assemble_rejects_three_dimensions():
+    d = 3
+    unit = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    coeffs = {(e, e): PolynomialCoefficient({(0,) * d: 1.0}, d) for e in unit}
+    coeffs[((0,) * d, (0,) * d)] = PolynomialCoefficient(
+        {tuple(2 * i for i in e): 1.0 for e in unit}, d
+    )
+    model = SymbolModel(
+        dimension=d,
+        order=1,
+        coefficients=coeffs,
+        ellipticity_constant=1.0,
+        holder_exponent=0.5,
+        name="harmonic_3d",
+    )
+    with pytest.raises(NotImplementedError, match="d = 3"):
+        assemble(
+            model, None, 0.1, 0.41, GridSpec(2.0, 9), energy=1.0,
+            strict_resolution=False,
+        )
 
 
 def test_mollified_counter_positive_unit_mass():

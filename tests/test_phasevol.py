@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyllab import phasevol
 from weyllab.phasevol import (
     ContainmentFault,
     FiberCloud,
@@ -18,7 +19,12 @@ from weyllab.phasevol import (
     verify_sublevel_lemma,
     weyl_volume,
 )
-from weyllab.symbols import find_critical_points, make_model
+from weyllab.symbols import (
+    PolynomialCoefficient,
+    SymbolModel,
+    find_critical_points,
+    make_model,
+)
 
 
 def test_harmonic_disk_volume():
@@ -63,6 +69,125 @@ def test_containment_fault(name, box):
         weyl_volume(cloud, 1.0)
     with pytest.raises(ContainmentFault):
         remainder_functional(cloud, 0.9, 0.1, 0.05)
+
+
+def test_only_the_top_shell_edge_faults():
+    # with box_xi = 1 the sublevel fibers of x^2 + xi^2 reach sqrt(level):
+    # E = 0.9 itself reaches 0.949 < 0.98, and so does every shell edge up
+    # to E + h^0.9 + h = 0.926 at h = 0.01; at h = 0.05 only the top edge
+    # 1.0175 reaches past 0.98 (to 1.0087)
+    cloud = FiberCloud(make_model("harmonic", box_xi=1.0))
+    weyl_volume(cloud, 0.9)
+    with pytest.raises(ContainmentFault):
+        remainder_functional(cloud, 0.9, 0.1, 0.05)
+    remainder_functional(cloud, 0.9, 0.1, 0.01)
+
+
+def _shifted_harmonic(shift, potential, **box):
+    # a0 = xi^2 + 2 shift(x) xi + potential(x), fiber vertex at -shift(x)
+    def poly(terms):
+        return PolynomialCoefficient(terms, 1)
+
+    return SymbolModel(
+        dimension=1,
+        order=1,
+        coefficients={
+            ((1,), (1,)): poly({(0,): 1.0}),
+            ((1,), (0,)): poly(shift),
+            ((0,), (1,)): poly(shift),
+            ((0,), (0,)): poly(potential),
+        },
+        ellipticity_constant=1.0,
+        holder_exponent=0.5,
+        **box,
+    )
+
+
+def test_sheared_fibers_keep_disk_and_annulus():
+    # (xi + x/2)^2 + x^2 is the harmonic symbol after a shear of phase
+    # space, so it keeps the disk area pi E and the shell area 2 pi h
+    cloud = FiberCloud(_shifted_harmonic({(1,): 0.5}, {(2,): 1.25}))
+    assert weyl_volume(cloud, 1.0).value == pytest.approx(math.pi, abs=1e-4)
+    h = 0.05
+    rem = remainder_functional(cloud, 1.0, 0.1, h)
+    assert rem.value == pytest.approx(h + 2 * math.pi * h, rel=1e-3)
+
+
+def test_fiber_outside_the_momentum_box_faults():
+    # {(xi - 3)^2 + x^2 < 1} lies at xi in (2, 4), beyond box_xi = 2
+    cloud = FiberCloud(_shifted_harmonic({(0,): -3.0}, {(2,): 1.0, (0,): 9.0}))
+    with pytest.raises(ContainmentFault):
+        weyl_volume(cloud, 1.0)
+
+
+class _ClipAndSubtract:
+    """Reference measure on the same draw as FiberCloud: the clipped
+    sublevel interval of each fiber at the upper level minus that at the
+    lower, with a containment check at every pair of levels."""
+
+    def __init__(self, model, budget, seed):
+        d = model.dimension
+        pts, _ = phasevol._base_cloud(model, budget, seed)
+        self.A, self.B, self.C = phasevol._fiber_coefficients(model, pts)
+        self.size = len(pts)
+        self.base_volume = model.box_volume() / (2.0 * model.box_xi)
+        self.box_xi = model.box_xi
+        self.edge = (np.abs(pts[:, :d]).max(axis=1) > 0.98 * model.box_x) | (
+            np.abs(pts[:, d + 1 :]).max(axis=1) > 0.98 * model.box_xi
+        )
+
+    def _sublevel(self, level):
+        A, B, C, L = self.A, self.B, self.C, self.box_xi
+        disc = B * B - 4.0 * A * (C - level)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.clip((-B - sq) / (2.0 * A), -L, L)
+        hi = np.clip((-B + sq) / (2.0 * A), -L, L)
+        meas = np.where(disc > 0.0, np.maximum(hi - lo, 0.0), 0.0)
+        reach = np.where(meas > 0.0, np.maximum(np.abs(lo), np.abs(hi)), 0.0)
+        return meas, reach
+
+    def measure(self, upper, lower=None):
+        meas, reach = self._sublevel(upper)
+        if lower is not None:
+            meas = meas - self._sublevel(lower)[0]
+        active = meas > 0
+        assert not np.any(self.edge[active])
+        assert reach[active].max() <= 0.98 * self.box_xi
+        return meas
+
+    def weyl(self, energy):
+        means = self.measure(energy).reshape(phasevol.N_BATCHES, -1).mean(axis=1)
+        value = self.base_volume * means.mean()
+        se = self.base_volume * means.std(ddof=1) / math.sqrt(len(means))
+        return value, se
+
+    def sup(self, energy, epsilon, h):
+        half = h ** (1.0 - epsilon)
+        n_grid = int(math.ceil(4.0 * h ** (-epsilon))) + 1
+        weight = self.base_volume / self.size
+        best_vol, best_e = -1.0, None
+        for e in np.linspace(energy - half, energy + half, n_grid):
+            vol = float(self.measure(e + h, e - h).sum() * weight)
+            if vol > best_vol:
+                best_vol, best_e = vol, float(e)
+        return h + best_vol, best_e, n_grid
+
+
+@pytest.mark.parametrize("name", ["double_well_2d", "separable_harmonic_2d"])
+def test_closed_form_matches_clip_and_subtract(name):
+    model = make_model(name)
+    cloud = FiberCloud(model, budget=2**16)
+    ref = _ClipAndSubtract(model, 2**16, 0)
+    est = weyl_volume(cloud, 1.0)
+    value, se = ref.weyl(1.0)
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0)
+    for h in (0.1, 0.05, 0.025):
+        rem = remainder_functional(cloud, 1.0, 0.1, h)
+        value, argmax, n_grid = ref.sup(1.0, 0.1, h)
+        assert rem.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert rem.argmax_energy == argmax
+        assert rem.grid_size == n_grid
 
 
 def test_remainder_functional_floor_and_grid():
