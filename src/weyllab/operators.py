@@ -433,7 +433,12 @@ def _counter_tables(t0: float):
     z_max = 16.0 / t0
     for _ in range(12):
         zeta = np.linspace(0.0, z_max, 8001)
-        ghat = (np.cos(np.outer(zeta, t_nodes)) * (t_wts * g0)).sum(axis=1)
+        # row blocks: the whole 8001 x 512 cosine table is 33 MB, held twice
+        # while it is weighted, and would set the process's peak memory
+        ghat = np.concatenate([
+            (np.cos(np.outer(z, t_nodes)) * (t_wts * g0)).sum(axis=1)
+            for z in np.array_split(zeta, 8)
+        ])
         phi = ghat * ghat / conv0
         if phi[-1] < 1e-16 * phi[0]:
             break

@@ -289,7 +289,9 @@ def test_criterion_10_determinism(baseline_sweep, critical_sweep, kernel2):
     def sublevel_bytes():
         rep = verify_sublevel_lemma(random_seed=0, trials=200, delta0=0.4)
         lines = ["degree,calibrated_constant"]
-        lines += [f"{d},{rep.constants[d]!r}" for d in sorted(rep.constants)]
+        # the CLI writes repr(float(c)) into sublevel_lemma.csv
+        lines += [f"{m},{float(c)!r}"
+                  for m, c in sorted(rep.constants.items())]
         return ("\n".join(lines) + "\n").encode()
 
     same1 = sweep_csv_text(base2) == sweep_csv_text(baseline_sweep)

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import weyllab
 from weyllab.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -116,9 +118,15 @@ def test_main_overrides_and_exit_0(tmp_path):
 
 
 def test_console_script_installed():
+    # the child imports the same weyllab as this process, whether that
+    # comes from an install, PYTHONPATH or pytest's pythonpath setting
+    package_root = os.path.dirname(os.path.dirname(weyllab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "weyllab.cli", "--experiment", "nope"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
     assert "registry" in proc.stderr

@@ -261,19 +261,60 @@ def test_poly_sublevel_rejects_bad_input():
         poly_sublevel_measure([0.0, 1.0], -0.1, (-1, 1))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    c0=st.floats(-2, 2),
-    c1=st.floats(-2, 2),
-    c2=st.floats(0.5, 2),
+    degree=st.integers(1, 6),
+    lower=st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+    lead=st.floats(0.5, 2),
     tau=st.floats(0.01, 0.5),
 )
-def test_poly_sublevel_matches_dense_scan(c0, c1, c2, tau):
-    coeffs = [c0, c1, c2]
+def test_poly_sublevel_matches_dense_scan(degree, lower, lead, tau):
+    coeffs = lower[:degree] + [lead]
     q = poly_sublevel_measure(coeffs, tau, (-3.0, 3.0))
     s = np.linspace(-3.0, 3.0, 200_001)
     vals = np.abs(np.polynomial.polynomial.polyval(s, coeffs))
     approx = np.mean(vals < tau) * 6.0
+    assert q.measure == pytest.approx(approx, abs=2e-3)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.01, 0.1, 0.3])
+def test_poly_sublevel_tangency(tau):
+    # F = tau - s^2: F - tau = -s^2 touches zero at s = 0 without a sign
+    # change, so |F| < tau on all of |s| < sqrt(2 tau) but the point 0
+    q = poly_sublevel_measure([tau, 0.0, -1.0], tau, (-1.0, 1.0))
+    assert q.measure == pytest.approx(2.0 * math.sqrt(2.0 * tau), rel=1e-9)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.01, 0.1])
+def test_poly_sublevel_triple_root_sign_change(tau):
+    # F = tau + (s - 0.2)^3: F - tau has a triple root at 0.2 where it
+    # changes sign, and |F| < tau exactly for -(2 tau)^(1/3) < s - 0.2 < 0.
+    # The expanded float coefficients move the triple root by ~1e-6.
+    coeffs = [tau - 0.008, 0.12, -0.6, 1.0]
+    q = poly_sublevel_measure(coeffs, tau, (-1.0, 1.0))
+    assert q.measure == pytest.approx((2.0 * tau) ** (1.0 / 3.0), rel=1e-5)
+
+
+@pytest.mark.parametrize("h", [0.1, 1e-3])
+def test_sublevel_extremal_attains_polya_constant(h):
+    # with no random trials the calibrated constants are those of the
+    # scaled Chebyshev extremals alone: Polya's 4 (m!/2)^(1/m)
+    rep = verify_sublevel_lemma(random_seed=0, trials=0, h_grid=(h,))
+    assert sorted(rep.constants) == [1, 2, 3, 4, 5]
+    for m, c in rep.constants.items():
+        polya = 4.0 * (math.factorial(m) / 2.0) ** (1.0 / m)
+        assert c == pytest.approx(polya, rel=1e-7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_poly_sublevel_degree_15_matches_dense_scan(seed):
+    rng = np.random.default_rng(seed)
+    coeffs = list(rng.uniform(-1.0, 1.0, size=16))
+    q = poly_sublevel_measure(coeffs, 0.3, (-1.0, 1.0))
+    s = np.linspace(-1.0, 1.0, 200_001)
+    vals = np.abs(np.polynomial.polynomial.polyval(s, coeffs))
+    approx = np.mean(vals < 0.3) * 2.0
+    assert 0.0 < q.measure < 2.0
     assert q.measure == pytest.approx(approx, abs=2e-3)
 
 
