@@ -3,8 +3,9 @@
 The divergence-form operator sum (hD)^nubar a(x) (hD)^nu is discretized on a
 Dirichlet box with flux-form (midpoint-coefficient) second-order stencils, so
 the matrix is symmetric to machine precision.  Counting below a threshold
-uses matrix inertia (Sylvester's law of inertia applied to an LDL^T
-factorization), which is exact: no eigenvalue is ever computed for a count.
+uses matrix inertia (Sylvester's law of inertia applied to a sparse LU
+factorization with symmetric pivoting: the negative pivots count the negative
+eigenvalues), which is exact: no eigenvalue is ever computed for a count.
 
 The smoothed counter replaces the sharp indicator of a window Z = [E1, E2] by
 f(lambda) = integral over Z of gamma_h(lambda - mu), where gamma_h is the
@@ -23,8 +24,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigvals_banded, ldl
-from scipy.sparse.linalg import eigsh, splu
+from scipy.linalg import eigvals_banded
+from scipy.sparse.linalg import splu
 
 from .mollify import MollifierKernel, regularize
 from .symbols import SymbolModel
@@ -34,20 +35,17 @@ __all__ = [
     "DiscreteOperator",
     "SpectrumSlice",
     "MollifiedCounter",
-    "GapReport",
     "assemble",
     "count_below",
     "eigenvalues_below",
     "build_mollified_counter",
     "smoothed_count",
-    "sharp_vs_smoothed_gap",
     "ResolutionFault",
     "ConfinementFault",
     "FactorizationFault",
     "IncompletenessFault",
 ]
 
-DENSE_LIMIT = 2000
 SHIFT_STEP = 1e-10
 MAX_SHIFTS = 3
 MASS_TOL = 1e-8
@@ -107,7 +105,7 @@ class DiscreteOperator:
 class SpectrumSlice:
     threshold: float
     count: int  # #{eigenvalues < threshold}
-    method: str  # inertia | dense
+    method: str  # inertia | banded
     eigenvalues: Optional[np.ndarray] = None
     complete_to: Optional[float] = None
     shifts_applied: int = 0
@@ -294,18 +292,16 @@ def assemble(
 # -- counting ------------------------------------------------------------------
 
 
-def _dense_inertia(mat: np.ndarray) -> int:
-    _, dblock, _ = ldl(mat)
-    return int(np.sum(np.linalg.eigvalsh(dblock) < 0.0))
-
-
 def _sparse_inertia(mat: sp.csc_matrix) -> int:
-    lu = splu(
-        mat,
-        diag_pivot_thresh=0.0,
-        permc_spec="MMD_AT_PLUS_A",
-        options=dict(SymmetricMode=True),
-    )
+    try:
+        lu = splu(
+            mat,
+            diag_pivot_thresh=0.0,
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise FactorizationFault(str(err)) from err
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationFault("factorization lost symmetric pivoting")
     du = lu.U.diagonal()
@@ -316,29 +312,29 @@ def _sparse_inertia(mat: sp.csc_matrix) -> int:
 
 
 def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
-    """Exact number of eigenvalues below `energy` via matrix inertia."""
+    """Exact number of eigenvalues below `energy` via matrix inertia.
+
+    A singular or near-singular factorization means an eigenvalue sits at
+    the threshold; the threshold then moves down by SHIFT_STEP, so that an
+    eigenvalue at `energy` stays uncounted and every count is strict.
+    """
     n = op.size
-    shift, shifts = 0.0, 0
     pivot_log = []
-    while shifts <= MAX_SHIFTS:
-        m = op.matrix - (energy + shift) * sp.identity(n, format="csc")
+    for shifts in range(MAX_SHIFTS + 1):
+        m = op.matrix - (energy - shifts * SHIFT_STEP) * sp.identity(
+            n, format="csc"
+        )
         try:
-            if n <= DENSE_LIMIT:
-                count = _dense_inertia(m.toarray())
-                method = "dense"
-            else:
-                count = _sparse_inertia(m)
-                method = "inertia"
-            return SpectrumSlice(
-                threshold=energy,
-                count=count,
-                method=method,
-                shifts_applied=shifts,
-            )
+            count = _sparse_inertia(m)
         except FactorizationFault as fault:
             pivot_log.append(str(fault))
-            shift += SHIFT_STEP
-            shifts += 1
+            continue
+        return SpectrumSlice(
+            threshold=energy,
+            count=count,
+            method="inertia",
+            shifts_applied=shifts,
+        )
     raise FactorizationFault(
         f"factorization failed after {MAX_SHIFTS} shifts: {pivot_log}"
     )
@@ -360,45 +356,18 @@ def _banded_eigenvalues(op: DiscreteOperator, hi: float) -> np.ndarray:
 def eigenvalues_below(
     op: DiscreteOperator, energy: float, margin: float
 ) -> SpectrumSlice:
-    """All eigenvalues below energy + margin, cross-checked against the
-    inertia count there; like `count_below`, every count is strict."""
+    """All eigenvalues below energy + margin of a 1-D (tridiagonal)
+    operator, cross-checked against the inertia count there; like
+    `count_below`, every count is strict."""
+    if op.dimension != 1:
+        raise NotImplementedError(
+            f"eigenvalue lists support d = 1 only; got d = {op.dimension}"
+        )
     hi = energy + margin
     expected = count_below(op, hi).count
     if expected > 5 * 10**4:
         raise IncompletenessFault(f"{expected} eigenvalues exceed the cap")
-    if expected == 0:
-        return SpectrumSlice(
-            threshold=energy,
-            count=0,
-            method="dense",
-            eigenvalues=np.array([]),
-            complete_to=hi,
-        )
-
-    if op.dimension == 1 and op.size > DENSE_LIMIT:
-        eigs = _banded_eigenvalues(op, hi)
-    elif op.size <= DENSE_LIMIT:
-        allv = np.linalg.eigvalsh(op.matrix.toarray())
-        eigs = allv[allv < hi]
-    else:
-        k = expected
-        for attempt in range(3):
-            sigma = float(op.matrix.diagonal().min()) - 1.0
-            vals = eigsh(
-                op.matrix,
-                k=min(k + 10 * attempt, op.size - 2),
-                sigma=sigma,
-                which="LM",
-                return_eigenvectors=False,
-            )
-            eigs = np.sort(vals[vals < hi])
-            if len(eigs) == expected:
-                break
-        else:
-            raise IncompletenessFault(
-                "iterative eigensolve disagrees with inertia count"
-            )
-    eigs = np.sort(np.asarray(eigs))
+    eigs = _banded_eigenvalues(op, hi)
     if len(eigs) != expected:
         raise IncompletenessFault(
             f"found {len(eigs)} eigenvalues, inertia says {expected}"
@@ -406,7 +375,7 @@ def eigenvalues_below(
     return SpectrumSlice(
         threshold=energy,
         count=int(np.sum(eigs < energy)),
-        method="dense",
+        method="banded",
         eigenvalues=eigs,
         complete_to=hi,
     )
@@ -525,46 +494,3 @@ def smoothed_count(slice_: SpectrumSlice, counter: MollifiedCounter) -> float:
     if len(slice_.eigenvalues) == 0:
         return 0.0
     return float(np.sum(counter.f_tilde(slice_.eigenvalues)))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    n_decay: int
-    c_n: float
-    worst_eigenvalue: float
-    violations: tuple
-    gaps: tuple
-    bounds: tuple
-
-
-def sharp_vs_smoothed_gap(
-    slice_: SpectrumSlice, counter: MollifiedCounter, n_decay: int
-) -> GapReport:
-    """Pointwise gap |f_tilde - indicator| against the two-edge decay bound
-    (1 + |lam - E1|/h)^-N + (1 + |lam - E2|/h)^-N, with the constant C_N
-    calibrated on the worst eigenvalue."""
-    if slice_.eigenvalues is None:
-        raise ValueError("gap report needs an explicit eigenvalue list")
-    e1, e2 = counter.window
-    lam = slice_.eigenvalues
-    indicator = ((lam >= e1) & (lam <= e2)).astype(float)
-    gaps = np.abs(counter.f_tilde(lam) - indicator)
-    bounds = (1.0 + np.abs(lam - e1) / counter.h) ** (-n_decay) + (
-        1.0 + np.abs(lam - e2) / counter.h
-    ) ** (-n_decay)
-    ratios = gaps / bounds
-    c_n = float(ratios.max(initial=0.0))
-    worst = float(lam[int(np.argmax(ratios))]) if len(lam) else math.nan
-    violations = tuple(
-        (float(v), float(g), float(b))
-        for v, g, b in zip(lam, gaps, bounds)
-        if g > c_n * b * (1.0 + 1e-12)
-    )
-    return GapReport(
-        n_decay=n_decay,
-        c_n=c_n,
-        worst_eigenvalue=worst,
-        violations=violations,
-        gaps=tuple(float(g) for g in gaps),
-        bounds=tuple(float(b) for b in bounds),
-    )

@@ -3,9 +3,8 @@
 Everything here reduces to Lebesgue measures on the classical phase space:
 the volume of the sublevel set {a0 < E} (the leading counting term), the
 remainder functional built from the worst thin energy shell
-{|a0 - E'| <= h} near E, the h^delta0-thickened near-critical set,
-directional slice measures through near-critical points, and exact 1-D
-polynomial sublevel measures.
+{|a0 - E'| <= h} near E, the h^delta0-thickened near-critical set, and
+exact 1-D polynomial sublevel measures.
 
 For second-order symbols the fiber in the first momentum coordinate is a
 quadratic A (t - t0)^2 + m with A > 0.  While its sublevel interval stays
@@ -42,8 +41,6 @@ __all__ = [
     "weyl_volume",
     "remainder_functional",
     "near_critical_volume",
-    "direction_frame",
-    "directional_measure",
     "poly_sublevel_measure",
     "verify_sublevel_lemma",
 ]
@@ -56,10 +53,6 @@ _QUADRATIC_TOL = 1e-8
 
 class ContainmentFault(RuntimeError):
     """The target set reaches the sampling box boundary; enlarge the box."""
-
-
-class DegenerateDirectionFault(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -369,147 +362,6 @@ def near_critical_volume(
         value += box_vol * float(means.mean())
         var += (box_vol * float(means.std(ddof=1)) / math.sqrt(N_BATCHES)) ** 2
     return VolumeEstimate(value, math.sqrt(var), "monte_carlo", total * len(boxes))
-
-
-# -- directional slice measures -------------------------------------------------
-
-
-def direction_frame(model: SymbolModel, vbar: np.ndarray):
-    """Three slicing directions at a point where the symbol Hessian has
-    rank >= 2.
-
-    e1, e2 are the normalized Hessian rows of the two most transversal
-    mixed-derivative gradients (their defining pairings theta_k are then the
-    row norms); both get a guaranteed position component.  e3 is a pure
-    momentum direction completing a linearly independent triple.
-    Returns (E, j_indices, thetas) with E of shape (3, 2d).
-    """
-    vbar = np.asarray(vbar, dtype=float)
-    d = model.dimension
-    hess = model.hessian(vbar[None, :])[0]
-    norms = np.linalg.norm(hess, axis=1)
-    if (norms > 1e-9).sum() < 2:
-        raise DegenerateDirectionFault("symbol Hessian rank < 2 at vbar")
-    j1 = int(np.argmax(norms))
-    u1 = hess[j1] / norms[j1]
-    perp = hess - np.outer(hess @ u1, u1)
-    perp_norms = np.linalg.norm(perp, axis=1)
-    perp_norms[j1] = 0.0
-    j2 = int(np.argmax(perp_norms))
-    if perp_norms[j2] < 1e-9 * max(1.0, norms[j1]):
-        raise DegenerateDirectionFault("all Hessian rows are parallel")
-
-    def with_position_part(e, row):
-        # the first two directions must not be purely momentum
-        if np.linalg.norm(e[:d]) < 1e-8:
-            probe = np.zeros(2 * d)
-            probe[0] = 1e-3 * math.copysign(1.0, row[0] if row[0] != 0 else 1.0)
-            e = e + probe
-            e = e / np.linalg.norm(e)
-        return e
-
-    e1 = with_position_part(u1, hess[j1])
-    e2 = with_position_part(hess[j2] / norms[j2], hess[j2])
-    theta1 = float(e1 @ hess[j1])
-    theta2 = float(e2 @ hess[j2])
-    if min(theta1, theta2) <= 0:
-        raise DegenerateDirectionFault("nonpositive direction pairing")
-
-    # pure momentum direction maximizing independence from (e1, e2)
-    best, best_vol = None, -1.0
-    for i in range(d):
-        e3 = np.zeros(2 * d)
-        e3[d + i] = 1.0
-        vol = abs(np.linalg.det(np.stack([e1, e2, e3]) @ np.stack([e1, e2, e3]).T))
-        if vol > best_vol:
-            best, best_vol = e3, vol
-    if best_vol < 1e-12:
-        raise DegenerateDirectionFault("no independent momentum direction")
-    return np.stack([e1, e2, best]), (j1, j2), (theta1, theta2)
-
-
-def _slice_measure(member, s_max: float, n_dense: int = 10_000) -> float:
-    """1-D measure of {s in [-s_max, s_max] : member(s)} by dense sampling
-    plus bisection refinement at each membership flip."""
-    s = np.linspace(-s_max, s_max, n_dense)
-    inside = member(s)
-    ds = s[1] - s[0]
-    measure = float(inside.sum()) * ds
-    flips = np.nonzero(inside[:-1] != inside[1:])[0]
-    for i in flips:
-        lo, hi = s[i], s[i + 1]
-        lo_in = bool(inside[i])
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if bool(member(np.array([mid]))[0]) == lo_in:
-                lo = mid
-            else:
-                hi = mid
-        crossing = 0.5 * (lo + hi)
-        # replace the cell's coarse contribution by the refined split
-        coarse = ds if lo_in else 0.0
-        refined = crossing - s[i] if lo_in else s[i + 1] - crossing
-        measure += refined - coarse
-    return max(measure, 0.0)
-
-
-def directional_measure(
-    model: SymbolModel,
-    vbar,
-    k: int,
-    v,
-    h: float,
-    delta0: float,
-    cbar: float = 2.0,
-    eps_vbar: float = 0.5,
-    r0: float | None = None,
-) -> tuple[float, float]:
-    """Measure of {s : v + s e_k in B(vbar, eps) and |grad a0| <= cbar h^delta0}.
-
-    Expected scaling: h^delta0 along e1, e2 and h^(delta0/(2 m0 - 1)) along
-    the momentum direction e3.  eps_vbar shrinks geometrically until the
-    slice derivative of the pairing u_k stays above theta_k / 2, which is the
-    monotonicity that turns the slice into a single short interval; the final
-    radius is returned alongside the measure.
-    """
-    if k not in (1, 2, 3):
-        raise ValueError("direction index k must be 1, 2 or 3")
-    vbar = np.asarray(vbar, dtype=float)
-    v = np.asarray(v, dtype=float)
-    frame, (j1, j2), (theta1, theta2) = direction_frame(model, vbar)
-    e_k = frame[k - 1]
-
-    eps = float(eps_vbar)
-    if k in (1, 2):
-        j_k = (j1, j2)[k - 1]
-        theta = (theta1, theta2)[k - 1]
-        hess_row = lambda pts: model.hessian(pts)[:, j_k, :]  # noqa: E731
-        for _ in range(60):
-            s = np.linspace(-eps, eps, 64)
-            pts = vbar[None, :] + s[:, None] * e_k[None, :]
-            du = hess_row(pts) @ e_k
-            if du.min() > theta / 2.0:
-                break
-            eps *= 0.7
-        else:
-            raise DegenerateDirectionFault(
-                "slice monotonicity unattainable at vbar"
-            )
-
-    tol = cbar * h**delta0
-
-    def member(s):
-        pts = v[None, :] + np.asarray(s)[:, None] * e_k[None, :]
-        in_ball = np.linalg.norm(pts - vbar[None, :], axis=1) < eps
-        out = np.zeros(len(pts), dtype=bool)
-        if in_ball.any():
-            gn = np.linalg.norm(model.gradient(pts[in_ball]), axis=1)
-            out[in_ball] = gn <= tol
-        return out
-
-    if np.linalg.norm(v - vbar) > eps + 2.0 * eps:
-        return 0.0, eps
-    return _slice_measure(member, 2.0 * eps), eps
 
 
 # -- exact polynomial sublevel measures -----------------------------------------

@@ -1,16 +1,15 @@
 """Principal symbols on phase space: evaluation, derivatives, critical sets.
 
 A symbol is a finite sum  sum_{|nu|,|nubar| <= m0} a_{nu,nubar}(x) xi^(nu+nubar)
-over multi-index pairs.  Coefficients carry their own derivatives (analytic for
-the built-in models, spline-based for grid data), so gradients and Hessians of
-the symbol are exact up to rounding.
+over multi-index pairs.  Coefficients carry their own analytic derivatives,
+so gradients and Hessians of the symbol are exact up to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.stats import qmc
@@ -18,7 +17,6 @@ from scipy.stats import qmc
 __all__ = [
     "Coefficient",
     "PolynomialCoefficient",
-    "GridCoefficient",
     "SymbolModel",
     "CriticalPointReport",
     "HypothesisReport",
@@ -157,80 +155,6 @@ class PolynomialCoefficient(Coefficient):
         return _poly_eval(_poly_derivative(self.terms, (order,)), x)
 
 
-def GridCoefficient(
-    axes: Sequence[np.ndarray], values: np.ndarray
-) -> Coefficient:
-    """Coefficient sampled on a regular grid with cubic interpolation.
-
-    Derivatives above order 2 are deliberately unavailable (the coefficient
-    class only guarantees Hoelder-continuous second derivatives).  Queries
-    outside the grid raise ValueError.
-    """
-    from scipy.interpolate import CubicSpline, RectBivariateSpline
-
-    d = len(axes)
-    if d == 1:
-        sp = CubicSpline(axes[0], values)
-        lo, hi = axes[0][0], axes[0][-1]
-
-        def _check(x):
-            if np.any(x[:, 0] < lo) or np.any(x[:, 0] > hi):
-                raise ValueError("grid coefficient queried outside its grid")
-
-        def value(x):
-            _check(x)
-            return sp(x[:, 0])
-
-        def grad(x):
-            _check(x)
-            return sp(x[:, 0], 1)[:, None]
-
-        def hess(x):
-            _check(x)
-            return sp(x[:, 0], 2)[:, None, None]
-
-        return Coefficient(value, grad, hess)
-    if d == 2:
-        sp = RectBivariateSpline(axes[0], axes[1], values, kx=3, ky=3)
-        los = [a[0] for a in axes]
-        his = [a[-1] for a in axes]
-
-        def _check2(x):
-            for j in range(2):
-                if np.any(x[:, j] < los[j]) or np.any(x[:, j] > his[j]):
-                    raise ValueError(
-                        "grid coefficient queried outside its grid"
-                    )
-
-        def value2(x):
-            _check2(x)
-            return sp(x[:, 0], x[:, 1], grid=False)
-
-        def grad2(x):
-            _check2(x)
-            return np.stack(
-                [
-                    sp(x[:, 0], x[:, 1], dx=1, grid=False),
-                    sp(x[:, 0], x[:, 1], dy=1, grid=False),
-                ],
-                axis=-1,
-            )
-
-        def hess2(x):
-            _check2(x)
-            n = x.shape[0]
-            h = np.empty((n, 2, 2))
-            h[:, 0, 0] = sp(x[:, 0], x[:, 1], dx=2, grid=False)
-            h[:, 1, 1] = sp(x[:, 0], x[:, 1], dy=2, grid=False)
-            h[:, 0, 1] = h[:, 1, 0] = sp(
-                x[:, 0], x[:, 1], dx=1, dy=1, grid=False
-            )
-            return h
-
-        return Coefficient(value2, grad2, hess2)
-    raise NotImplementedError("grid coefficients support d <= 2")
-
-
 def _monomial(mu: tuple, xi: np.ndarray) -> np.ndarray:
     out = np.ones(xi.shape[0])
     for j, e in enumerate(mu):
@@ -337,9 +261,6 @@ class SymbolModel:
         pts[:, :d] *= self.box_x
         pts[:, d:] *= self.box_xi
         return float(self.value(pts).min())
-
-    def check_confinement(self, energy: float, **kw) -> bool:
-        return energy < self.boundary_min(**kw)
 
     # -- evaluation --------------------------------------------------------
 

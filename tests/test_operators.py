@@ -7,6 +7,7 @@ from scipy.sparse.linalg import eigsh
 
 from weyllab.mollify import build_mollifier
 from weyllab.operators import (
+    ConfinementFault,
     DiscreteOperator,
     GridSpec,
     ResolutionFault,
@@ -14,7 +15,6 @@ from weyllab.operators import (
     build_mollified_counter,
     count_below,
     eigenvalues_below,
-    sharp_vs_smoothed_gap,
     smoothed_count,
 )
 from weyllab.symbols import PolynomialCoefficient, SymbolModel, make_model
@@ -81,10 +81,17 @@ def test_sparse_dense_agree(harmonic):
                       strict_resolution=False)
     s1 = count_below(op_small, 1.0)
     s2 = count_below(op_big, 1.0)
-    assert s1.method == "dense"
+    assert s1.method == "inertia"
     assert s2.method == "inertia"
     assert s1.count == 10
     assert s2.count > 0
+
+
+def test_confinement_fault(harmonic):
+    grid = GridSpec(2.0, 400)
+    assemble(harmonic, None, 0.05, 0.41, grid, energy=1.0)
+    with pytest.raises(ConfinementFault):
+        assemble(harmonic, None, 0.05, 0.41, grid, energy=100.0)
 
 
 def test_resolution_fault(harmonic):
@@ -117,16 +124,20 @@ def test_eigenvalues_below_matches_count(harmonic):
     assert np.all(np.diff(slc.eigenvalues) >= 0)
 
 
-def test_counts_are_strict_at_an_eigenvalue():
-    # diag(1, 2, 3) at E = 2: one eigenvalue lies strictly below, and the
-    # eigenvalue slice must count the same way as the inertia count
-    op = DiscreteOperator(
+def _diagonal_operator(entries) -> DiscreteOperator:
+    return DiscreteOperator(
         h=0.1,
-        grid=GridSpec(1.0, 3),
-        matrix=sp.diags([1.0, 2.0, 3.0]).tocsc(),
+        grid=GridSpec(1.0, len(entries)),
+        matrix=sp.diags(entries).tocsc(),
         variant="raw",
         dimension=1,
     )
+
+
+def test_counts_are_strict_at_an_eigenvalue():
+    # diag(1, 2, 3) at E = 2: one eigenvalue lies strictly below, and the
+    # eigenvalue slice must count the same way as the inertia count
+    op = _diagonal_operator([1.0, 2.0, 3.0])
     assert count_below(op, 2.0).count == 1
     slc = eigenvalues_below(op, 2.0, 0.5)
     assert slc.count == 1
@@ -134,6 +145,42 @@ def test_counts_are_strict_at_an_eigenvalue():
     exact = eigenvalues_below(op, 2.0, 0.0)
     assert exact.count == 1
     np.testing.assert_array_equal(exact.eigenvalues, [1.0])
+
+
+@pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
+def test_count_strict_at_a_singular_pivot(tie):
+    # 1500 entries lie strictly below E = 2; the entry at (or one ulp
+    # above) 2 makes the factorization (near-)singular, and the threshold shift
+    # must not count it
+    entries = np.linspace(1.0, 3.0, 3001)
+    entries[1500] = tie
+    slc = count_below(_diagonal_operator(entries), 2.0)
+    assert slc.count == 1500
+    assert slc.shifts_applied == 1
+
+
+@pytest.mark.parametrize("h", [0.05, 0.035, 0.025])
+def test_smoothed_counting_operators_match_dense_reference(harmonic, h):
+    # the 1200-point operators of the smoothed_counting experiment against a
+    # full dense eigendecomposition
+    counter = build_mollified_counter(1.0, h, (0.2, 0.8))
+    op = assemble(harmonic, None, h, 0.41, GridSpec(harmonic.box_x, 1200),
+                  strict_resolution=False)
+    ref = np.linalg.eigvalsh(op.matrix.toarray())
+    level = counter.coverage_level()
+    for energy in (level, 0.5):
+        assert count_below(op, energy).count == int(np.sum(ref < energy))
+    slc = eigenvalues_below(op, level, 0.0)
+    np.testing.assert_allclose(slc.eigenvalues, ref[ref < level],
+                               rtol=0.0, atol=1e-12)
+
+
+def test_eigenvalues_below_rejects_two_dimensions():
+    m = make_model("separable_harmonic_2d")
+    op = assemble(m, None, 0.05, 0.41, GridSpec(2.0, 20),
+                  strict_resolution=False)
+    with pytest.raises(NotImplementedError, match="d = 2"):
+        eigenvalues_below(op, 1.0, 0.0)
 
 
 def test_assemble_rejects_three_dimensions():
@@ -185,14 +232,3 @@ def test_smoothed_count_close_to_sharp(harmonic):
                        & (slc.eigenvalues <= window[1])))
     smooth = smoothed_count(slc, counter)
     assert abs(smooth - sharp) < 2.0
-
-
-def test_gap_report_two_edge_decay(harmonic):
-    h = 0.05
-    counter = build_mollified_counter(1.0, h, (0.2, 0.8))
-    op = assemble(harmonic, None, h, 0.41, GridSpec(2.0, 400))
-    slc = eigenvalues_below(op, counter.coverage_level(), 0.0)
-    rep = sharp_vs_smoothed_gap(slc, counter, n_decay=4)
-    assert rep.violations == ()
-    assert rep.c_n > 0
-    assert len(rep.gaps) == len(slc.eigenvalues)

@@ -11,8 +11,6 @@ from weyllab import phasevol
 from weyllab.phasevol import (
     ContainmentFault,
     FiberCloud,
-    direction_frame,
-    directional_measure,
     near_critical_volume,
     poly_sublevel_measure,
     remainder_functional,
@@ -22,7 +20,6 @@ from weyllab.phasevol import (
 from weyllab.symbols import (
     PolynomialCoefficient,
     SymbolModel,
-    find_critical_points,
     make_model,
 )
 
@@ -216,29 +213,6 @@ def test_near_critical_volume_shrinks_with_h():
     hi = near_critical_volume(m, 0.08, 0.4, cbar=1.5, energy=1.0).value
     lo = near_critical_volume(m, 0.02, 0.4, cbar=1.5, energy=1.0).value
     assert lo < hi
-
-
-def test_direction_frame_orthonormal():
-    m = make_model("double_well_2d")
-    crit = find_critical_points(m, 1.0, window=0.25)[0]
-    vbar = crit.location + 0.05 * np.array([1.0, 0.5, -0.3, 0.2])
-    frame, (j1, j2), (theta1, theta2) = direction_frame(m, vbar)
-    assert frame.shape == (3, 4)
-    for e in frame:
-        assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-10)
-    assert j1 != j2
-    assert theta1 != 0 and theta2 != 0
-    # e3 is a pure momentum direction
-    assert np.allclose(frame[2][:2], 0.0, atol=1e-10)
-
-
-def test_directional_measure_positive():
-    m = make_model("double_well_2d")
-    crit = find_critical_points(m, 1.0, window=0.25)[0]
-    vbar = crit.location + 0.03 * np.array([1.0, 0.0, 0.5, 0.0])
-    meas, eps = directional_measure(m, vbar, 1, vbar, 0.05, 0.41)
-    assert meas >= 0
-    assert 0 < eps <= 0.5
 
 
 def test_poly_sublevel_linear_exact():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from weyllab.symbols import (
     MODEL_REGISTRY,
-    GridCoefficient,
     PolynomialCoefficient,
     check_theorem_hypotheses,
     find_critical_points,
@@ -109,12 +108,6 @@ def test_hypothesis_report():
     assert not rep1.dimension_ok
 
 
-def test_confinement_rejects_high_energy():
-    m = make_model("harmonic")
-    assert m.check_confinement(1.0)
-    assert not m.check_confinement(100.0)
-
-
 def test_smooth_cutoff_shape():
     x = np.linspace(-3, 3, 301)
     y = smooth_cutoff(x, 1.0, 2.0)
@@ -135,14 +128,6 @@ def test_polynomial_coefficient_derivatives():
     np.testing.assert_allclose(
         c.hess(x), [[[6.0, -1.0], [-1.0, 0.0]]], atol=1e-12
     )
-
-
-def test_grid_coefficient_interpolates():
-    xs = np.linspace(-2, 2, 401)
-    c = GridCoefficient([xs], np.sin(xs))
-    q = np.array([[0.3], [-1.1]])
-    np.testing.assert_allclose(c.value(q), np.sin(q[:, 0]), atol=1e-6)
-    np.testing.assert_allclose(c.grad(q)[:, 0], np.cos(q[:, 0]), atol=1e-4)
 
 
 @settings(max_examples=25, deadline=None)
