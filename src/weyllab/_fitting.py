@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtrit
 
 __all__ = ["ExponentFit", "fit_loglog"]
 
@@ -47,9 +48,7 @@ def fit_loglog(xs, ys, min_points: int = 4) -> ExponentFit:
     if n > 2:
         s2 = float(resid @ resid) / (n - 2)
         sxx_c = float(((lxf - lxf.mean()) ** 2).sum())
-        from scipy.stats import t as student_t
-
-        half = float(student_t.ppf(0.975, n - 2)) * math.sqrt(s2 / sxx_c)
+        half = float(stdtrit(n - 2, 0.975)) * math.sqrt(s2 / sxx_c)
     else:
         half = math.inf
     return ExponentFit(

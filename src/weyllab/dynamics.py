@@ -318,11 +318,11 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
         pts[:, :, 1:] = rest_pts
         pts = pts.reshape(-1, len(box))
         amp = amplitude(pts)
-        live = np.flatnonzero(amp)
+        live = np.flatnonzero(amp != 0.0)
         if len(live) == 0:
             return 0.0 + 0.0j
         wts = np.multiply.outer(lead_wts[lo : lo + chunk], rest_wts).ravel()
-        phase = model.value(pts[live]) * (t / h)
+        phase = model.value(np.take(pts, live, axis=0)) * (t / h)
         return np.sum(wts[live] * amp[live] * np.exp(1j * phase))
 
     # fixed chunk boundaries and an in-order sum: the result does not depend
@@ -388,6 +388,17 @@ def oscillatory_integral(
     )
 
 
+def _radius(pts, center):
+    """|v - center| per row, summed column by column in the order
+    np.linalg.norm(pts - center, axis=1) uses, so bit-identical to it
+    without the (n, dim) difference array."""
+    r2 = np.zeros(len(pts))
+    for k, c in enumerate(center):
+        x = pts[:, k] - c
+        r2 += x * x
+    return np.sqrt(r2)
+
+
 def ring_amplitude(center, r_inner: float, r_outer: float):
     """Smooth bump of |v - center| supported in the open ring
     (r_inner, r_outer), identically 1 on the middle half."""
@@ -395,10 +406,14 @@ def ring_amplitude(center, r_inner: float, r_outer: float):
     w = 0.25 * (r_outer - r_inner)
 
     def amp(pts):
-        r = np.linalg.norm(pts - center[None, :], axis=1)
-        up = 1.0 - smooth_cutoff(r, r_inner, r_inner + w)
-        down = smooth_cutoff(r, r_outer - w, r_outer)
-        return up * down
+        r = _radius(pts, center)
+        out = np.zeros(len(r))
+        live = np.flatnonzero((r > r_inner) & (r < r_outer))
+        rl = r[live]
+        up = 1.0 - smooth_cutoff(rl, r_inner, r_inner + w)
+        down = smooth_cutoff(rl, r_outer - w, r_outer)
+        out[live] = up * down
+        return out
 
     return amp
 
@@ -408,8 +423,11 @@ def bump_amplitude(center, radius: float):
     center = np.asarray(center, dtype=float)
 
     def amp(pts):
-        r = np.linalg.norm(pts - center[None, :], axis=1)
-        return smooth_cutoff(r, radius / 2.0, radius)
+        r = _radius(pts, center)
+        out = np.zeros(len(r))
+        live = np.flatnonzero(r < radius)
+        out[live] = smooth_cutoff(r[live], radius / 2.0, radius)
+        return out
 
     return amp
 

@@ -36,7 +36,6 @@ from .symbols import (
     Coefficient,
     PolynomialCoefficient,
     _poly_derivative,
-    _sobol,
     holder_test_field,
 )
 
@@ -356,7 +355,8 @@ def regularize(
 
 
 def _sample_points(n: int, lo: float, hi: float, seed: int = 7) -> np.ndarray:
-    pts = lo + (hi - lo) * _sobol(1, n, seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pts = lo + (hi - lo) * rng.random((n, 1))
     pts[0, 0] = 0.0  # the Hoelder singularity dominates the sup norms
     return pts
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "Coefficient",
@@ -46,13 +45,6 @@ class EvaluationFault(RuntimeError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
-    """n Sobol points in [0,1)^dim (drawn as a power-of-two block)."""
-    m = max(1, math.ceil(math.log2(n)))
-    pts = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
-    return pts[:n]
 
 
 def _as_points(v, two_d: int) -> tuple[np.ndarray, bool]:
@@ -372,14 +364,15 @@ def find_critical_points(
 ) -> list[CriticalPointReport]:
     """Locate the numerical critical set {|a0 - E| + |grad a0| <= 2c}.
 
-    Multi-start damped Newton on the gradient from a Sobol seed grid over the
-    configured phase-space box; converged points are deduplicated and sorted
-    lexicographically so the result is deterministic.
+    Multi-start damped Newton on the gradient from n_seeds uniform (Philox)
+    start points in the configured phase-space box; converged points are
+    deduplicated and sorted lexicographically so the result is deterministic.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     d = model.dimension
-    pts = _sobol(2 * d, n_seeds, seed) * 2.0 - 1.0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pts = rng.random((n_seeds, 2 * d)) * 2.0 - 1.0
     pts[:, :d] *= model.box_x
     pts[:, d:] *= model.box_xi
 

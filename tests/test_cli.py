@@ -117,19 +117,45 @@ def test_main_overrides_and_exit_0(tmp_path):
     assert verdict["criteria"][0]["seed"] == 11
 
 
-def test_console_script_installed():
+def _child_env():
     # the child imports the same weyllab as this process, whether that
     # comes from an install, PYTHONPATH or pytest's pythonpath setting
     package_root = os.path.dirname(os.path.dirname(weyllab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "weyllab.cli", "--experiment", "nope"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 2
     assert "registry" in proc.stderr
+
+
+_IMPORT_GRAPH_CHILD = """
+import sys
+import weyllab.cli
+from weyllab._fitting import fit_loglog
+from weyllab.symbols import find_critical_points, make_model
+fit_loglog([0.1, 0.05, 0.025, 0.0125], [1.0, 0.6, 0.21, 0.13])
+find_critical_points(make_model("double_well_2d"), 1.0, 0.25)
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_scipy_stats_not_imported():
+    # scipy.stats costs about half a second and 20 MB at every start; the
+    # t quantile and the Newton start points need none of it
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_CHILD],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sublevel_csv_constants_are_numbers(tmp_path):

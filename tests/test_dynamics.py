@@ -108,6 +108,49 @@ def test_displacement_threshold_out_of_reach_raises(double_well):
         )
 
 
+def _ring_reference(center, r_inner, r_outer):
+    # reference: both cutoffs on every node, r from np.linalg.norm
+    w = 0.25 * (r_outer - r_inner)
+
+    def amp(pts):
+        r = np.linalg.norm(pts - np.asarray(center)[None, :], axis=1)
+        up = 1.0 - smooth_cutoff(r, r_inner, r_inner + w)
+        down = smooth_cutoff(r, r_outer - w, r_outer)
+        return up * down
+
+    return amp
+
+
+def _bump_reference(center, radius):
+    def amp(pts):
+        r = np.linalg.norm(pts - np.asarray(center)[None, :], axis=1)
+        return smooth_cutoff(r, radius / 2.0, radius)
+
+    return amp
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_radial_amplitudes_match_reference(dim):
+    rng = np.random.default_rng(3)
+    r_inner, r_outer, radius = 0.5, 1.5, 0.8
+    w = 0.25 * (r_outer - r_inner)
+    for center in (np.zeros(dim), rng.uniform(-0.3, 0.3, dim)):
+        # random nodes plus nodes exactly at the centre and at every
+        # breakpoint of the two cutoffs along the first axis
+        radii = [0.0, r_inner, r_inner + w, r_outer - w, r_outer,
+                 radius / 2.0, radius]
+        edge = np.tile(center, (len(radii), 1))
+        edge[:, 0] += radii
+        pts = np.vstack([rng.uniform(-2.0, 2.0, (4096, dim)), edge])
+        pairs = [
+            (ring_amplitude(center, r_inner, r_outer),
+             _ring_reference(center, r_inner, r_outer)),
+            (bump_amplitude(center, radius), _bump_reference(center, radius)),
+        ]
+        for new, ref in pairs:
+            assert np.array_equal(new(pts), ref(pts))
+
+
 def test_oscillatory_t_zero_radial_oracle(harmonic):
     amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
     h = 0.01

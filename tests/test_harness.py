@@ -40,6 +40,22 @@ def test_fit_loglog_exact_power():
     assert np.isfinite(fit.ci_halfwidth)
 
 
+def test_fit_loglog_ci_halfwidth_closed_form():
+    # with df = 2 the Student t quantile has the closed form
+    # (2p - 1) / sqrt(2 p (1 - p)), about 4.3027 at p = 0.975
+    hs = [0.1, 0.05, 0.025, 0.0125]
+    ys = [1.0, 0.6, 0.21, 0.13]
+    fit = fit_loglog(hs, ys)
+    lx, ly = np.log(hs), np.log(ys)
+    resid = ly - (fit.slope * lx + fit.intercept)
+    s2 = float(resid @ resid) / 2
+    sxx = float(((lx - lx.mean()) ** 2).sum())
+    p = 0.975
+    t = (2 * p - 1) / np.sqrt(2 * p * (1 - p))
+    assert t == pytest.approx(4.3027, abs=1e-4)
+    assert fit.ci_halfwidth == pytest.approx(t * np.sqrt(s2 / sxx), rel=1e-12)
+
+
 def test_fit_loglog_excludes_nonpositive():
     fit = fit_loglog([0.1, 0.05, 0.025, 0.0125, 0.00625],
                      [0.1, 0.05, 0.0, 0.0125, 0.00625])

@@ -76,9 +76,10 @@ def test_sample_box_inside():
     assert m.box_volume() == pytest.approx((2 * m.box_x) ** 2 * (2 * m.box_xi) ** 2)
 
 
-def test_double_well_critical_point():
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_double_well_critical_point(seed):
     m = make_model("double_well_2d")
-    crits = find_critical_points(m, 1.0, window=0.25)
+    crits = find_critical_points(m, 1.0, window=0.25, seed=seed)
     assert len(crits) == 1
     rep = crits[0]
     np.testing.assert_allclose(rep.location, np.zeros(4), atol=1e-7)
@@ -95,9 +96,10 @@ def test_minima_excluded_by_energy_window():
     assert all(abs(r.energy - 1.0) < 0.5 for r in crits)
 
 
-def test_harmonic_has_no_critical_point_near_one():
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_harmonic_has_no_critical_point_near_one(seed):
     m = make_model("harmonic")
-    assert find_critical_points(m, 1.0, window=0.25) == []
+    assert find_critical_points(m, 1.0, window=0.25, seed=seed) == []
 
 
 def test_hypothesis_report():
