@@ -10,10 +10,16 @@ the first-order Taylor error is quadratic in t.
 Oscillatory integrals (2 pi h)^(-d) int exp(i t p/h) b dv are computed by
 panel-per-wavelength tensor Gauss-Legendre quadrature with a panel-halving
 error estimate; their decay in h off the critical set is the quantitative
-form of non-stationary phase.  The tensor rule is evaluated in chunks of
-CHUNK_POINTS nodes on a small thread pool, one thread per available core up
-to four; the chunk boundaries are fixed and the partial sums are added in
-chunk order, so the result does not depend on the number of cores.
+form of non-stationary phase.  The tensor rule is split into its x nodes X
+(rows) and its xi nodes Xi (columns).  The phase is factored once per call:
+terms of p free of xi give a row factor u = w_X exp(i t p_X/h), terms whose
+coefficient is constant on X a column factor v = w_Xi exp(i t p_Xi/h), and
+any other term multiplies the amplitude matrix b(X x Xi) by its own
+exponential.  The integral is then the sum over chunks of X rows of
+u_rows . (b(rows x Xi) v), each chunk about CHUNK_POINTS nodes, evaluated on
+a small thread pool, one thread per available core up to four; the chunk
+boundaries are fixed and the partial sums are added in chunk order, so the
+result does not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from scipy.integrate import solve_ivp
 
 from ._fitting import ExponentFit, fit_loglog
 from .mollify import MollifierKernel, regularize
-from .symbols import SymbolModel, smooth_cutoff
+from .symbols import EvaluationFault, SymbolModel, _monomial, smooth_cutoff
 
 __all__ = [
     "FlowTrajectory",
@@ -297,38 +303,68 @@ def _panel_rule(lo: float, hi: float, panels: int):
     return pts, wts
 
 
+def _product_rule(rules):
+    """Nodes (n, k) and weights (n,) of the tensor product of k 1-D rules,
+    the first axis varying slowest."""
+    pts = np.stack(
+        np.meshgrid(*[p for p, _ in rules], indexing="ij"), axis=-1
+    ).reshape(-1, len(rules))
+    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    return pts, wts
+
+
 def _tensor_quadrature(model, amplitude, t, h, box, panels):
     rules = [_panel_rule(lo, hi, panels) for lo, hi in box]
     total = math.prod(len(pts) for pts, _ in rules)
     if total > NODE_BUDGET:
         raise MemoryError(total)
-    (lead_pts, lead_wts), rest = rules[0], rules[1:]
-    rest_pts = np.stack(
-        np.meshgrid(*[pts for pts, _ in rest], indexing="ij"), axis=-1
-    ).reshape(-1, len(rest))
-    rest_wts = functools.reduce(np.multiply.outer, [w for _, w in rest]).ravel()
-    m = len(rest_wts)
+    d = model.dimension
+    x_pts, x_wts = _product_rule(rules[:d])
+    xi_pts, xi_wts = _product_rule(rules[d:])
+    s = t / h
+
+    # p = sum a(x) xi^mu splits into a row phase (mu = 0), a column phase
+    # (a constant on the x nodes) and mixed terms a(x) (x) xi^mu
+    row, col, mixed = np.zeros(len(x_pts)), np.zeros(len(xi_pts)), []
+    for (nu, nubar), coef in model.coefficients.items():
+        mu = tuple(np.add(nu, nubar))
+        a = coef.value(x_pts)
+        if not np.all(np.isfinite(a)):
+            raise EvaluationFault(
+                "coefficient evaluated to a non-finite value",
+                x_pts[~np.isfinite(a)][0],
+            )
+        if not any(mu):
+            row += a
+        elif np.all(a == a[0]):
+            col += a[0] * _monomial(mu, xi_pts)
+        else:
+            mixed.append((a, _monomial(mu, xi_pts)))
+    u = x_wts * np.exp(1j * s * row)
+    v = xi_wts * np.exp(1j * s * col)
+    # a real amplitude matrix times v as one real product with (Re v, Im v)
+    v_pair = np.stack([v.real, v.imag], axis=1)
+    m = len(xi_pts)
     chunk = max(1, CHUNK_POINTS // m)
 
     def partial_sum(lo):
-        # the chunk is lead nodes [lo, lo + chunk) times every rest node
-        lp = lead_pts[lo : lo + chunk]
-        pts = np.empty((len(lp), m, len(box)))
-        pts[:, :, 0] = lp[:, None]
-        pts[:, :, 1:] = rest_pts
-        pts = pts.reshape(-1, len(box))
-        amp = amplitude(pts)
-        live = np.flatnonzero(amp != 0.0)
-        if len(live) == 0:
-            return 0.0 + 0.0j
-        wts = np.multiply.outer(lead_wts[lo : lo + chunk], rest_wts).ravel()
-        phase = model.value(np.take(pts, live, axis=0)) * (t / h)
-        return np.sum(wts[live] * amp[live] * np.exp(1j * phase))
+        # the chunk is x nodes [lo, lo + chunk) times every xi node
+        rows = slice(lo, lo + chunk)
+        xs = x_pts[rows]
+        pts = np.empty((len(xs), m, 2 * d))
+        pts[:, :, :d] = xs[:, None, :]
+        pts[:, :, d:] = xi_pts
+        amp = amplitude(pts.reshape(-1, 2 * d)).reshape(len(xs), m)
+        if mixed:
+            phase = sum(np.multiply.outer(a[rows], mono) for a, mono in mixed)
+            return u[rows] @ ((amp * np.exp(1j * s * phase)) @ v)
+        re, im = (amp @ v_pair).T
+        return u[rows] @ (re + 1j * im)
 
     # fixed chunk boundaries and an in-order sum: the result does not depend
     # on the worker count; numpy's loops release the GIL, so threads overlap
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        parts = list(pool.map(partial_sum, range(0, len(lead_pts), chunk)))
+        parts = list(pool.map(partial_sum, range(0, len(x_pts), chunk)))
     acc = 0.0 + 0.0j
     for part in parts:
         acc += part
@@ -477,9 +513,11 @@ def nonstationary_decay_check(
         res = oscillatory_integral(
             model, amplitude_factory(h), t, h, support_box=support_box
         )
-        if not res.reliable or (
-            abs(res.value) > 0
-            and res.quadrature_error > 0.05 * abs(res.value)
+        # a zero value has no logarithm: the fit could not use it
+        if (
+            not res.reliable
+            or res.value == 0
+            or res.quadrature_error > 0.05 * abs(res.value)
         ):
             excluded.append(h)
             continue

@@ -1,5 +1,8 @@
 """Hamiltonian flow invariants and oscillatory-integral diagnostics."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,7 +18,12 @@ from weyllab.dynamics import (
     ring_amplitude,
 )
 from weyllab.mollify import build_mollifier
-from weyllab.symbols import make_model, smooth_cutoff
+from weyllab.symbols import (
+    PolynomialCoefficient,
+    SymbolModel,
+    make_model,
+    smooth_cutoff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +199,48 @@ def test_decay_requires_admissible_mu(harmonic):
         )
 
 
+def _direct_sum(model, amplitude, t, h, box, panels):
+    # reference: model.value and one exp on every node of the full tensor rule
+    rules = [dynamics._panel_rule(lo, hi, panels) for lo, hi in box]
+    pts = np.stack(
+        np.meshgrid(*[p for p, _ in rules], indexing="ij"), axis=-1
+    ).reshape(-1, len(box))
+    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    return np.sum(wts * amplitude(pts) * np.exp(1j * model.value(pts) * (t / h)))
+
+
+def _mixed_model():
+    # (1 + x^2/4) xi^2 + x^2: the xi^2 coefficient varies in x, so the
+    # quadrature must treat that term as a mixed term
+    coeffs = {
+        ((1,), (1,)): PolynomialCoefficient({(0,): 1.0, (2,): 0.25}, 1),
+        ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
+    }
+    return SymbolModel(dimension=1, order=1, coefficients=coeffs,
+                       ellipticity_constant=1.0, holder_exponent=0.5,
+                       name="mixed_kinetic")
+
+
+@pytest.mark.parametrize("t, h", [(0.0, 0.02), (0.3, 0.01), (1.0, 0.005)])
+@pytest.mark.parametrize("name", ["harmonic", "mixed_kinetic"])
+def test_tensor_quadrature_matches_direct_sum(name, t, h):
+    model = make_model("harmonic") if name == "harmonic" else _mixed_model()
+    amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
+    box = [(-1.6, 1.6)] * 2
+    got = dynamics._tensor_quadrature(model, amp, t, h, box, 40)
+    ref = _direct_sum(model, amp, t, h, box, 40)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
-    # the fine rule has 1200^2 nodes, about 6 chunks of CHUNK_POINTS
+    panels = []
+    quadrature = dynamics._tensor_quadrature
+
+    def recording(model, amplitude, t, h, box, n):
+        panels.append(n)
+        return quadrature(model, amplitude, t, h, box, n)
+
+    monkeypatch.setattr(dynamics, "_tensor_quadrature", recording)
     amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
     results = []
     for workers in (1, 2):
@@ -200,6 +248,11 @@ def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
         results.append(oscillatory_integral(
             harmonic, amp, 0.3, 0.01, support_box=[(-1.6, 1.6)] * 2
         ))
+    # the fine rule's x nodes come in chunks of CHUNK_POINTS // |xi nodes|
+    # rows; it must span several chunks for the worker count to matter
+    nodes = max(panels) * dynamics.NODES_PER_PANEL
+    rows = dynamics.CHUNK_POINTS // nodes
+    assert math.ceil(nodes / rows) >= 2
     one, two = results
     assert one.value == two.value
     assert one.quadrature_error == two.quadrature_error
@@ -252,3 +305,23 @@ def test_node_budget_fallback(harmonic, monkeypatch):
     )
     assert rep.excluded == (0.025,)
     assert rep.h_grid == (0.035, 0.05, 0.07, 0.1)
+
+
+def test_zero_value_is_excluded(harmonic):
+    # a value of exactly 0 has no logarithm: the h must be reported as
+    # excluded, not listed among the fitted points
+    bump = bump_amplitude([0.0, 0.0], 0.8)
+
+    def factory(h):
+        if h == 0.05:
+            return lambda pts: np.zeros(len(pts))
+        return bump
+
+    rep = nonstationary_decay_check(
+        harmonic, factory, mu=0.8, n_max=1,
+        h_grid=[0.1, 0.07, 0.05, 0.035, 0.025], delta0=0.25,
+        support_box=[(-0.9, 0.9)] * 2,
+    )
+    assert 0.05 in rep.excluded
+    assert 0.05 not in rep.h_grid
+    assert rep.fit.excluded == 0
