@@ -1,21 +1,22 @@
 """Hamiltonian flow diagnostics and oscillatory phase-space integrals.
 
-The flow of the (possibly regularized) symbol is integrated with a
-high-order adaptive Runge-Kutta scheme; energy conservation along
-trajectories is the accuracy witness.  Displacement bounds compare the flow
-map against the gradient at the starting point: away from the near-critical
-set the displacement is pinched between |t grad p|/2 and C1 |t grad p|, and
-the first-order Taylor error is quadratic in t.
+The Hamiltonian flow of the symbol is integrated with a high-order adaptive
+Runge-Kutta scheme; energy conservation along trajectories is the accuracy
+witness.  Displacement bounds compare the flow map against the gradient at
+the starting point: away from the near-critical set the displacement is
+pinched between |t grad p|/2 and C1 |t grad p|, and the first-order Taylor
+error is quadratic in t.
 
 Oscillatory integrals (2 pi h)^(-d) int exp(i t p/h) b dv are computed by
 panel-per-wavelength tensor Gauss-Legendre quadrature with a panel-halving
 error estimate; their decay in h off the critical set is the quantitative
 form of non-stationary phase.  The tensor rule is split into its x nodes X
-(rows) and its xi nodes Xi (columns).  The phase is factored once per call:
-terms of p free of xi give a row factor u = w_X exp(i t p_X/h), terms whose
-coefficient is constant on X a column factor v = w_Xi exp(i t p_Xi/h), and
-any other term multiplies the amplitude matrix b(X x Xi) by its own
-exponential.  The integral is then the sum over chunks of X rows of
+(rows) and its xi nodes Xi (columns).  The phase is factored once per call
+from the term table a(X) xi^mu of `SymbolModel.terms_at`: terms free of xi
+give a row factor u = w_X exp(i t p_X/h), terms whose coefficient is
+constant on X a column factor v = w_Xi exp(i t p_Xi/h), and any other term
+multiplies the amplitude matrix b(X x Xi) by its own exponential.  The
+integral is then the sum over chunks of X rows of
 u_rows . (b(rows x Xi) v), each chunk about CHUNK_POINTS nodes, evaluated on
 a small thread pool, one thread per available core up to four; the chunk
 boundaries are fixed and the partial sums are added in chunk order, so the
@@ -29,14 +30,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._fitting import ExponentFit, fit_loglog
-from .mollify import MollifierKernel, regularize
-from .symbols import EvaluationFault, SymbolModel, _monomial, smooth_cutoff
+from .symbols import SymbolModel, _monomial, smooth_cutoff
 
 __all__ = [
     "FlowTrajectory",
@@ -44,7 +44,6 @@ __all__ = [
     "DisplacementReport",
     "DecayReport",
     "IntegrationFault",
-    "regularized_model",
     "integrate_flow",
     "check_displacement_bounds",
     "oscillatory_integral",
@@ -70,26 +69,6 @@ class IntegrationFault(RuntimeError):
         super().__init__(message)
         self.last_state = last_state
         self.last_time = last_time
-
-
-def regularized_model(
-    model: SymbolModel, kernel: MollifierKernel, h: float, delta0: float
-) -> SymbolModel:
-    """Same symbol with every coefficient smoothed at scale h^delta0."""
-    coeffs = {
-        key: regularize(coef, h, delta0, kernel)
-        for key, coef in model.coefficients.items()
-    }
-    return SymbolModel(
-        dimension=model.dimension,
-        order=model.order,
-        coefficients=coeffs,
-        ellipticity_constant=model.ellipticity_constant,
-        holder_exponent=model.holder_exponent,
-        box_x=model.box_x,
-        box_xi=model.box_xi,
-        name=model.name + "_regularized",
-    )
 
 
 def symplectic_gradient(model: SymbolModel, v: np.ndarray) -> np.ndarray:
@@ -191,7 +170,6 @@ class DisplacementReport:
     c1: float
     c2: float
     empirical_t0: float
-    gradient_discrepancy: float
 
     @property
     def ok(self) -> bool:
@@ -205,7 +183,6 @@ def check_displacement_bounds(
     cbar: float,
     delta0: float,
     h: float,
-    flow_model: Optional[SymbolModel] = None,
     seed: int = 0,
 ) -> DisplacementReport:
     """Lower/upper displacement bounds along the flow, off the critical set.
@@ -218,7 +195,6 @@ def check_displacement_bounds(
     worst observed ratios.  If (i) fails anywhere, the report carries the
     largest t0 for which it holds on all samples.
     """
-    flow = flow_model if flow_model is not None else model
     rng = np.random.Generator(np.random.Philox(key=seed))
     thresh = cbar * h**delta0
     samples = []
@@ -237,20 +213,14 @@ def check_displacement_bounds(
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     t0 = float(np.abs(t_grid).max())
 
-    grad_disc = float(
-        np.linalg.norm(
-            flow.gradient(samples) - model.gradient(samples), axis=1
-        ).max()
-    )
-
     violations = []
     c1 = c2 = 0.0
     worst_ok_t = t0
     for v in samples:
-        g = flow.gradient(v[None, :])[0]
+        g = model.gradient(v[None, :])[0]
         gnorm = float(np.linalg.norm(g))
-        jg = symplectic_gradient(flow, v[None, :])[0]
-        traj = integrate_flow(flow, v, float(np.abs(t_grid).max()), times=t_grid)
+        jg = symplectic_gradient(model, v[None, :])[0]
+        traj = integrate_flow(model, v, float(np.abs(t_grid).max()), times=t_grid)
         for t, state in zip(traj.times, traj.states):
             if t == 0.0:
                 continue
@@ -276,7 +246,6 @@ def check_displacement_bounds(
         c1=c1,
         c2=c2,
         empirical_t0=empirical_t0,
-        gradient_discrepancy=grad_disc,
     )
 
 
@@ -326,14 +295,7 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
     # p = sum a(x) xi^mu splits into a row phase (mu = 0), a column phase
     # (a constant on the x nodes) and mixed terms a(x) (x) xi^mu
     row, col, mixed = np.zeros(len(x_pts)), np.zeros(len(xi_pts)), []
-    for (nu, nubar), coef in model.coefficients.items():
-        mu = tuple(np.add(nu, nubar))
-        a = coef.value(x_pts)
-        if not np.all(np.isfinite(a)):
-            raise EvaluationFault(
-                "coefficient evaluated to a non-finite value",
-                x_pts[~np.isfinite(a)][0],
-            )
+    for mu, a in model.terms_at(x_pts):
         if not any(mu):
             row += a
         elif np.all(a == a[0]):

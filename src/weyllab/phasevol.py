@@ -7,17 +7,19 @@ remainder functional built from the worst thin energy shell
 exact 1-D polynomial sublevel measures.
 
 For second-order symbols the fiber in the first momentum coordinate is a
-quadratic A (t - t0)^2 + m with A > 0.  While its sublevel interval stays
-inside the momentum box, which the containment check guarantees, the
-measure of {a0 < L} on the fiber is exactly 2 sqrt((L - m)_+ / A).  A
-`FiberCloud` holds (A, m, t0) at every base point (a midpoint grid in x for
-d = 1, a stratified Monte Carlo cloud over the remaining coordinates for
-d >= 2), and `weyl_volume` and `remainder_functional` integrate that one
-closed form over it.  This removes the indicator-function variance in the
-thin-shell regime and makes the relative error h-independent.  A sweep
-builds one cloud and measures every energy level on it; the remainder sup
-checks containment once per h and measures its shells only on the points
-whose fiber minimum lies below the top shell edge.
+quadratic A (t - t0)^2 + m with A > 0, read off the symbol's term table
+a(x) xi^mu: each term adds to the t^2, t or constant coefficient by its
+power of t.  While its sublevel interval stays inside the momentum box,
+which the containment check guarantees, the measure of {a0 < L} on the
+fiber is exactly 2 sqrt((L - m)_+ / A).  A `FiberCloud` holds (A, m, t0) at
+every base point (a midpoint grid in x for d = 1, a stratified Monte Carlo
+cloud over the remaining coordinates for d >= 2), and `weyl_volume` and
+`remainder_functional` integrate that one closed form over it.  This
+removes the indicator-function variance in the thin-shell regime and makes
+the relative error h-independent.  A sweep builds one cloud and measures
+every energy level on it; the remainder sup checks containment once per h
+and measures its shells only on the points whose fiber minimum lies below
+the top shell edge.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._fitting import ExponentFit, fit_loglog
-from .symbols import SymbolModel, find_critical_points
+from .symbols import SymbolModel, _monomial, find_critical_points
 
 __all__ = [
     "VolumeEstimate",
@@ -48,7 +50,6 @@ __all__ = [
 BOUNDARY_MARGIN = 0.02
 N_BATCHES = 32
 NEWTON_TOL = 1e-12
-_QUADRATIC_TOL = 1e-8
 
 
 class ContainmentFault(RuntimeError):
@@ -101,34 +102,25 @@ def _fiber_coefficients(model: SymbolModel, base: np.ndarray):
     """Quadratic coefficients (A, B, C) of t -> a0(x, t, xi_rest).
 
     `base` holds phase points whose first momentum slot is ignored.  The
-    symbol is quadratic in that slot for second-order operators, so three
-    evaluations determine the fiber polynomial; a fourth evaluation guards
-    the assumption.
+    fibers are read off the term table: a term a(x) xi^mu adds
+    a(x) xi_rest^mu_rest to C, B or A by its power mu_1 = 0, 1 or 2 of the
+    fiber coordinate.  A second-order symbol has mu_1 <= 2 by construction.
     """
-    d = model.dimension
-    pts = np.array(base, dtype=float)
-    pts[:, d] = 0.0
-    f0 = model.value(pts)
-    pts[:, d] = 1.0
-    fp = model.value(pts)
-    pts[:, d] = -1.0
-    fm = model.value(pts)
-    A = 0.5 * (fp + fm) - f0
-    B = 0.5 * (fp - fm)
-    probe = min(8, pts.shape[0])
-    pts2 = pts[:probe].copy()
-    pts2[:, d] = 2.0
-    resid = np.abs(model.value(pts2) - (4 * A[:probe] + 2 * B[:probe] + f0[:probe]))
-    scale = 1.0 + np.abs(f0[:probe])
-    if np.any(resid > _QUADRATIC_TOL * scale):
-        raise ValueError(
-            "symbol is not quadratic in the first momentum coordinate"
+    if model.order != 1:
+        raise NotImplementedError(
+            "momentum fibers are quadratic for second-order symbols only"
         )
+    d = model.dimension
+    xi_rest = base[:, d + 1 :]
+    fiber = [np.zeros(base.shape[0]) for _ in range(3)]  # C, B, A
+    for mu, a in model.terms_at(base[:, :d]):
+        fiber[mu[0]] += a * _monomial(mu[1:], xi_rest)
+    C, B, A = fiber
     if A.min() <= 0:
         raise ValueError(
             "nonpositive leading fiber coefficient contradicts ellipticity"
         )
-    return A, B, f0
+    return A, B, C
 
 
 def _fiber_measure(A, minimum, level):
@@ -168,7 +160,8 @@ class FiberCloud:
 
     d = 1 takes a midpoint grid of max(budget, 2^14) points in x; d >= 2
     takes the stratified 32-batch cloud of `_base_cloud`.  Each point's
-    fiber t -> A t^2 + B t + C is kept as its curvature A, its minimum
+    fiber t -> A t^2 + B t + C, read off the term table of the symbol at
+    the point's x, is kept as its curvature A, its minimum
     m = C - B^2/(4A) and its vertex -B/(2A), together with a mask of the
     points within 2% of the box edge in a non-fiber coordinate; the points
     themselves are not kept.  Once `contained` has cleared a level, no
@@ -195,11 +188,15 @@ class FiberCloud:
         self.size = n
         self.box_xi = model.box_xi
         A, B, C = _fiber_coefficients(model, pts)
+        # one column at a time: freeing an (n, d) temporary here raises
+        # glibc's dynamic mmap threshold, and the sparse factorizations of
+        # the sweep that follows then peak about 16 MB higher
         limit = 1.0 - BOUNDARY_MARGIN
-        self.edge = np.abs(pts[:, :d]).max(axis=1) > limit * model.box_x
-        if d > 1:
-            xi_rest = np.abs(pts[:, d + 1 :]).max(axis=1)
-            self.edge |= xi_rest > limit * model.box_xi
+        self.edge = np.zeros(n, dtype=bool)
+        for k in range(2 * d):
+            if k != d:
+                box = model.box_x if k < d else model.box_xi
+                self.edge |= np.abs(pts[:, k]) > limit * box
         del pts  # free the points before the fiber temporaries below
         self.A = A
         self.minimum = C - B * B / (4.0 * A)

@@ -200,7 +200,7 @@ class SymbolModel:
     box_x: float = 2.0
     box_xi: float = 2.0
     name: str = ""
-    # collapsed (exponent -> list of coefficients): filled in __post_init__
+    # (mu = nu + nubar, coefficient) per term: filled in __post_init__
     _terms: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -256,18 +256,28 @@ class SymbolModel:
 
     # -- evaluation --------------------------------------------------------
 
+    def terms_at(self, x: np.ndarray) -> list:
+        """The term table on x nodes of shape (n, d): one (mu, a(x)) per
+        coefficient, mu = nu + nubar, so that the symbol is
+        sum a(x) xi^mu.  Raises EvaluationFault, located at the x node, at
+        the first non-finite coefficient value."""
+        terms = []
+        for mu, coef in self._terms:
+            a = coef.value(x)
+            bad = ~np.isfinite(a)
+            if bad.any():
+                raise EvaluationFault(
+                    "coefficient evaluated to a non-finite value", x[bad][0]
+                )
+            terms.append((mu, a))
+        return terms
+
     def value(self, v) -> np.ndarray:
         d = self.dimension
         pts, single = _as_points(v, 2 * d)
-        x, xi = pts[:, :d], pts[:, d:]
+        xi = pts[:, d:]
         out = np.zeros(pts.shape[0])
-        for mu, coef in self._terms:
-            a = coef.value(x)
-            if not np.all(np.isfinite(a)):
-                bad = pts[~np.isfinite(a)][0]
-                raise EvaluationFault(
-                    "coefficient evaluated to a non-finite value", bad
-                )
+        for mu, a in self.terms_at(pts[:, :d]):
             out += a * _monomial(mu, xi)
         return float(out[0]) if single else out
 
@@ -277,8 +287,7 @@ class SymbolModel:
         x, xi = pts[:, :d], pts[:, d:]
         gx = np.zeros((pts.shape[0], d))
         gxi = np.zeros((pts.shape[0], d))
-        for (nu, nubar), coef in self.coefficients.items():
-            mu = tuple(np.add(nu, nubar))
+        for mu, coef in self._terms:
             mono = _monomial(mu, xi)
             gx += coef.grad(x) * mono[:, None]
             gxi += coef.value(x)[:, None] * _monomial_grad(mu, xi)
@@ -291,8 +300,7 @@ class SymbolModel:
         x, xi = pts[:, :d], pts[:, d:]
         n = pts.shape[0]
         h = np.zeros((n, 2 * d, 2 * d))
-        for (nu, nubar), coef in self.coefficients.items():
-            mu = tuple(np.add(nu, nubar))
+        for mu, coef in self._terms:
             a = coef.value(x)
             ga = coef.grad(x)
             mono = _monomial(mu, xi)

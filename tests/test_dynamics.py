@@ -14,10 +14,8 @@ from weyllab.dynamics import (
     integrate_flow,
     nonstationary_decay_check,
     oscillatory_integral,
-    regularized_model,
     ring_amplitude,
 )
-from weyllab.mollify import build_mollifier
 from weyllab.symbols import (
     PolynomialCoefficient,
     SymbolModel,
@@ -95,15 +93,12 @@ def test_displacement_bounds_clean(harmonic):
     assert 0.9 <= rep.c2 <= 1.0 + 1e-9
 
 
-def test_displacement_with_regularized_flow(double_well):
-    kernel = build_mollifier(2, 1.0)
-    reg = regularized_model(double_well, kernel, 0.05, 0.41)
+def test_displacement_bounds_double_well(double_well):
     rep = check_displacement_bounds(
         double_well, n_samples=8, t_grid=[-0.1, 0.1], cbar=0.5,
-        delta0=0.41, h=0.05, flow_model=reg, seed=1,
+        delta0=0.41, h=0.05, seed=1,
     )
     assert rep.ok
-    assert rep.gradient_discrepancy < 1e-3
 
 
 def test_displacement_threshold_out_of_reach_raises(double_well):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyllab import phasevol
+from weyllab.operators import GridSpec, assemble
 from weyllab.phasevol import (
     ContainmentFault,
     FiberCloud,
@@ -185,6 +186,54 @@ def test_closed_form_matches_clip_and_subtract(name):
         assert rem.value == pytest.approx(value, rel=1e-12, abs=0)
         assert rem.argmax_energy == argmax
         assert rem.grid_size == n_grid
+
+
+_FIBER_MODELS = {
+    "double_well_2d": lambda: make_model("double_well_2d"),
+    "separable_harmonic_2d": lambda: make_model("separable_harmonic_2d"),
+    "harmonic": lambda: make_model("harmonic"),
+    "sheared_harmonic": lambda: _shifted_harmonic({(1,): 0.5}, {(2,): 1.25}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIBER_MODELS))
+def test_fiber_coefficients_match_symbol_values(name):
+    # the term-table read against the symbol itself: (A, B, C) from its
+    # values at xi_1 = 0, +1, -1, and the quadratic checked at xi_1 = 2
+    model = _FIBER_MODELS[name]()
+    d = model.dimension
+    pts, _ = phasevol._base_cloud(model, 2**12, 0)
+    A, B, C = phasevol._fiber_coefficients(model, pts)
+
+    def on_fiber(t):
+        q = pts.copy()
+        q[:, d] = t
+        return model.value(q)
+
+    f0, fp, fm = on_fiber(0.0), on_fiber(1.0), on_fiber(-1.0)
+    tol = 1e-13 * (1.0 + np.abs(C))
+    assert np.all(np.abs(A - (0.5 * (fp + fm) - f0)) <= tol)
+    assert np.all(np.abs(B - 0.5 * (fp - fm)) <= tol)
+    assert np.all(np.abs(C - f0) <= tol)
+    assert np.all(np.abs(on_fiber(2.0) - (4 * A + 2 * B + C)) <= tol)
+
+
+def test_fourth_order_symbol_rejected():
+    # xi^4 + x^2 has quartic momentum fibers; assemble rejects it too
+    model = SymbolModel(
+        dimension=1,
+        order=2,
+        coefficients={
+            ((2,), (2,)): PolynomialCoefficient({(0,): 1.0}, 1),
+            ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
+        },
+        ellipticity_constant=1.0,
+        holder_exponent=0.5,
+    )
+    with pytest.raises(NotImplementedError):
+        assemble(model, None, 0.05, 0.41, GridSpec(2.0, 80))
+    with pytest.raises(NotImplementedError):
+        FiberCloud(model)
 
 
 def test_remainder_functional_floor_and_grid():

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyllab import dynamics
+from weyllab.phasevol import FiberCloud
 from weyllab.symbols import (
     MODEL_REGISTRY,
+    Coefficient,
+    EvaluationFault,
     PolynomialCoefficient,
+    SymbolModel,
     check_theorem_hypotheses,
     find_critical_points,
     make_model,
@@ -144,3 +149,36 @@ def test_symbol_even_in_momentum(x, y, xi1, xi2):
     a = m.value(np.array([[x, y, xi1, xi2]]))[0]
     b = m.value(np.array([[x, y, -xi1, -xi2]]))[0]
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+def test_non_finite_coefficient_faults_at_its_x_node():
+    # a potential that is nan beyond x = 1: the symbol's value, the fiber
+    # cloud and the oscillatory quadrature each fault at an x node past 1
+    potential = Coefficient(
+        lambda x: np.where(x[:, 0] > 1.0, np.nan, x[:, 0] ** 2),
+        lambda x: 2.0 * x,
+        lambda x: np.full((len(x), 1, 1), 2.0),
+    )
+    model = SymbolModel(
+        dimension=1,
+        order=1,
+        coefficients={
+            ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, 1),
+            ((0,), (0,)): potential,
+        },
+        ellipticity_constant=1.0,
+        holder_exponent=0.5,
+    )
+    box = [(-2.0, 2.0), (-2.0, 2.0)]
+    calls = {
+        "value": lambda: model.value(np.array([[0.5, 0.0], [1.5, 0.3]])),
+        "fiber cloud": lambda: FiberCloud(model),
+        "quadrature": lambda: dynamics._tensor_quadrature(
+            model, lambda pts: np.ones(len(pts)), 1.0, 0.1, box, 2
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(EvaluationFault) as fault:
+            call()
+        assert fault.value.location.shape == (1,), name
+        assert fault.value.location[0] > 1.0, name
