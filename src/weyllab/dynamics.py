@@ -1,11 +1,12 @@
 """Hamiltonian flow diagnostics and oscillatory phase-space integrals.
 
 The Hamiltonian flow of the symbol is integrated with a high-order adaptive
-Runge-Kutta scheme; energy conservation along trajectories is the accuracy
-witness.  Displacement bounds compare the flow map against the gradient at
-the starting point: away from the near-critical set the displacement is
-pinched between |t grad p|/2 and C1 |t grad p|, and the first-order Taylor
-error is quadratic in t.
+Runge-Kutta scheme, a batch of n starts as one stacked system at tolerance
+FLOW_TOL/sqrt(n); energy conservation along trajectories is the accuracy
+witness.  Displacement bounds flow every sample in one batch and compare the
+flow map against the gradient at the starting point: away from the
+near-critical set the displacement is pinched between |t grad p|/2 and
+C1 |t grad p|, and the first-order Taylor error is quadratic in t.
 
 Oscillatory integrals (2 pi h)^(-d) int exp(i t p/h) b dv are computed by
 panel-per-wavelength tensor Gauss-Legendre quadrature with a panel-halving
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 FLOW_TOL = 1e-11
-DRIFT_TOL = 1e-8
 NODE_BUDGET = 24 * 10**7
 CHUNK_POINTS = 2**18
 # quadrature threads; the cap bounds the chunks in flight
@@ -101,18 +101,23 @@ def integrate_flow(
     model: SymbolModel,
     v0,
     t_end: float,
-    tol: float = FLOW_TOL,
     times=None,
 ) -> FlowTrajectory:
-    """Hamiltonian trajectory from v0 up to t_end (either sign).
+    """Hamiltonian trajectories from v0 up to t_end (either sign).
 
-    ``times`` selects the stored snapshots (default: endpoints only); t = 0
-    is always stored as exactly v0.
+    ``v0`` is one start (2d,) or a batch (n, 2d), integrated as one stacked
+    system at rtol = atol = FLOW_TOL/sqrt(n): DOP853's error norm is the RMS
+    over all components, so each trajectory's own norm stays within FLOW_TOL.
+    ``times`` selects the stored snapshots (default: endpoints only); each
+    has the shape of v0, and t = 0 is always stored as exactly v0.
     """
-    v0 = np.asarray(v0, dtype=float).ravel()
+    v0 = np.asarray(v0, dtype=float)
+    starts = np.atleast_2d(v0)
+    n, dim = starts.shape
+    tol = FLOW_TOL / math.sqrt(n)
 
     def rhs(_t, y):
-        return symplectic_gradient(model, y[None, :])[0]
+        return symplectic_gradient(model, y.reshape(n, dim)).ravel()
 
     if times is None:
         times = [0.0, t_end]
@@ -120,43 +125,40 @@ def integrate_flow(
     if np.abs(times).max() > abs(t_end) + 1e-15:
         raise ValueError("requested times escape [-|t_end|, |t_end|]")
 
-    states = np.empty((len(times), len(v0)))
+    states = np.empty((len(times), n, dim))
+    states[times == 0.0] = starts
     steps = 0
-    for sign in (-1.0, 1.0):
-        sel = times < 0 if sign < 0 else times > 0
-        if not np.any(sel):
+    # snapshot slots in the direction of integration, away from t = 0
+    for slots in (np.flatnonzero(times < 0)[::-1], np.flatnonzero(times > 0)):
+        if len(slots) == 0:
             continue
-        span = (0.0, float(times[sel].min() if sign < 0 else times[sel].max()))
         sol = solve_ivp(
             rhs,
-            span,
-            v0,
+            (0.0, float(times[slots[-1]])),
+            starts.ravel(),
             method="DOP853",
             rtol=tol,
             atol=tol,
-            t_eval=np.sort(times[sel]) if sign > 0 else np.sort(times[sel])[::-1],
-            dense_output=False,
+            t_eval=times[slots],
         )
         if not sol.success:
+            # stalled before the first snapshot: sol.t, sol.y are empty lists
+            stored = len(sol.t) > 0
+            last = sol.y[:, -1] if stored else starts
             raise IntegrationFault(
-                f"flow integration stalled: {sol.message}",
-                last_state=sol.y[:, -1] if sol.y.size else v0,
-                last_time=sol.t[-1] if sol.t.size else 0.0,
+                f"flow integration of {n} start(s) stalled: {sol.message}",
+                last_state=last.reshape(v0.shape),
+                last_time=float(sol.t[-1]) if stored else 0.0,
             )
-        # sol.t follows t_eval order; map each snapshot back to its slot
-        slot = {float(t): i for i, t in enumerate(times)}
-        for tk, yk in zip(sol.t, sol.y.T):
-            states[slot[float(tk)]] = yk
+        states[slots] = sol.y.T.reshape(-1, n, dim)
         steps += sol.nfev
-    states[times == 0.0] = v0
 
-    energies = model.value(states)
-    e0 = float(model.value(v0[None, :])[0])
-    drift = float(np.abs(energies - e0).max())
+    energies = model.value(states.reshape(-1, dim)).reshape(len(times), n)
+    drift = float(np.abs(energies - model.value(starts)).max())
     return FlowTrajectory(
         start=v0,
         times=times,
-        states=states,
+        states=states.reshape((len(times),) + v0.shape),
         energy_drift=drift,
         integrator_steps=steps,
     )
@@ -188,13 +190,17 @@ def check_displacement_bounds(
     """Lower/upper displacement bounds along the flow, off the critical set.
 
     Samples v with |grad a0(v)| > cbar h^delta0 (rejection on the box; a
-    draw of 4 n_samples candidates that accepts none raises ValueError).  For
-    each v and t: (i) |flow_t(v) - v| >= |t grad p(v)|/2 is asserted; the
+    draw of 4 n_samples candidates that accepts none raises ValueError, and
+    so do cbar <= 0 and n_samples < 1) and flows them all in one batch.  For each v and t:
+    (i) |flow_t(v) - v| >= |t grad p(v)|/2 is asserted; the
     constants in (ii) |flow_t(v) - v| <= C1 |t grad p(v)| and (iii)
     |flow_t(v) - v - t J grad p(v)| <= C2 t^2 |grad p(v)| are fitted as the
     worst observed ratios.  If (i) fails anywhere, the report carries the
     largest t0 for which it holds on all samples.
     """
+    if cbar <= 0 or n_samples < 1:
+        raise ValueError(f"need cbar > 0 and n_samples >= 1, got {cbar}, "
+                         f"{n_samples}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     thresh = cbar * h**delta0
     samples = []
@@ -213,29 +219,26 @@ def check_displacement_bounds(
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     t0 = float(np.abs(t_grid).max())
 
-    violations = []
-    c1 = c2 = 0.0
-    worst_ok_t = t0
-    for v in samples:
-        g = model.gradient(v[None, :])[0]
-        gnorm = float(np.linalg.norm(g))
-        jg = symplectic_gradient(model, v[None, :])[0]
-        traj = integrate_flow(model, v, float(np.abs(t_grid).max()), times=t_grid)
-        for t, state in zip(traj.times, traj.states):
-            if t == 0.0:
-                continue
-            disp = float(np.linalg.norm(state - v))
-            lower = 0.5 * abs(t) * gnorm
-            if disp < lower:
-                violations.append((tuple(v), float(t), disp, lower))
-                worst_ok_t = min(worst_ok_t, abs(t))
-            if gnorm > 0:
-                c1 = max(c1, disp / (abs(t) * gnorm))
-                taylor = float(np.linalg.norm(state - v - t * jg))
-                c2 = max(c2, taylor / (t * t * gnorm))
-
+    traj = integrate_flow(model, samples, t0, times=t_grid)
+    live = traj.times != 0.0
+    ts, flowed = traj.times[live], traj.states[live]  # flowed: (t, sample, 2d)
+    # (sample, t) arrays; |grad p| > thresh > 0 on every sample
+    gnorm = np.linalg.norm(model.gradient(samples), axis=1)[:, None]
+    jg = symplectic_gradient(model, samples)
+    disp = np.linalg.norm(flowed - samples, axis=2).T
+    scale = np.abs(ts) * gnorm
+    lower = 0.5 * scale
+    taylor = np.linalg.norm(flowed - samples - ts[:, None, None] * jg, axis=2).T
+    c1 = float(np.max(disp / scale, initial=0.0))
+    c2 = float(np.max(taylor / (ts * ts * gnorm), initial=0.0))
+    # row-major: sample-major, then t ascending
+    violations = [
+        (tuple(samples[i]), float(ts[k]), float(disp[i, k]), float(lower[i, k]))
+        for i, k in np.argwhere(disp < lower)
+    ]
     empirical_t0 = t0
     if violations:
+        worst_ok_t = min(abs(t) for _, t, _, _ in violations)
         empirical_t0 = max(
             (abs(t) for t in t_grid if abs(t) < worst_ok_t), default=0.0
         )

@@ -115,7 +115,6 @@ def run_h_sweep(
     epsilon: float = 0.1,
     variant: str = "raw",
     kernel: Optional[MollifierKernel] = None,
-    grid_for: Optional[Callable[[float], GridSpec]] = None,
     max_grid_points: int = 300,
     volume_budget: int = 2**20,
     seed: int = 0,
@@ -147,9 +146,7 @@ def run_h_sweep(
     records, gaps = [], []
     for h, rem in zip(hs, sups):
         try:
-            grid = grid_for(h) if grid_for else _default_grid(
-                model, h, max_grid_points
-            )
+            grid = _default_grid(model, h, max_grid_points)
             op = assemble(
                 model,
                 kernel,
@@ -244,7 +241,6 @@ def bracketing_check(
     *,
     delta0: float,
     kernel: MollifierKernel,
-    grid_for: Optional[Callable[[float], GridSpec]] = None,
     max_grid_points: int = 300,
 ) -> list:
     """count(M_plus) <= count(M_raw) <= count(M_minus) at every h.
@@ -255,9 +251,7 @@ def bracketing_check(
     """
     rows = []
     for h in sorted(float(x) for x in h_grid):
-        grid = grid_for(h) if grid_for else _default_grid(
-            model, h, max_grid_points
-        )
+        grid = _default_grid(model, h, max_grid_points)
         counts = {}
         for variant in ("plus", "raw", "minus"):
             op = assemble(

@@ -81,6 +81,38 @@ def test_symplectic_volume(harmonic):
     assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_batch_matches_single_starts(double_well):
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(-0.8, 0.8, (16, 4))
+    times = [-0.1, -0.05, 0.05, 0.1]
+    batch = integrate_flow(double_well, starts, 0.1, times=times)
+    assert batch.states.shape == (5, 16, 4)
+    np.testing.assert_array_equal(batch.state_at(0.0), starts)
+    for i, v in enumerate(starts):
+        single = integrate_flow(double_well, v, 0.1, times=times)
+        np.testing.assert_allclose(batch.states[:, i], single.states,
+                                   rtol=0, atol=1e-9)
+
+
+def _blowup_model():
+    # xi^2 - x^4: from (1, 1) the energy is 0 and x' = 2 x^2 blows up at
+    # t = 1/2, before the first snapshot at t = 1
+    coeffs = {
+        ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, 1),
+        ((0,), (0,)): PolynomialCoefficient({(4,): -1.0}, 1),
+    }
+    return SymbolModel(dimension=1, order=1, coefficients=coeffs,
+                       ellipticity_constant=1.0, holder_exponent=0.5,
+                       name="blowup")
+
+
+@pytest.mark.parametrize("v0", [[1.0, 1.0], [[1.0, 1.0], [0.5, 0.2]]])
+def test_stalled_flow_raises_integration_fault(v0):
+    with pytest.raises(dynamics.IntegrationFault) as info:
+        integrate_flow(_blowup_model(), v0, 1.0)
+    assert np.shape(info.value.last_state) == np.shape(v0)
+
+
 def test_displacement_bounds_clean(harmonic):
     rep = check_displacement_bounds(
         harmonic, n_samples=25, t_grid=[-0.1, -0.05, 0.05, 0.1],
@@ -91,6 +123,27 @@ def test_displacement_bounds_clean(harmonic):
     # rotation chord: |flow_t(v) - v| = |t grad| sin(t)/t <= |t grad|
     assert 0.9 <= rep.c1 <= 1.0 + 1e-9
     assert 0.9 <= rep.c2 <= 1.0 + 1e-9
+
+
+def test_displacement_violations_on_rotation(harmonic):
+    # the flow rotates at angular speed 2, so |flow_t(v) - v| equals
+    # |grad p| |sin t|, below |t grad p|/2 at |t| = 3 and above it at |t| = 1
+    rep = check_displacement_bounds(
+        harmonic, n_samples=6, t_grid=[-3, -1, 1, 3], cbar=0.5,
+        delta0=0.41, h=0.05, seed=3,
+    )
+    assert len(rep.violations) == 12
+    assert rep.empirical_t0 == 1.0
+    # sample-major, then t ascending
+    assert [t for _, t, _, _ in rep.violations] == [-3.0, 3.0] * 6
+    starts = [v for v, _, _, _ in rep.violations]
+    assert starts[0::2] == starts[1::2]
+    assert len(set(starts)) == 6
+    for v, t, disp, lower in rep.violations:
+        gnorm = 2.0 * np.linalg.norm(v)
+        assert disp == pytest.approx(gnorm * abs(math.sin(t)), abs=1e-9)
+        assert lower == pytest.approx(0.5 * abs(t) * gnorm, abs=1e-12)
+    assert rep.c1 == pytest.approx(math.sin(1.0), abs=1e-9)
 
 
 def test_displacement_bounds_double_well(double_well):
@@ -107,6 +160,15 @@ def test_displacement_threshold_out_of_reach_raises(double_well):
     with pytest.raises(ValueError, match="threshold"):
         check_displacement_bounds(
             double_well, n_samples=8, t_grid=[-0.1, 0.1], cbar=1000.0,
+            delta0=0.41, h=0.05,
+        )
+
+
+@pytest.mark.parametrize("cbar, n", [(0.0, 4), (-0.5, 4), (0.5, 0)])
+def test_displacement_invalid_arguments_raise(harmonic, cbar, n):
+    with pytest.raises(ValueError, match="cbar > 0 and n_samples >= 1"):
+        check_displacement_bounds(
+            harmonic, n_samples=n, t_grid=[-0.1, 0.1], cbar=cbar,
             delta0=0.41, h=0.05,
         )
 
