@@ -19,7 +19,11 @@ constant on X a column factor v = w_Xi exp(i t p_Xi/h), and any other term
 multiplies the amplitude matrix b(X x Xi) by its own exponential.  The
 integral is then the sum over chunks of X rows of
 u_rows . (b(rows x Xi) v), each chunk about CHUNK_POINTS nodes, evaluated on
-a small thread pool, one thread per available core up to four; the chunk
+a small thread pool, one thread per available core up to four.  The
+amplitude is called as b(*coords, out=buf) on the broadcast grid of the
+chunk's x columns (rows, 1) and the xi columns (1, m), so no point array is
+built; the chunks are dealt round-robin to the workers, and each worker
+evaluates its chunks in order into one (rows, m) buffer.  The chunk
 boundaries are fixed and the partial sums are added in chunk order, so the
 result does not depend on the number of cores.
 """
@@ -37,7 +41,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._fitting import ExponentFit, fit_loglog
-from .symbols import SymbolModel, _monomial, smooth_cutoff
+from .symbols import SymbolModel, _monomial
 
 __all__ = [
     "FlowTrajectory",
@@ -45,6 +49,7 @@ __all__ = [
     "DisplacementReport",
     "DecayReport",
     "IntegrationFault",
+    "NodeBudgetExceeded",
     "integrate_flow",
     "check_displacement_bounds",
     "oscillatory_integral",
@@ -62,6 +67,10 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = min(os.cpu_count() or 1, 4)
 NODES_PER_PANEL = 8
+
+
+class NodeBudgetExceeded(RuntimeError):
+    """A tensor rule has more than NODE_BUDGET nodes; carries the count."""
 
 
 class IntegrationFault(RuntimeError):
@@ -289,7 +298,7 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
     rules = [_panel_rule(lo, hi, panels) for lo, hi in box]
     total = math.prod(len(pts) for pts, _ in rules)
     if total > NODE_BUDGET:
-        raise MemoryError(total)
+        raise NodeBudgetExceeded(total)
     d = model.dimension
     x_pts, x_wts = _product_rule(rules[:d])
     xi_pts, xi_wts = _product_rule(rules[d:])
@@ -310,35 +319,41 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
     # a real amplitude matrix times v as one real product with (Re v, Im v)
     v_pair = np.stack([v.real, v.imag], axis=1)
     m = len(xi_pts)
-    chunk = max(1, CHUNK_POINTS // m)
+    chunk = min(max(1, CHUNK_POINTS // m), len(x_pts))
+    starts = range(0, len(x_pts), chunk)
+    workers = min(_WORKERS, len(starts))
+    xi_cols = [xi_pts[None, :, k] for k in range(d)]
 
-    def partial_sum(lo):
-        # the chunk is x nodes [lo, lo + chunk) times every xi node
-        rows = slice(lo, lo + chunk)
-        xs = x_pts[rows]
-        pts = np.empty((len(xs), m, 2 * d))
-        pts[:, :, :d] = xs[:, None, :]
-        pts[:, :, d:] = xi_pts
-        amp = amplitude(pts.reshape(-1, 2 * d)).reshape(len(xs), m)
-        if mixed:
-            phase = sum(np.multiply.outer(a[rows], mono) for a, mono in mixed)
-            return u[rows] @ ((amp * np.exp(1j * s * phase)) @ v)
-        re, im = (amp @ v_pair).T
-        return u[rows] @ (re + 1j * im)
+    def partial_sums(first):
+        # chunks first, first + workers, ... in order, each x nodes
+        # [lo, lo + chunk) times every xi node, into one reused buffer
+        buf = np.empty((chunk, m))
+        sums = []
+        for lo in starts[first::workers]:
+            rows = slice(lo, lo + chunk)
+            x_cols = [x_pts[rows, k, None] for k in range(d)]
+            amp = amplitude(*x_cols, *xi_cols, out=buf[: len(x_cols[0])])
+            if mixed:
+                phase = sum(np.multiply.outer(a[rows], mono) for a, mono in mixed)
+                sums.append(u[rows] @ ((amp * np.exp(1j * s * phase)) @ v))
+            else:
+                re, im = (amp @ v_pair).T
+                sums.append(u[rows] @ (re + 1j * im))
+        return sums
 
     # fixed chunk boundaries and an in-order sum: the result does not depend
     # on the worker count; numpy's loops release the GIL, so threads overlap
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        parts = list(pool.map(partial_sum, range(0, len(x_pts), chunk)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        dealt = list(pool.map(partial_sums, range(workers)))
     acc = 0.0 + 0.0j
-    for part in parts:
-        acc += part
+    for i in range(len(starts)):
+        acc += dealt[i % workers][i // workers]
     return acc
 
 
 def oscillatory_integral(
     model: SymbolModel,
-    amplitude: Callable[[np.ndarray], np.ndarray],
+    amplitude: Callable[..., np.ndarray],
     t: float,
     h: float,
     support_box=None,
@@ -346,7 +361,14 @@ def oscillatory_integral(
 ) -> OscillatoryResult:
     """(2 pi h)^(-d) integral of exp(i t p(v)/h) amplitude(v) over phase
     space, by tensor Gauss-Legendre with >= 12 nodes per oscillation and a
-    panel-halving error estimate."""
+    panel-halving error estimate.
+
+    ``amplitude(*coords, out=None)`` takes the 2d coordinates of v as
+    broadcastable arrays (here x columns of shape (rows, 1), xi columns of
+    shape (1, m)) and returns b on their broadcast grid; given ``out``, it
+    writes b there and returns it.  Each quadrature worker passes one
+    (rows, m) buffer, reused for all of its chunks.  A rule over
+    NODE_BUDGET nodes falls back to min_panels with ``reliable=False``."""
     d = model.dimension
     if 2 * d > 4:
         raise NotImplementedError("quadrature supports 2d <= 4 only")
@@ -373,7 +395,7 @@ def oscillatory_integral(
         coarse = _tensor_quadrature(model, amplitude, t, h, support_box, panels)
         fine = _tensor_quadrature(model, amplitude, t, h, support_box, 2 * panels)
         reliable = True
-    except MemoryError:
+    except NodeBudgetExceeded:
         coarse = _tensor_quadrature(
             model, amplitude, t, h, support_box, min_panels
         )
@@ -389,46 +411,75 @@ def oscillatory_integral(
     )
 
 
-def _radius(pts, center):
-    """|v - center| per row, summed column by column in the order
-    np.linalg.norm(pts - center, axis=1) uses, so bit-identical to it
-    without the (n, dim) difference array."""
-    r2 = np.zeros(len(pts))
-    for k, c in enumerate(center):
-        x = pts[:, k] - c
-        r2 += x * x
-    return np.sqrt(r2)
+def _radius(coords, center, out):
+    """|v - center| on the broadcast grid of ``coords``, into ``out`` (a new
+    array when None).  The squares are added in axis order, as
+    np.linalg.norm(pts - center, axis=1) adds them, so the radius is
+    bit-identical to it; partial sums stay small until one spans the whole
+    grid, and from there on they are written into ``out``."""
+    if len(coords) != len(center):
+        raise ValueError(
+            f"amplitude centred in {len(center)} dimensions got "
+            f"{len(coords)} coordinate arrays"
+        )
+    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+    if out is None:
+        out = np.empty(shape)
+    r2 = 0.0
+    for x, c in zip(coords, center):
+        sq = np.square(np.subtract(x, c))
+        full = np.broadcast_shapes(np.shape(r2), sq.shape) == shape
+        r2 = np.add(r2, sq, out=out if full else None)
+    return np.sqrt(r2, out=out)
+
+
+def _cutoff_band(r, inner, outer):
+    """Flat indices of the nodes with inner < r < outer, and
+    smooth_cutoff(r, inner, outer) on them, by its float expressions: exp
+    is taken on these nodes only.  Where t rounds to 1 the value is
+    b/(a + b) = 0, as on smooth_cutoff's outer plateau."""
+    idx = np.flatnonzero((r > inner) & (r < outer))
+    t = (np.take(r, idx) - inner) / (outer - inner)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.exp(-1.0 / t)
+        b = np.exp(-1.0 / (1.0 - t))
+    return idx, b / (a + b)
 
 
 def ring_amplitude(center, r_inner: float, r_outer: float):
     """Smooth bump of |v - center| supported in the open ring
-    (r_inner, r_outer), identically 1 on the middle half."""
+    (r_inner, r_outer), identically 1 on the middle half.
+
+    The amplitude is called as ``amp(*coords, out=None)`` with one
+    broadcastable array per coordinate of ``center``."""
     center = np.asarray(center, dtype=float)
     w = 0.25 * (r_outer - r_inner)
 
-    def amp(pts):
-        r = _radius(pts, center)
-        out = np.zeros(len(r))
-        live = np.flatnonzero((r > r_inner) & (r < r_outer))
-        rl = r[live]
-        up = 1.0 - smooth_cutoff(rl, r_inner, r_inner + w)
-        down = smooth_cutoff(rl, r_outer - w, r_outer)
-        out[live] = up * down
-        return out
+    def amp(*coords, out=None):
+        r = _radius(coords, center, out)
+        up = _cutoff_band(r, r_inner, r_inner + w)
+        down = _cutoff_band(r, r_outer - w, r_outer)
+        # 1 inside the ring, 0 outside; then (1 - rising cutoff) * falling
+        np.copyto(r, (r > r_inner) & (r < r_outer))
+        np.put(r, up[0], 1.0 - up[1])
+        np.put(r, down[0], np.take(r, down[0]) * down[1])
+        return r
 
     return amp
 
 
 def bump_amplitude(center, radius: float):
-    """Smooth bump of |v - center|, 1 inside radius/2, 0 outside radius."""
+    """Smooth bump of |v - center|, 1 inside radius/2, 0 outside radius.
+
+    Called as ``amp(*coords, out=None)``, like ring_amplitude."""
     center = np.asarray(center, dtype=float)
 
-    def amp(pts):
-        r = _radius(pts, center)
-        out = np.zeros(len(r))
-        live = np.flatnonzero(r < radius)
-        out[live] = smooth_cutoff(r[live], radius / 2.0, radius)
-        return out
+    def amp(*coords, out=None):
+        r = _radius(coords, center, out)
+        band = _cutoff_band(r, radius / 2.0, radius)
+        np.copyto(r, r <= radius / 2.0)
+        np.put(r, *band)
+        return r
 
     return amp
 

@@ -213,7 +213,36 @@ def test_radial_amplitudes_match_reference(dim):
             (bump_amplitude(center, radius), _bump_reference(center, radius)),
         ]
         for new, ref in pairs:
-            assert np.array_equal(new(pts), ref(pts))
+            assert np.array_equal(new(*pts.T), ref(pts))
+        # the quadrature's call: x columns (rows, 1) by xi columns (1, m),
+        # against the reference on the flattened meshgrid
+        d = dim // 2
+        xs = np.vstack([rng.uniform(-2.0, 2.0, (61, d)), edge[:, :d]])
+        xis = np.vstack([rng.uniform(-2.0, 2.0, (67, d)), center[None, d:]])
+        grid = np.hstack([np.repeat(xs, len(xis), axis=0),
+                          np.tile(xis, (len(xs), 1))])
+        coords = ([xs[:, k, None] for k in range(d)]
+                  + [xis[None, :, k] for k in range(d)])
+        for new, ref in pairs:
+            want = ref(grid).reshape(len(xs), len(xis))
+            assert np.array_equal(new(*coords), want)
+            buf = np.full((len(xs), len(xis)), np.nan)
+            assert new(*coords, out=buf) is buf
+            assert np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda c: ring_amplitude(c, 0.5, 1.5),
+    lambda c: bump_amplitude(c, 0.8),
+])
+def test_radial_amplitudes_reject_stale_calls(factory):
+    # an (N, 2d) point array is one coordinate, not 2d of them
+    amp = factory([0.0, 0.0])
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (16, 2))
+    with pytest.raises(ValueError, match="2 dimensions got 1"):
+        amp(pts)
+    with pytest.raises(ValueError, match="2 dimensions got 3"):
+        amp(*pts.T, pts[:, 0])
 
 
 def test_oscillatory_t_zero_radial_oracle(harmonic):
@@ -222,7 +251,7 @@ def test_oscillatory_t_zero_radial_oracle(harmonic):
     res = oscillatory_integral(harmonic, amp, 0.0, h,
                                support_box=[(-1.6, 1.6)] * 2, min_panels=16)
     ref = 2 * np.pi * quad(
-        lambda r: amp(np.array([[r, 0.0]]))[0] * r, 0.4, 1.6, limit=200
+        lambda r: amp(r, 0.0) * r, 0.4, 1.6, limit=200
     )[0] / (2 * np.pi * h)
     assert res.value.imag == pytest.approx(0.0, abs=1e-10)
     assert res.value.real == pytest.approx(ref, rel=1e-6)
@@ -263,7 +292,7 @@ def _direct_sum(model, amplitude, t, h, box, panels):
         np.meshgrid(*[p for p, _ in rules], indexing="ij"), axis=-1
     ).reshape(-1, len(box))
     wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
-    return np.sum(wts * amplitude(pts) * np.exp(1j * model.value(pts) * (t / h)))
+    return np.sum(wts * amplitude(*pts.T) * np.exp(1j * model.value(pts) * (t / h)))
 
 
 def _mixed_model():
@@ -315,14 +344,58 @@ def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
     assert one.quadrature_error == two.quadrature_error
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_quadrature_reuses_one_buffer_per_worker(harmonic, monkeypatch,
+                                                 workers):
+    # 128 panels: 1024^2 nodes in four chunks of 256 x rows
+    monkeypatch.setattr(dynamics, "_WORKERS", workers)
+    amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
+    box = [(-1.6, 1.6)] * 2
+    outs = []
+
+    def recording(*coords, out=None):
+        outs.append(out)
+        return amp(*coords, out=out)
+
+    got = dynamics._tensor_quadrature(harmonic, recording, 0.3, 0.01, box, 128)
+    assert len(outs) >= 3
+    buffers = []
+    for out in outs:
+        assert out is not None
+        if not any(np.shares_memory(out, b) for b in buffers):
+            buffers.append(out)
+    assert len(buffers) <= workers
+    assert got == dynamics._tensor_quadrature(harmonic, amp, 0.3, 0.01, box,
+                                              128)
+
+
+def test_allocation_failure_propagates(harmonic):
+    # only the node budget falls back to the coarse rule; a MemoryError of
+    # the amplitude itself is a fault, not an unreliable value
+    amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
+    calls = []
+
+    def failing(*coords, out=None):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("injected")
+        return amp(*coords, out=out)
+
+    with pytest.raises(MemoryError, match="injected"):
+        oscillatory_integral(harmonic, failing, 0.3, 0.01,
+                             support_box=[(-1.6, 1.6)] * 2)
+
+
 def test_oscillatory_four_dimensional_product_oracle():
     # p = |v|^2 and a product amplitude: the integral factors into four
     # copies of the 1-D integral of exp(i t v^2 / h) chi(v)
     model = make_model("separable_harmonic_2d")
     t, h = 0.1, 0.05
 
-    def amp(pts):
-        return np.prod(smooth_cutoff(pts, 0.1, 0.6), axis=1)
+    def amp(*coords, out):
+        out[...] = functools.reduce(
+            np.multiply, [smooth_cutoff(x, 0.1, 0.6) for x in coords])
+        return out
 
     res = oscillatory_integral(model, amp, t, h,
                                support_box=[(-0.7, 0.7)] * 4, min_panels=4)
@@ -369,9 +442,13 @@ def test_zero_value_is_excluded(harmonic):
     # excluded, not listed among the fitted points
     bump = bump_amplitude([0.0, 0.0], 0.8)
 
+    def zero(*coords, out):
+        out.fill(0.0)
+        return out
+
     def factory(h):
         if h == 0.05:
-            return lambda pts: np.zeros(len(pts))
+            return zero
         return bump
 
     rep = nonstationary_decay_check(
