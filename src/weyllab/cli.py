@@ -54,7 +54,6 @@ class ExperimentConfig:
     r0: float = 0.5
     t0: float = 0.1
     mu: float = 0.8
-    c_upper: float = 1.5  # near-critical localization radius multiplier
     c_lower: float = 0.5  # gradient threshold multiplier off the critical set
     h_min: float = 0.025
     h_max: float = 0.1
@@ -86,8 +85,6 @@ def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
             f"delta0 = {cfg.delta0} outside the open interval "
             f"(1/(2+r0), 1/2) = ({lo:.6f}, 0.5)"
         )
-    if cfg.c_upper <= 1.0:
-        v.append("c_upper must exceed 1")
     if cfg.c_lower <= 0.0:
         v.append("c_lower must be positive")
     if not (0.0 < cfg.epsilon < 1.0):

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._fitting import ExponentFit, fit_loglog
-from .symbols import SymbolModel, _monomial
+from .symbols import SymbolModel, _cutoff_band, _monomial
 
 __all__ = [
     "FlowTrajectory",
@@ -431,19 +431,6 @@ def _radius(coords, center, out):
         full = np.broadcast_shapes(np.shape(r2), sq.shape) == shape
         r2 = np.add(r2, sq, out=out if full else None)
     return np.sqrt(r2, out=out)
-
-
-def _cutoff_band(r, inner, outer):
-    """Flat indices of the nodes with inner < r < outer, and
-    smooth_cutoff(r, inner, outer) on them, by its float expressions: exp
-    is taken on these nodes only.  Where t rounds to 1 the value is
-    b/(a + b) = 0, as on smooth_cutoff's outer plateau."""
-    idx = np.flatnonzero((r > inner) & (r < outer))
-    t = (np.take(r, idx) - inner) / (outer - inner)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.exp(-1.0 / t)
-        b = np.exp(-1.0 / (1.0 - t))
-    return idx, b / (a + b)
 
 
 def ring_amplitude(center, r_inner: float, r_outer: float):

@@ -42,6 +42,7 @@ from .symbols import (
 __all__ = [
     "MollifierKernel",
     "RegularizedCoefficient",
+    "MollifierConstructionFault",
     "build_mollifier",
     "regularize",
     "fit_smoothing_exponents",
@@ -166,16 +167,10 @@ class MollifierKernel:
         if nodes_per_axis <= 0:
             nodes_per_axis = 160 if d == 1 else 48
         z, w = leggauss(nodes_per_axis)
-        z = z * rho
-        w = w * rho
-        if d == 1:
-            return z[:, None], w
-        grids = np.meshgrid(*([z] * d), indexing="ij")
+        grids = np.meshgrid(*([z * rho] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.ones(pts.shape[0])
-        for j in range(d):
-            wts *= np.meshgrid(*([w] * d), indexing="ij")[j].ravel()
-        return pts, wts
+        wts = np.prod(np.meshgrid(*([w * rho] * d), indexing="ij"), axis=0)
+        return pts, wts.ravel()
 
 
 def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
@@ -232,6 +227,15 @@ def _exact_low_moments(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w * factor
 
 
+def _derivative_1d(a: Coefficient, order: int) -> Callable:
+    """x -> d^order a(x) of a 1-D coefficient, order <= 2."""
+    return (
+        a.value,
+        lambda x: a.grad(x)[:, 0],
+        lambda x: a.hess(x)[:, 0, 0],
+    )[order]
+
+
 @dataclass
 class RegularizedCoefficient:
     """Non-polynomial coefficient smoothed by quadrature against the dilated
@@ -258,7 +262,8 @@ class RegularizedCoefficient:
     def scale(self) -> float:
         return self.h**self.delta0
 
-    def _convolve(self, fn, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    def _convolve(self, fn, x, weights, chunk: int = 4096) -> np.ndarray:
+        """sum_i weights_i fn(x - s z_i) over the kernel's nodes z_i."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, d = x.shape
         first = fn(x[:1] - self.scale * self._nodes[:1])
@@ -271,18 +276,18 @@ class RegularizedCoefficient:
                 (blk.shape[0], self._nodes.shape[0]) + out_shape[1:]
             )
             out[lo : lo + blk.shape[0]] = np.tensordot(
-                vals, self._weights, axes=([1], [0])
+                vals, weights, axes=([1], [0])
             )
         return out
 
     def value(self, x) -> np.ndarray:
-        return self._convolve(self.base.value, x)
+        return self._convolve(self.base.value, x, self._weights)
 
     def grad(self, x) -> np.ndarray:
-        return self._convolve(self.base.grad, x)
+        return self._convolve(self.base.grad, x, self._weights)
 
     def hess(self, x) -> np.ndarray:
-        return self._convolve(self.base.hess, x)
+        return self._convolve(self.base.hess, x, self._weights)
 
     def derivative(self, x, order: int) -> np.ndarray:
         """1-D derivative of arbitrary order <= 4.
@@ -292,26 +297,16 @@ class RegularizedCoefficient:
         """
         if self.kernel.dimension != 1:
             raise NotImplementedError("high-order derivatives are 1-D only")
-        if order <= 2:
-            fns = {
-                0: self.base.value,
-                1: lambda x: self.base.grad(x)[:, 0],
-                2: lambda x: self.base.hess(x)[:, 0, 0],
-            }
-            return self._convolve(fns[order], x)
-        excess = order - 2
+        excess = max(order - 2, 0)
         if excess > 2:
             raise ValueError("derivative orders above 4 are unused")
-        gk = self.kernel.profile_derivative(excess)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = self._nodes[:, 0]
+        fn = _derivative_1d(self.base, order - excess)
+        if not excess:
+            return self._convolve(fn, x, self._weights)
         _, wts = self.kernel.quadrature()
-        w = wts * gk(z)
-        shifted = x[:, None, :] - self.scale * self._nodes[None, :, :]
-        vals = self.base.hess(shifted.reshape(-1, 1))[:, 0, 0].reshape(
-            x.shape[0], -1
-        )
-        return (vals @ w) * self.scale ** (-excess)
+        gk = self.kernel.profile_derivative(excess)
+        w = wts * gk(self._nodes[:, 0])
+        return self._convolve(fn, x, w) * self.scale ** (-excess)
 
 
 def _regularize_polynomial(
@@ -395,14 +390,9 @@ def fit_smoothing_exponents(
         kernel = build_mollifier(1, 1.0)
     pts = _sample_points(n_samples, *domain)
 
-    if derivative_order == 0:
-        exact = a.value(pts)
-    elif derivative_order == 1:
-        exact = a.grad(pts)[:, 0]
-    elif derivative_order == 2:
-        exact = a.hess(pts)[:, 0, 0]
-    else:
-        exact = None
+    exact = None
+    if derivative_order <= 2:
+        exact = _derivative_1d(a, derivative_order)(pts)
 
     sups = []
     for h in h_grid:

@@ -1,8 +1,10 @@
 """Principal symbols on phase space: evaluation, derivatives, critical sets.
 
 A symbol is a finite sum  sum_{|nu|,|nubar| <= m0} a_{nu,nubar}(x) xi^(nu+nubar)
-over multi-index pairs.  Coefficients carry their own analytic derivatives,
-so gradients and Hessians of the symbol are exact up to rounding.
+over multi-index pairs.  Coefficients carry their own derivatives, so
+gradients and Hessians of the symbol are exact up to rounding, except where
+a coefficient's own derivatives are approximate: holder_test_field
+differentiates its cutoff by central differences (steps 1e-6 and 1e-4).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 __all__ = [
     "Coefficient",
     "PolynomialCoefficient",
+    "EvaluationFault",
+    "DimensionMismatch",
     "SymbolModel",
     "CriticalPointReport",
     "HypothesisReport",
@@ -155,34 +159,6 @@ def _monomial(mu: tuple, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _monomial_grad(mu: tuple, xi: np.ndarray) -> np.ndarray:
-    d = len(mu)
-    g = np.zeros((xi.shape[0], d))
-    for j, e in enumerate(mu):
-        if e:
-            lowered = list(mu)
-            lowered[j] -= 1
-            g[:, j] = e * _monomial(tuple(lowered), xi)
-    return g
-
-
-def _monomial_hess(mu: tuple, xi: np.ndarray) -> np.ndarray:
-    d = len(mu)
-    h = np.zeros((xi.shape[0], d, d))
-    for i, ei in enumerate(mu):
-        if not ei:
-            continue
-        low_i = list(mu)
-        low_i[i] -= 1
-        for j, ej in enumerate(low_i):
-            if not ej:
-                continue
-            low_ij = list(low_i)
-            low_ij[j] -= 1
-            h[:, i, j] = ei * ej * _monomial(tuple(low_ij), xi)
-    return h
-
-
 @dataclass
 class SymbolModel:
     """Principal symbol with exact derivatives on R^{2d}.
@@ -200,7 +176,8 @@ class SymbolModel:
     box_x: float = 2.0
     box_xi: float = 2.0
     name: str = ""
-    # (mu = nu + nubar, coefficient) per term: filled in __post_init__
+    # (mu = nu + nubar, coefficient, xi^mu as a polynomial in xi) per term:
+    # filled in __post_init__
     _terms: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -219,10 +196,11 @@ class SymbolModel:
             norm[(nu, nubar)] = coef
         self.coefficients = norm
         self._validate_symmetry()
-        self._terms = [
-            (tuple(np.add(nu, nubar)), coef)
-            for (nu, nubar), coef in self.coefficients.items()
-        ]
+        self._terms = []
+        for (nu, nubar), coef in self.coefficients.items():
+            mu = tuple(np.add(nu, nubar))
+            xi_mu = PolynomialCoefficient({mu: 1.0}, d)
+            self._terms.append((mu, coef, xi_mu))
 
     # -- construction-time invariants -------------------------------------
 
@@ -246,12 +224,11 @@ class SymbolModel:
         """Minimum of the symbol over sampled points of the box boundary."""
         d = self.dimension
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-1.0, 1.0, size=(n_samples, 2 * d))
+        pts = self.sample_box(n_samples, rng)
         face = rng.integers(0, 2 * d, size=n_samples)
         sign = rng.choice([-1.0, 1.0], size=n_samples)
-        pts[np.arange(n_samples), face] = sign
-        pts[:, :d] *= self.box_x
-        pts[:, d:] *= self.box_xi
+        box = np.where(face < d, self.box_x, self.box_xi)
+        pts[np.arange(n_samples), face] = sign * box
         return float(self.value(pts).min())
 
     # -- evaluation --------------------------------------------------------
@@ -262,7 +239,7 @@ class SymbolModel:
         sum a(x) xi^mu.  Raises EvaluationFault, located at the x node, at
         the first non-finite coefficient value."""
         terms = []
-        for mu, coef in self._terms:
+        for mu, coef, _ in self._terms:
             a = coef.value(x)
             bad = ~np.isfinite(a)
             if bad.any():
@@ -287,10 +264,10 @@ class SymbolModel:
         x, xi = pts[:, :d], pts[:, d:]
         gx = np.zeros((pts.shape[0], d))
         gxi = np.zeros((pts.shape[0], d))
-        for mu, coef in self._terms:
+        for mu, coef, xi_mu in self._terms:
             mono = _monomial(mu, xi)
             gx += coef.grad(x) * mono[:, None]
-            gxi += coef.value(x)[:, None] * _monomial_grad(mu, xi)
+            gxi += coef.value(x)[:, None] * xi_mu.grad(xi)
         g = np.concatenate([gx, gxi], axis=1)
         return g[0] if single else g
 
@@ -300,16 +277,16 @@ class SymbolModel:
         x, xi = pts[:, :d], pts[:, d:]
         n = pts.shape[0]
         h = np.zeros((n, 2 * d, 2 * d))
-        for mu, coef in self._terms:
+        for mu, coef, xi_mu in self._terms:
             a = coef.value(x)
             ga = coef.grad(x)
             mono = _monomial(mu, xi)
-            gmono = _monomial_grad(mu, xi)
+            gmono = xi_mu.grad(xi)
             h[:, :d, :d] += coef.hess(x) * mono[:, None, None]
             cross = ga[:, :, None] * gmono[:, None, :]
             h[:, :d, d:] += cross
             h[:, d:, :d] += np.transpose(cross, (0, 2, 1))
-            h[:, d:, d:] += a[:, None, None] * _monomial_hess(mu, xi)
+            h[:, d:, d:] += a[:, None, None] * xi_mu.hess(xi)
         return h[0] if single else h
 
     def in_box(self, pts: np.ndarray) -> np.ndarray:
@@ -380,9 +357,7 @@ def find_critical_points(
         raise ValueError("window must be positive")
     d = model.dimension
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = rng.random((n_seeds, 2 * d)) * 2.0 - 1.0
-    pts[:, :d] *= model.box_x
-    pts[:, d:] *= model.box_xi
+    pts = model.sample_box(n_seeds, rng)
 
     # Batched damped Newton with a trust-radius cap; all seeds step together.
     step_cap = 0.25 * min(model.box_x, model.box_xi)
@@ -397,21 +372,16 @@ def find_critical_points(
         try:
             step = -np.linalg.solve(reg, g[active][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = -np.linalg.lstsq(
-                reg.reshape(-1, 2 * d), g[active].reshape(-1), rcond=None
-            )[0].reshape(-1, 2 * d)
+            # least-squares step, solved per seed
+            step = -(np.linalg.pinv(reg) @ g[active][:, :, None])[:, :, 0]
         lengths = np.linalg.norm(step, axis=1)
         too_big = lengths > step_cap
         step[too_big] *= (step_cap / lengths[too_big])[:, None]
         trial = pts[active] + step
-        # damp: keep the step only where the gradient norm does not blow up
+        # damp: halve the step where the gradient norm would blow up
         gt = np.linalg.norm(model.gradient(trial), axis=1)
         ok = gt <= gnorm[active] * 2.0 + 1e-14
-        half = trial.copy()
-        half[~ok] = pts[active][~ok] + 0.5 * step[~ok]
-        new = pts.copy()
-        new[active] = half
-        pts = new
+        pts[active] = np.where(ok[:, None], trial, pts[active] + 0.5 * step)
 
     g = model.gradient(pts)
     gnorm = np.linalg.norm(g, axis=1)
@@ -444,7 +414,6 @@ def find_critical_points(
                 hessian_rank=hessian_rank(eigs),
             )
         )
-    reports.sort(key=lambda r: tuple(r.location))
     return reports
 
 
@@ -481,23 +450,32 @@ def check_theorem_hypotheses(
 # -- built-in models ---------------------------------------------------------
 
 
-def smooth_cutoff(x: np.ndarray, inner: float = 1.0, outer: float = 2.0):
-    """C-infinity cutoff: 1 on [-inner, inner], 0 outside (-outer, outer)."""
-    x = np.asarray(x, dtype=float)
-    r = (np.abs(x) - inner) / (outer - inner)
-    out = np.ones_like(x)
-    mid = (r > 0) & (r < 1)
-    with np.errstate(over="ignore"):
-        t = r[mid]
+def _cutoff_band(r, inner, outer):
+    """Flat indices of the nodes with inner < r < outer, and
+    smooth_cutoff(r, inner, outer) on them: exp is taken on these nodes
+    only.  Where t rounds to 1 the value is b/(a + b) = 0, as on the outer
+    plateau."""
+    idx = np.flatnonzero((r > inner) & (r < outer))
+    t = (np.take(r, idx) - inner) / (outer - inner)
+    with np.errstate(divide="ignore", over="ignore"):
         a = np.exp(-1.0 / t)
         b = np.exp(-1.0 / (1.0 - t))
-        out[mid] = b / (a + b)
-    out[r >= 1] = 0.0
+    return idx, b / (a + b)
+
+
+def smooth_cutoff(x: np.ndarray, inner: float = 1.0, outer: float = 2.0):
+    """C-infinity cutoff: 1 on [-inner, inner], 0 outside (-outer, outer)."""
+    r = np.abs(np.asarray(x, dtype=float))
+    out = np.array(r < outer, dtype=float)
+    np.put(out, *_cutoff_band(r, inner, outer))
     return out
 
 
 def holder_test_field(r0: float) -> Coefficient:
-    """cutoff(x) * |x|^(2+r0) on R: C^2 with r0-Hoelder second derivative."""
+    """cutoff(x) * |x|^(2+r0) on R: C^2 with r0-Hoelder second derivative.
+
+    The derivatives of |x|^(2+r0) are exact; those of the cutoff are central
+    differences with steps 1e-6 (first) and 1e-4 (second)."""
     p = 2.0 + r0
 
     def chi(x):
@@ -552,97 +530,49 @@ def make_model(name: str, **overrides) -> SymbolModel:
     return MODEL_REGISTRY[name](**overrides)
 
 
-def _harmonic(**kw) -> SymbolModel:
-    # a0 = xi^2 + x^2
-    d = 1
-    coeffs = {
-        ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, d),
-        ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, d),
-    }
+def _schrodinger(name, d, potential, box, overrides) -> SymbolModel:
+    """a0 = |xi|^2 + V(x) on the box [-box, box]^(2d): one unit kinetic
+    coefficient per axis, in axis order, then the potential V, a Coefficient
+    or a polynomial term table.  That order fixes the summation order of
+    SymbolModel.value and of assemble.  ``overrides`` replaces any
+    SymbolModel field."""
+    if isinstance(potential, dict):
+        potential = PolynomialCoefficient(potential, d)
+    zero = (0,) * d
+    coeffs = {}
+    for j in range(d):
+        e_j = tuple(int(k == j) for k in range(d))
+        coeffs[(e_j, e_j)] = PolynomialCoefficient({zero: 1.0}, d)
+    coeffs[(zero, zero)] = potential
     args = dict(
-        dimension=1,
+        dimension=d,
         order=1,
         coefficients=coeffs,
         ellipticity_constant=1.0,
         holder_exponent=0.5,
-        box_x=2.0,
-        box_xi=2.0,
-        name="harmonic",
+        box_x=box,
+        box_xi=box,
+        name=name,
     )
-    args.update(kw)
-    return SymbolModel(**args)
-
-
-def _separable_harmonic_2d(**kw) -> SymbolModel:
-    # a0 = |x|^2 + |xi|^2
-    d = 2
-    coeffs = {
-        ((1, 0), (1, 0)): PolynomialCoefficient({(0, 0): 1.0}, d),
-        ((0, 1), (0, 1)): PolynomialCoefficient({(0, 0): 1.0}, d),
-        ((0, 0), (0, 0)): PolynomialCoefficient(
-            {(2, 0): 1.0, (0, 2): 1.0}, d
-        ),
-    }
-    args = dict(
-        dimension=2,
-        order=1,
-        coefficients=coeffs,
-        ellipticity_constant=1.0,
-        holder_exponent=0.5,
-        box_x=2.0,
-        box_xi=2.0,
-        name="separable_harmonic_2d",
-    )
-    args.update(kw)
-    return SymbolModel(**args)
-
-
-def _double_well_2d(**kw) -> SymbolModel:
-    # a0 = (x1^2 - 1)^2 + x2^2 + xi1^2 + xi2^2
-    d = 2
-    pot = {(4, 0): 1.0, (2, 0): -2.0, (0, 0): 1.0, (0, 2): 1.0}
-    coeffs = {
-        ((1, 0), (1, 0)): PolynomialCoefficient({(0, 0): 1.0}, d),
-        ((0, 1), (0, 1)): PolynomialCoefficient({(0, 0): 1.0}, d),
-        ((0, 0), (0, 0)): PolynomialCoefficient(pot, d),
-    }
-    args = dict(
-        dimension=2,
-        order=1,
-        coefficients=coeffs,
-        ellipticity_constant=1.0,
-        holder_exponent=0.5,
-        box_x=1.8,
-        box_xi=1.8,
-        name="double_well_2d",
-    )
-    args.update(kw)
-    return SymbolModel(**args)
-
-
-def _holder_test(r0: float = 0.5, **kw) -> SymbolModel:
-    d = 1
-    coeffs = {
-        ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, d),
-        ((0,), (0,)): _holder_coefficient(r0),
-    }
-    args = dict(
-        dimension=1,
-        order=1,
-        coefficients=coeffs,
-        ellipticity_constant=1.0,
-        holder_exponent=r0,
-        box_x=2.5,
-        box_xi=2.5,
-        name="holder_test",
-    )
-    args.update(kw)
+    args.update(overrides)
     return SymbolModel(**args)
 
 
 MODEL_REGISTRY: dict[str, Callable[..., SymbolModel]] = {
-    "harmonic": _harmonic,
-    "separable_harmonic_2d": _separable_harmonic_2d,
-    "double_well_2d": _double_well_2d,
-    "holder_test": _holder_test,
+    # a0 = xi^2 + x^2
+    "harmonic": lambda **kw: _schrodinger("harmonic", 1, {(2,): 1.0}, 2.0, kw),
+    # a0 = |xi|^2 + |x|^2
+    "separable_harmonic_2d": lambda **kw: _schrodinger(
+        "separable_harmonic_2d", 2, {(2, 0): 1.0, (0, 2): 1.0}, 2.0, kw
+    ),
+    # a0 = |xi|^2 + (x1^2 - 1)^2 + x2^2
+    "double_well_2d": lambda **kw: _schrodinger(
+        "double_well_2d", 2,
+        {(4, 0): 1.0, (2, 0): -2.0, (0, 0): 1.0, (0, 2): 1.0}, 1.8, kw,
+    ),
+    # a0 = xi^2 + x^2 + holder_test_field(r0), Hoelder exponent r0
+    "holder_test": lambda r0=0.5, **kw: _schrodinger(
+        "holder_test", 1, _holder_coefficient(r0), 2.5,
+        {"holder_exponent": r0, **kw},
+    ),
 }

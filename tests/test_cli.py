@@ -57,10 +57,18 @@ def test_critical_sweep_needs_larger_delta0():
     assert "1/(4 m0 - 1)" in err.value.violations[0]
 
 
-def test_unknown_key():
+def test_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config("model=harmonic\nenergy=1\nwavelength=3\n")
     assert "wavelength" in " ".join(err.value.violations)
+    # c_upper was never read by an experiment and is no longer a key
+    stale = "model=harmonic\nenergy=1\nc_upper = 1.5\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(stale)
+    assert "unknown key 'c_upper'" in " ".join(err.value.violations)
+    cfg = tmp_path / "stale.cfg"
+    cfg.write_text(stale)
+    assert main(["--config", str(cfg), "--experiment", "sublevel_lemma"]) == 2
 
 
 def test_unknown_model():

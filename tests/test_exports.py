@@ -1,28 +1,45 @@
-"""Every name a weyllab module lists in ``__all__`` exists, and so does
-every name the traced benchmark wraps."""
+"""Every name a weyllab module lists in ``__all__`` exists, every
+exception a module defines is exported, and every name the traced benchmark
+wraps exists."""
 
 import functools
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import pkgutil
 import sys
 
 import weyllab
 
+MODULES = ["weyllab"] + [
+    f"weyllab.{info.name}" for info in pkgutil.iter_modules(weyllab.__path__)
+]
+
 
 def test_all_exports_resolve():
-    names = ["weyllab"] + [
-        f"weyllab.{info.name}" for info in pkgutil.iter_modules(weyllab.__path__)
-    ]
     missing = {}
-    for name in names:
+    for name in MODULES:
         module = importlib.import_module(name)
         absent = [n for n in module.__all__ if not hasattr(module, n)]
         if absent:
             missing[name] = absent
-    assert "weyllab.operators" in names
+    assert "weyllab.operators" in MODULES
     assert missing == {}
+
+
+def test_defined_exceptions_are_exported():
+    unexported = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        faults = [
+            attr for attr, obj in vars(module).items()
+            if inspect.isclass(obj) and issubclass(obj, Exception)
+            and obj.__module__ == name and attr not in module.__all__
+        ]
+        if faults:
+            unexported[name] = faults
+    assert unexported == {}
 
 
 def test_traced_benchmark_targets_resolve(monkeypatch):

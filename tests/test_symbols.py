@@ -94,6 +94,18 @@ def test_double_well_critical_point(seed):
     assert eigs[0] < 0 < eigs[1]  # saddle
 
 
+def test_newton_fallback_steps_each_seed(monkeypatch):
+    # a singular batch falls back to a least-squares step per seed
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    crits = find_critical_points(make_model("double_well_2d"), 1.0, 0.25)
+    assert len(crits) == 1
+    np.testing.assert_allclose(crits[0].location, np.zeros(4), atol=1e-7)
+    assert crits[0].hessian_rank == 4
+
+
 def test_minima_excluded_by_energy_window():
     m = make_model("double_well_2d")
     # the two well bottoms sit at energy 0, outside the window around E=1
