@@ -21,7 +21,6 @@ from . import dynamics, harness, operators
 from .mollify import (
     EXACT_ANNIHILATION,
     admissible_delta0,
-    build_mollifier,
     fit_smoothing_exponents,
     holder_test_field,
 )
@@ -115,9 +114,12 @@ def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
     return v
 
 
-def parse_config(text: str, experiment: Optional[str] = None) -> ExperimentConfig:
-    """key=value lines ('#' comments, blank lines ignored) -> validated
-    config; raises ConfigError listing every violation at once."""
+def parse_config(
+    text: str, experiment: Optional[str] = None, overrides: Optional[dict] = None
+) -> ExperimentConfig:
+    """key=value lines ('#' comments, blank lines ignored), with `overrides`
+    taking precedence -> validated config; raises ConfigError listing every
+    violation at once."""
     violations, values = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,6 +143,7 @@ def parse_config(text: str, experiment: Optional[str] = None) -> ExperimentConfi
                 values[key] = val
         except ValueError:
             violations.append(f"line {lineno}: cannot parse {key}={val!r}")
+    values.update(overrides or {})
     for key in _REQUIRED:
         if key not in values:
             violations.append(f"missing required key {key!r}")
@@ -177,9 +180,6 @@ def _run_sweep(
         delta0=cfg.delta0,
         epsilon=cfg.epsilon,
         variant=cfg.variant,
-        kernel=None if cfg.variant == "raw" else build_mollifier(
-            model.dimension, 1.0
-        ),
         max_grid_points=cfg.max_grid_points,
         volume_budget=cfg.budget,
         seed=cfg.seed,
@@ -233,13 +233,10 @@ def _exp_critical_sweep(cfg: ExperimentConfig, out):
 
 def _exp_mollifier_rates(cfg: ExperimentConfig, out):
     a = holder_test_field(cfg.r0)
-    kernel = build_mollifier(1, 1.0)
     h_grid = np.geomspace(cfg.h_max, cfg.h_min, max(cfg.h_points, 6))
     rows, ok = [], True
     for order in range(4):
-        got = fit_smoothing_exponents(
-            a, order, h_grid, cfg.delta0, kernel=kernel, r0=cfg.r0
-        )
+        got = fit_smoothing_exponents(a, order, h_grid, cfg.delta0, r0=cfg.r0)
         if got == EXACT_ANNIHILATION:
             rows.append({"order": order, "exact": True})
             continue
@@ -351,9 +348,7 @@ def _exp_smoothed_counting(cfg: ExperimentConfig, out):
     for h in (0.05, 0.035, 0.025):
         counter = operators.build_mollified_counter(1.0, h, window)
         grid = operators.GridSpec(model.box_x, 1200)
-        op = operators.assemble(
-            model, None, h, cfg.delta0, grid, strict_resolution=False
-        )
+        op = operators.assemble(model, h, cfg.delta0, grid)
         level = counter.coverage_level()
         slc = operators.eigenvalues_below(op, level, 0.0)
         lam = slc.eigenvalues
@@ -445,7 +440,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--experiment", required=True, help=f"one of {sorted(EXPERIMENTS)}"
     )
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--h-min", type=float, default=None)
     parser.add_argument("--h-max", type=float, default=None)
@@ -466,30 +461,17 @@ def main(argv=None) -> int:
         except OSError as exc:
             sys.stderr.write(f"cannot read config: {exc}\n")
             return 2
+    overrides = {
+        key: getattr(args, key)
+        for key in ("out_dir", "seed", "h_min", "h_max", "h_points")
+        if getattr(args, key) is not None
+    }
     try:
-        cfg = parse_config(text, experiment=args.experiment)
+        cfg = parse_config(text, args.experiment, overrides)
     except ConfigError as exc:
         for item in exc.violations:
             sys.stderr.write(f"config error: {item}\n")
         return 2
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.h_min is not None:
-        overrides["h_min"] = args.h_min
-    if args.h_max is not None:
-        overrides["h_max"] = args.h_max
-    if args.h_points is not None:
-        overrides["h_points"] = args.h_points
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-        bad = _validate(cfg, args.experiment)
-        if bad:
-            for item in bad:
-                sys.stderr.write(f"config error: {item}\n")
-            return 2
     return run(cfg, args.experiment)
 
 

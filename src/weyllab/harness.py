@@ -14,21 +14,27 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from ._fitting import ExponentFit, fit_loglog
-from .mollify import MollifierKernel
-from .operators import GridSpec, assemble, count_below
+from .operators import (
+    ConfinementFault,
+    FactorizationFault,
+    GridSpec,
+    assemble,
+    count_below,
+)
 from .phasevol import (
+    ContainmentFault,
     FiberCloud,
     VolumeEstimate,
     remainder_functional,
     weyl_volume,
 )
-from .symbols import SymbolModel, check_theorem_hypotheses
+from .symbols import EvaluationFault, SymbolModel, check_theorem_hypotheses
 
 __all__ = [
     "SweepRecord",
@@ -46,6 +52,15 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# what one h sample can raise; any other exception is a bug and propagates
+_SAMPLE_FAULTS = (
+    ContainmentFault,
+    ConfinementFault,
+    FactorizationFault,
+    EvaluationFault,
+    ValueError,
+)
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,6 @@ def run_h_sweep(
     delta0: float,
     epsilon: float = 0.1,
     variant: str = "raw",
-    kernel: Optional[MollifierKernel] = None,
     max_grid_points: int = 300,
     volume_budget: int = 2**20,
     seed: int = 0,
@@ -124,8 +138,10 @@ def run_h_sweep(
 
     One fiber cloud serves the phase-space volume and every h's remainder
     sup; it is dropped before the first operator is assembled, so it does
-    not stay resident through the factorizations.  A fault at one h aborts
-    that sample only; the gap is recorded and the sweep continues.
+    not stay resident through the factorizations.  A fault at one h
+    (containment, confinement, factorization, evaluation or a ValueError)
+    aborts that sample only; the gap is recorded and the sweep continues.
+    Any other exception is a bug and reaches the caller.
     """
     problems = check_hypotheses(model, energy)
     if problems and not out_of_scope_ok:
@@ -140,7 +156,7 @@ def run_h_sweep(
     for h in hs:
         try:
             sups.append(remainder_functional(cloud, energy, epsilon, h))
-        except Exception as exc:
+        except _SAMPLE_FAULTS as exc:
             sups.append(exc)
     del cloud
     records, gaps = [], []
@@ -149,7 +165,6 @@ def run_h_sweep(
             grid = _default_grid(model, h, max_grid_points)
             op = assemble(
                 model,
-                kernel,
                 h,
                 delta0,
                 grid,
@@ -177,7 +192,7 @@ def run_h_sweep(
                     seed=seed,
                 )
             )
-        except Exception as exc:
+        except _SAMPLE_FAULTS as exc:
             gaps.append((float(h), f"{type(exc).__name__}: {exc}"))
     return SweepResult(
         model_name=model.name,
@@ -240,7 +255,6 @@ def bracketing_check(
     h_grid: Sequence[float],
     *,
     delta0: float,
-    kernel: MollifierKernel,
     max_grid_points: int = 300,
 ) -> list:
     """count(M_plus) <= count(M_raw) <= count(M_minus) at every h.
@@ -256,7 +270,6 @@ def bracketing_check(
         for variant in ("plus", "raw", "minus"):
             op = assemble(
                 model,
-                kernel,
                 h,
                 delta0,
                 grid,
@@ -301,18 +314,7 @@ def acceptance_report(criteria: Sequence[dict]) -> dict:
     }
 
 
-_CSV_FIELDS = [
-    "h",
-    "energy",
-    "count",
-    "weyl",
-    "weyl_std_error",
-    "remainder",
-    "r_value",
-    "ratio",
-    "grid_points",
-    "seed",
-]
+_CSV_FIELDS = [f.name for f in fields(SweepRecord)]
 
 
 def sweep_csv_text(result: SweepResult) -> str:

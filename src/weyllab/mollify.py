@@ -1,8 +1,9 @@
 """Mollifier kernels with vanishing moments and coefficient regularization.
 
-The kernel family is gamma(x) = (c0 + c2 |x|^2) * bump(|x| / rho) with the
-standard compactly supported bump; (c0, c2) solve the 2x2 linear system that
-forces unit mass and vanishing second moments.  Odd moments vanish by radial
+There is one kernel per dimension d, built on first use and kept:
+gamma(x) = (c0 + c2 |x|^2) * bump(|x|) on the unit ball, with the standard
+compactly supported bump; (c0, c2) solve the 2x2 linear system that forces
+unit mass and vanishing second moments.  Odd moments vanish by radial
 symmetry.  Convolution at scale s = h^delta0 then reproduces quadratics
 exactly, which is what makes the regularized coefficients track the originals
 to O(h^((2+r0) delta0)).
@@ -16,7 +17,8 @@ with kernel moments m_alpha = integral of y^alpha gamma(y) (m_0 = 1 and the
 odd and second moments are 0 by construction), so a polynomial of degree <= 2
 comes back with identical terms.  Every other coefficient is convolved by a
 tensor Gauss-Legendre rule whose weights are corrected so that its moments of
-order <= 2 are exactly (1, 0, 0), like the kernel's.
+order <= 2 are exactly (1, 0, 0), like the kernel's.  The kernel owns that
+rule: it is computed once, on the first convolution, and serves every h.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,16 +77,14 @@ def _sphere_area(d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _radial_integral(
-    d: int, rho: float, k: int, c0: float = 1.0, c2: float = 0.0
-) -> float:
-    """Integral over R^d of |x|^k (c0 + c2 |x|^2) bump(|x| / rho)."""
+def _radial_integral(d: int, k: int, c0: float = 1.0, c2: float = 0.0) -> float:
+    """Integral over R^d of |x|^k (c0 + c2 |x|^2) bump(|x|)."""
     val, _ = quad(
         lambda r: (c0 + c2 * r**2)
-        * float(_bump(np.array([r / rho]))[0])
+        * float(_bump(np.array([r]))[0])
         * r ** (k + d - 1),
         0.0,
-        rho,
+        1.0,
         epsabs=1e-14,
         epsrel=1e-13,
         limit=200,
@@ -92,14 +92,13 @@ def _radial_integral(
     return _sphere_area(d) * val
 
 
-def _profile_derivatives(z: np.ndarray, rho: float, c0: float, c2: float):
+def _profile_derivatives(z: np.ndarray, c0: float, c2: float):
     """Orders 0..2 of the 1-D kernel profile g = q e^phi inside its support,
-    with q = c0 + c2 z^2, u = z / rho and phi = -1 / (1 - u^2)."""
-    u = z / rho
-    w = 1.0 - u * u
+    with q = c0 + c2 z^2 and phi = -1 / (1 - z^2)."""
+    w = 1.0 - z * z
     ephi = np.exp(-1.0 / w)
-    dphi = -2.0 * u / (rho * w * w)
-    d2phi = -(2.0 / rho**2) * (1.0 + 3.0 * u * u) / w**3
+    dphi = -2.0 * z / (w * w)
+    d2phi = -2.0 * (1.0 + 3.0 * z * z) / w**3
     q, dq, d2q = c0 + c2 * z * z, 2.0 * c2 * z, 2.0 * c2
     return (
         q * ephi,
@@ -110,10 +109,12 @@ def _profile_derivatives(z: np.ndarray, rho: float, c0: float, c2: float):
 
 @dataclass(frozen=True)
 class MollifierKernel:
-    """Compactly supported kernel with unit mass and two vanishing moments."""
+    """Kernel on the unit ball of R^d with unit mass and two vanishing
+    moments, together with its quadrature rule.  The rule and its weight
+    vectors are computed on first use and kept, so every h of every
+    regularized coefficient shares them."""
 
     dimension: int
-    support_radius: float
     c0: float
     c2: float
     moment_defects: dict = field(default_factory=dict)
@@ -121,7 +122,7 @@ class MollifierKernel:
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(x, axis=-1)
-        return (self.c0 + self.c2 * r**2) * _bump(r / self.support_radius)
+        return (self.c0 + self.c2 * r**2) * _bump(r)
 
     def profile_derivative(self, order: int) -> Callable:
         """d^k/dz^k of the 1-D kernel, k <= 2 (only defined for d = 1)."""
@@ -129,13 +130,13 @@ class MollifierKernel:
             raise NotImplementedError("profile derivatives are 1-D only")
         if order > 2:
             raise ValueError("kernel derivative orders above 2 are unused")
-        rho, c0, c2 = self.support_radius, self.c0, self.c2
+        c0, c2 = self.c0, self.c2
 
         def g(x):
             x = np.asarray(x, dtype=float)
             out = np.zeros_like(x)
-            inside = np.abs(x) < rho * (1.0 - 1e-12)
-            out[inside] = _profile_derivatives(x[inside], rho, c0, c2)[order]
+            inside = np.abs(x) < 1.0 - 1e-12
+            out[inside] = _profile_derivatives(x[inside], c0, c2)[order]
             return out
 
         return g
@@ -156,29 +157,39 @@ class MollifierKernel:
             * math.gamma(d / 2.0)
             / (math.pi ** (d / 2.0) * math.gamma((order + d) / 2.0))
         )
-        return sphere * _radial_integral(
-            d, self.support_radius, order, self.c0, self.c2
-        )
+        return sphere * _radial_integral(d, order, self.c0, self.c2)
 
-    def quadrature(self, nodes_per_axis: int = 0):
+    @cached_property
+    def quadrature(self) -> tuple:
         """Tensor Gauss-Legendre rule (points (n, d), weights (n,)) covering
-        the support box [-rho, rho]^d."""
-        d, rho = self.dimension, self.support_radius
-        if nodes_per_axis <= 0:
-            nodes_per_axis = 160 if d == 1 else 48
-        z, w = leggauss(nodes_per_axis)
-        grids = np.meshgrid(*([z * rho] * d), indexing="ij")
+        the support box [-1, 1]^d: 160 nodes in 1-D, 48 per axis above."""
+        d = self.dimension
+        z, w = leggauss(160 if d == 1 else 48)
+        grids = np.meshgrid(*([z] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.prod(np.meshgrid(*([w * rho] * d), indexing="ij"), axis=0)
+        wts = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0)
         return pts, wts.ravel()
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Kernel values times the rule's weights, corrected so that the
+        moments of order <= 2 are exactly (1, 0, 0)."""
+        pts, wts = self.quadrature
+        return _exact_low_moments(pts, wts * self(pts))
 
-def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
-    """Solve for (c0, c2) and measure the moment defects by quadrature."""
-    if support_radius <= 0:
-        raise ValueError("support radius must be positive")
-    rho = float(support_radius)
-    i0, i1, i2 = (_radial_integral(d, rho, k) for k in (0, 2, 4))
+    @cached_property
+    def derivative_weights(self) -> tuple:
+        """The rule's weights times g' and g'' at its nodes (1-D only): they
+        move one or two derivatives from the coefficient onto the kernel."""
+        pts, wts = self.quadrature
+        return tuple(wts * self.profile_derivative(k)(pts[:, 0]) for k in (1, 2))
+
+
+@lru_cache(maxsize=None)
+def build_mollifier(d: int) -> MollifierKernel:
+    """The kernel of R^d, built once per dimension: solve for (c0, c2) and
+    measure the moment defects by adaptive quadrature."""
+    i0, i1, i2 = (_radial_integral(d, k) for k in (0, 2, 4))
     det = i0 * i2 - i1 * i1
     if abs(det) < 1e-300:
         raise MollifierConstructionFault("singular moment system")
@@ -186,15 +197,15 @@ def build_mollifier(d: int, support_radius: float) -> MollifierKernel:
     c2 = -i1 / det
 
     # measured defects, via adaptive quadrature of the final kernel
-    mass = _radial_integral(d, rho, 0, c0, c2)
-    second_diag = _radial_integral(d, rho, 2, c0, c2) / d  # of x_j^2 gamma
+    mass = _radial_integral(d, 0, c0, c2)
+    second_diag = _radial_integral(d, 2, c0, c2) / d  # of x_j^2 gamma
     defects = {
         "mass": mass - 1.0,
         "first_moment": 0.0,  # exact: radial symmetry
         "second_moment_diag": second_diag,
         "second_moment_cross": 0.0,  # exact: radial symmetry
     }
-    kernel = MollifierKernel(d, rho, c0, c2, defects)
+    kernel = MollifierKernel(d, c0, c2, defects)
     for name, defect in defects.items():
         if abs(defect) > MOMENT_TOL:
             raise MollifierConstructionFault(
@@ -236,10 +247,10 @@ def _derivative_1d(a: Coefficient, order: int) -> Callable:
     )[order]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizedCoefficient:
-    """Non-polynomial coefficient smoothed by quadrature against the dilated
-    kernel.
+    """Non-polynomial coefficient smoothed by quadrature against the kernel
+    dilated to `scale` = h^delta0.
 
     Exposes the same (value, grad, hess) surface as a plain Coefficient: the
     first two derivative orders fall on the base coefficient under the
@@ -247,33 +258,22 @@ class RegularizedCoefficient:
     """
 
     base: Coefficient
-    h: float
-    delta0: float
+    scale: float
     kernel: MollifierKernel
-    _nodes: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pts, wts = self.kernel.quadrature()
-        self._nodes = pts
-        self._weights = _exact_low_moments(pts, wts * self.kernel(pts))
-
-    @property
-    def scale(self) -> float:
-        return self.h**self.delta0
 
     def _convolve(self, fn, x, weights, chunk: int = 4096) -> np.ndarray:
         """sum_i weights_i fn(x - s z_i) over the kernel's nodes z_i."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, d = x.shape
-        first = fn(x[:1] - self.scale * self._nodes[:1])
+        nodes = self.kernel.quadrature[0]
+        first = fn(x[:1] - self.scale * nodes[:1])
         out_shape = (n,) + np.shape(first)[1:]
         out = np.empty(out_shape)
         for lo in range(0, n, chunk):
             blk = x[lo : lo + chunk]
-            shifted = blk[:, None, :] - self.scale * self._nodes[None, :, :]
+            shifted = blk[:, None, :] - self.scale * nodes[None, :, :]
             vals = fn(shifted.reshape(-1, d)).reshape(
-                (blk.shape[0], self._nodes.shape[0]) + out_shape[1:]
+                (blk.shape[0], nodes.shape[0]) + out_shape[1:]
             )
             out[lo : lo + blk.shape[0]] = np.tensordot(
                 vals, weights, axes=([1], [0])
@@ -281,13 +281,13 @@ class RegularizedCoefficient:
         return out
 
     def value(self, x) -> np.ndarray:
-        return self._convolve(self.base.value, x, self._weights)
+        return self._convolve(self.base.value, x, self.kernel.weights)
 
     def grad(self, x) -> np.ndarray:
-        return self._convolve(self.base.grad, x, self._weights)
+        return self._convolve(self.base.grad, x, self.kernel.weights)
 
     def hess(self, x) -> np.ndarray:
-        return self._convolve(self.base.hess, x, self._weights)
+        return self._convolve(self.base.hess, x, self.kernel.weights)
 
     def derivative(self, x, order: int) -> np.ndarray:
         """1-D derivative of arbitrary order <= 4.
@@ -302,10 +302,8 @@ class RegularizedCoefficient:
             raise ValueError("derivative orders above 4 are unused")
         fn = _derivative_1d(self.base, order - excess)
         if not excess:
-            return self._convolve(fn, x, self._weights)
-        _, wts = self.kernel.quadrature()
-        gk = self.kernel.profile_derivative(excess)
-        w = wts * gk(self._nodes[:, 0])
+            return self._convolve(fn, x, self.kernel.weights)
+        w = self.kernel.derivative_weights[excess - 1]
         return self._convolve(fn, x, w) * self.scale ** (-excess)
 
 
@@ -346,7 +344,7 @@ def regularize(
         raise ValueError("delta0 must lie in (0, 1/2)")
     if isinstance(a, PolynomialCoefficient):
         return _regularize_polynomial(a, h**delta0, kernel)
-    return RegularizedCoefficient(a, h, delta0, kernel)
+    return RegularizedCoefficient(a, h**delta0, kernel)
 
 
 def _sample_points(n: int, lo: float, hi: float, seed: int = 7) -> np.ndarray:
@@ -364,7 +362,6 @@ def fit_smoothing_exponents(
     derivative_order: int,
     h_grid,
     delta0: float,
-    kernel: Optional[MollifierKernel] = None,
     r0: Optional[float] = None,
     n_samples: int = 1000,
     domain: tuple = (-0.6, 0.6),
@@ -386,8 +383,7 @@ def fit_smoothing_exponents(
     h_grid = sorted(float(h) for h in h_grid)
     if len(h_grid) < 4:
         raise ValueError("need at least 4 h values")
-    if kernel is None:
-        kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     pts = _sample_points(n_samples, *domain)
 
     exact = None

@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
-from .mollify import MollifierKernel, regularize
+from .mollify import build_mollifier, regularize
 from .symbols import SymbolModel
 
 __all__ = [
@@ -160,7 +160,6 @@ def _midpoint_coords(grid: GridSpec, d: int, axis: int):
 
 def assemble(
     model: SymbolModel,
-    mollifier: Optional[MollifierKernel],
     h: float,
     delta0: float,
     grid: GridSpec,
@@ -170,9 +169,10 @@ def assemble(
 ) -> DiscreteOperator:
     """Symmetric sparse matrix for sum (hD)^nubar a(x) (hD)^nu on the grid.
 
-    variant plus/minus regularizes every coefficient at scale h^delta0 and
-    adds +-h (I - h^2 Laplacian), the positive-definite shift that brackets
-    the raw operator between the two smooth ones.
+    variant plus/minus regularizes every coefficient at scale h^delta0 with
+    the mollifier of the model's dimension and adds +-h (I - h^2 Laplacian),
+    the positive-definite shift that brackets the raw operator between the
+    two smooth ones.  The raw operator builds no kernel.
     """
     if variant not in ("raw", "plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -194,14 +194,12 @@ def assemble(
             f"need >= {needed} points per axis"
         )
 
+    kernel = None if variant == "raw" else build_mollifier(d)
+
     def field_of(coef):
-        if variant == "raw":
-            return coef
-        if mollifier is None:
-            raise ValueError("variants plus/minus require a mollifier kernel")
         # polynomial coefficients come back as exact polynomials (degree
         # <= 2 unchanged); any other coefficient is convolved by quadrature
-        return regularize(coef, h, delta0, mollifier)
+        return coef if kernel is None else regularize(coef, h, delta0, kernel)
 
     nodes = grid.nodes()
     shape = (grid.points_per_axis,) * d

@@ -60,14 +60,12 @@ class ContainmentFault(RuntimeError):
 class VolumeEstimate:
     value: float
     std_error: float
-    method: str  # monte_carlo | tensor_grid | exact_1d
+    method: str  # monte_carlo | tensor_grid
     sample_count: int
 
     def __post_init__(self):
         if self.value < -1e-12 or self.std_error < 0:
             raise ValueError("volume and its error must be nonnegative")
-        if self.method == "exact_1d" and self.std_error != 0.0:
-            raise ValueError("exact_1d estimates carry no sampling error")
 
 
 @dataclass(frozen=True)

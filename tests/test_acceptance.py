@@ -55,11 +55,6 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def kernel2():
-    return build_mollifier(2, 1.0)
-
-
-@pytest.fixture(scope="module")
 def baseline_sweep():
     model = make_model("separable_harmonic_2d")
     return run_h_sweep(
@@ -69,14 +64,14 @@ def baseline_sweep():
 
 
 @pytest.fixture(scope="module")
-def critical_sweep(kernel2):
+def critical_sweep():
     # the minus-shifted regularized operator: its count deviation is
     # sign-definite at the h^(1-d) scale the sharp bound controls, so the
     # ratio is flat; the raw operator satisfies the bound with extra room
     # (its deviation is an O(1) oscillation) but its ratio then decays
     model = make_model("double_well_2d")
     return run_h_sweep(
-        model, 1.0, H_GRID, delta0=0.41, variant="minus", kernel=kernel2,
+        model, 1.0, H_GRID, delta0=0.41, variant="minus",
         max_grid_points=300, volume_budget=2**20, seed=0,
     )
 
@@ -113,15 +108,15 @@ def test_criterion_2_critical_sharp_remainder(critical_sweep):
     assert ok
 
 
-def test_criterion_3_bracketing(kernel2):
+def test_criterion_3_bracketing():
     rows = []
     rows += bracketing_check(
         make_model("separable_harmonic_2d"), 1.0, H_GRID,
-        delta0=0.41, kernel=kernel2, max_grid_points=640,
+        delta0=0.41, max_grid_points=640,
     )
     rows += bracketing_check(
         make_model("double_well_2d"), 1.0, H_GRID,
-        delta0=0.41, kernel=kernel2, max_grid_points=300,
+        delta0=0.41, max_grid_points=300,
     )
     bad = [r for r in rows if not r.ok]
     ok = _report(
@@ -136,13 +131,12 @@ def test_criterion_3_bracketing(kernel2):
 def test_criterion_4_mollifier_rates():
     r0, delta0 = 0.5, 0.41
     a = holder_test_field(r0)
-    kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     defects = max(abs(v) for v in kernel.moment_defects.values())
     h_grid = np.geomspace(0.1, 0.01, 6)
     slopes, targets = [], []
     for order in range(4):
-        got = fit_smoothing_exponents(a, order, h_grid, delta0,
-                                      kernel=kernel, r0=r0)
+        got = fit_smoothing_exponents(a, order, h_grid, delta0, r0=r0)
         assert got != EXACT_ANNIHILATION
         slopes.append(got[0].slope)
         targets.append((2.0 + r0 - order) * delta0)
@@ -255,8 +249,7 @@ def test_criterion_9_smoothed_counting():
         lam_probe = np.linspace(-1.5, 1.5, 20001)
         positive = bool(np.all(counter.gamma_tilde(lam_probe) >= 0))
         mass_ok = counter.mass_defect <= 1e-8
-        op = assemble(model, None, h, 0.41, GridSpec(2.0, 1200),
-                      strict_resolution=False)
+        op = assemble(model, h, 0.41, GridSpec(2.0, 1200))
         slc = eigenvalues_below(op, counter.coverage_level(), 0.0)
         lam = slc.eigenvalues
         sharp = int(np.sum((lam >= window[0]) & (lam <= window[1])))
@@ -276,14 +269,14 @@ def test_criterion_9_smoothed_counting():
     assert ok
 
 
-def test_criterion_10_determinism(baseline_sweep, critical_sweep, kernel2):
+def test_criterion_10_determinism(baseline_sweep, critical_sweep):
     base2 = run_h_sweep(
         make_model("separable_harmonic_2d"), 1.0, H_GRID, delta0=0.41,
         max_grid_points=640, volume_budget=2**20, seed=0,
     )
     crit2 = run_h_sweep(
         make_model("double_well_2d"), 1.0, H_GRID, delta0=0.41,
-        variant="minus", kernel=kernel2, max_grid_points=300,
+        variant="minus", max_grid_points=300,
         volume_budget=2**20, seed=0,
     )
     def sublevel_bytes():

@@ -191,6 +191,15 @@ def test_sweeps_need_four_h_points(experiment):
     parse_config(text, experiment="mollifier_rates")  # fits its own grid
 
 
+def test_overrides_validated_with_the_file():
+    # an override replaces the file's value before the one validation
+    text = "model=harmonic\nenergy=1\nh_points=3\n"
+    cfg = parse_config(text, "weyl_sweep", {"h_points": 4, "seed": 5})
+    assert (cfg.h_points, cfg.seed) == (4, 5)
+    with pytest.raises(ConfigError):
+        parse_config(text.replace("=3", "=4"), "weyl_sweep", {"h_points": 3})
+
+
 def test_main_rejects_short_h_grid_override(tmp_path):
     cfgfile = tmp_path / "sweep.cfg"
     cfgfile.write_text("model=harmonic\nenergy=1.0\n")

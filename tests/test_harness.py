@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weyllab import phasevol
+from weyllab import harness, operators, phasevol
 from weyllab._fitting import fit_loglog
 from weyllab.harness import (
     SweepRecord,
@@ -14,7 +14,7 @@ from weyllab.harness import (
     run_h_sweep,
     sweep_csv_text,
 )
-from weyllab.symbols import make_model
+from weyllab.symbols import Coefficient, SymbolModel, make_model
 
 
 def _record(h, count, weyl, r_value, **kw):
@@ -125,6 +125,48 @@ def test_sweep_gap_on_fault():
                       max_grid_points=200, volume_budget=2**16)
     assert len(res.records) == 1
     assert len(res.gaps) == 1
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # a TypeError is a bug, not a fault of one sample: it must reach the
+    # caller instead of becoming a gap.  The potential breaks only once the
+    # operator is assembled, after the fiber cloud has read it.
+    m = make_model("separable_harmonic_2d")
+    pot_key = ((0, 0), (0, 0))
+    pot = m.coefficients[pot_key]
+    assembling = []
+
+    def value(x):
+        if assembling:
+            raise TypeError("unsupported operand")
+        return pot.value(x)
+
+    coeffs = dict(m.coefficients)
+    coeffs[pot_key] = Coefficient(value, pot.grad, pot.hess)
+    broken = SymbolModel(
+        m.dimension, m.order, coeffs, m.ellipticity_constant,
+        m.holder_exponent, m.box_x, m.box_xi, m.name,
+    )
+
+    def assemble(*args, **kwargs):
+        assembling.append(True)
+        return operators.assemble(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "assemble", assemble)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_h_sweep(broken, 1.0, [0.1], delta0=0.41, max_grid_points=100,
+                    volume_budget=2**16, out_of_scope_ok=True)
+
+
+def test_raw_sweep_builds_no_kernel(monkeypatch):
+    def refuse(d):
+        raise AssertionError("a raw operator built a mollifier")
+
+    monkeypatch.setattr(operators, "build_mollifier", refuse)
+    m = make_model("separable_harmonic_2d")
+    res = run_h_sweep(m, 1.0, [0.1, 0.08], delta0=0.41, max_grid_points=100,
+                      volume_budget=2**16)
+    assert res.complete and len(res.records) == 2
 
 
 def test_check_hypotheses_flags_d1():

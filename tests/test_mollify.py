@@ -38,8 +38,8 @@ def test_kernel_moments(d):
     # quadrature and raises on failure; here we re-measure with the tensor
     # rule, which converges more slowly in d=2
     tol = 1e-8 if d == 1 else 1e-6
-    kernel = build_mollifier(d, 1.0)
-    pts, wts = kernel.quadrature()
+    kernel = build_mollifier(d)
+    pts, wts = kernel.quadrature
     vals = wts * kernel(pts)
     assert abs(vals.sum() - 1.0) <= tol  # unit mass
     for j in range(d):
@@ -47,8 +47,36 @@ def test_kernel_moments(d):
         assert abs((vals * pts[:, j] ** 2).sum()) <= tol
 
 
+def test_one_kernel_per_dimension():
+    for d in (1, 2):
+        assert build_mollifier(d) is build_mollifier(d)
+    assert build_mollifier(1) is not build_mollifier(2)
+
+
+def test_quadrature_rule_built_once_per_kernel(monkeypatch):
+    # six h values and orders 0-3 share one rule, one moment correction and
+    # one set of profile-derivative weights
+    calls = {"leggauss": 0, "_exact_low_moments": 0}
+    for name in calls:
+        original = getattr(mollify, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(mollify, name, counting)
+    kernel = build_mollifier.__wrapped__(1)  # fresh, not the cached one
+    a = holder_test_field(0.5)
+    x = np.linspace(-0.5, 0.5, 11)[:, None]
+    for h in np.geomspace(0.1, 0.01, 6):
+        reg = regularize(a, h, 0.41, kernel)
+        for order in range(4):
+            reg.derivative(x, order)
+    assert calls == {"leggauss": 1, "_exact_low_moments": 1}
+
+
 def test_kernel_compact_support():
-    kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     far = np.array([[1.5], [-2.0], [1.0001]])
     np.testing.assert_array_equal(kernel(far), 0.0)
 
@@ -56,7 +84,7 @@ def test_kernel_compact_support():
 def test_regularize_reproduces_quadratics():
     # unit mass + vanishing moments 1-2 => polynomials of degree <= 2 are
     # reproduced exactly by the convolution
-    kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     quadratic = PolynomialCoefficient({(0,): 1.5, (1,): -2.0, (2,): 0.75}, 1)
     reg = regularize(quadratic, 0.1, 0.41, kernel)
     assert reg.terms == quadratic.terms
@@ -68,7 +96,7 @@ def test_regularize_reproduces_quadratics():
 def test_double_well_regularizes_to_fourth_moment_shift():
     # p * gamma_s = p + s^4 m40 (d^4 p / d x1^4) / 4! = p + s^4 m40 for the
     # double well: odd and second moments vanish, and only x1^4 has order 4
-    kernel = build_mollifier(2, 1.0)
+    kernel = build_mollifier(2)
     pot = make_model("double_well_2d").coefficients[((0, 0), (0, 0))]
     h, delta0 = 0.07, 0.41
     reg = regularize(pot, h, delta0, kernel)
@@ -103,7 +131,7 @@ def test_quadrature_path_reproduces_quadratics():
         return np.broadcast_to([[2.0, 1.0], [1.0, 0.0]], (len(x), 2, 2))
 
     quadratic = Coefficient(value, grad, hess)
-    reg = regularize(quadratic, 0.07, 0.41, build_mollifier(2, 1.0))
+    reg = regularize(quadratic, 0.07, 0.41, build_mollifier(2))
     assert isinstance(reg, mollify.RegularizedCoefficient)
     x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(200, 2))
     np.testing.assert_allclose(reg.value(x), value(x), rtol=0, atol=1e-13)
@@ -125,16 +153,15 @@ def test_polynomial_models_assemble_without_quadrature(monkeypatch):
         "harmonic", "separable_harmonic_2d", "double_well_2d"
     }
     for m in polynomial:
-        kernel = build_mollifier(m.dimension, 1.0)
         grid = GridSpec(m.box_x, 16)
-        op = assemble(m, kernel, 0.1, 0.41, grid, variant="minus",
+        op = assemble(m, 0.1, 0.41, grid, variant="minus",
                       strict_resolution=False)
         assert op.size == 16**m.dimension
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_profile_derivative_matches_central_difference(order):
-    kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     lower = kernel.profile_derivative(order - 1)
     exact = kernel.profile_derivative(order)
     z = np.linspace(-0.9, 0.9, 37)
@@ -145,7 +172,7 @@ def test_profile_derivative_matches_central_difference(order):
 
 
 def test_regularize_rejects_bad_delta0():
-    kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     quad = PolynomialCoefficient({(2,): 1.0}, 1)
     with pytest.raises(ValueError):
         regularize(quad, 0.1, 0.4, kernel, r0=0.5)
@@ -165,22 +192,16 @@ def test_holder_field_regularity():
 
 
 def test_exact_annihilation_marker():
-    kernel = build_mollifier(1, 1.0)
     quad = PolynomialCoefficient({(2,): 1.0, (0,): 1.0}, 1)
-    got = fit_smoothing_exponents(
-        quad, 0, [0.1, 0.07, 0.05, 0.035, 0.025], 0.41, kernel=kernel
-    )
+    got = fit_smoothing_exponents(quad, 0, [0.1, 0.07, 0.05, 0.035, 0.025], 0.41)
     assert got[0] == EXACT_ANNIHILATION
 
 
 def test_smoothing_rate_order_zero():
     # sup|a_h - a| ~ h^((2 + r0) delta0) on the cutoff plateau
     a = holder_test_field(0.5)
-    kernel = build_mollifier(1, 1.0)
     h_grid = np.geomspace(0.1, 0.01, 6)
-    fit, sups = fit_smoothing_exponents(
-        a, 0, h_grid, 0.41, kernel=kernel, r0=0.5, n_samples=400
-    )
+    fit, sups = fit_smoothing_exponents(a, 0, h_grid, 0.41, r0=0.5, n_samples=400)
     assert fit.slope == pytest.approx(2.5 * 0.41, abs=0.2)
     assert all(s > 0 for s in sups)
 
@@ -189,7 +210,7 @@ def test_derivative_order_three_grows():
     # |d^3 a_h| ~ h^(-delta0 (1 - r0)) for the Hoelder field: excess order
     # lands on the kernel and pays h^(-delta0) per derivative
     a = holder_test_field(0.5)
-    kernel = build_mollifier(1, 1.0)
+    kernel = build_mollifier(1)
     reg_fine = regularize(a, 0.01, 0.41, kernel)
     reg_coarse = regularize(a, 0.1, 0.41, kernel)
     x = np.array([[0.05]])

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from weyllab.mollify import build_mollifier
 from weyllab.operators import (
     ConfinementFault,
     DiscreteOperator,
@@ -25,11 +24,6 @@ def harmonic():
     return make_model("harmonic")
 
 
-@pytest.fixture(scope="module")
-def kernel2():
-    return build_mollifier(2, 1.0)
-
-
 def test_grid_spec_spacing():
     g = GridSpec(2.0, 399)
     assert g.spacing == pytest.approx(4.0 / 400)
@@ -37,7 +31,7 @@ def test_grid_spec_spacing():
 
 
 def test_matrix_symmetric(harmonic):
-    op = assemble(harmonic, None, 0.05, 0.41, GridSpec(2.0, 400))
+    op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 400))
     m = op.matrix
     assert abs(m - m.T).max() <= 1e-12
 
@@ -45,7 +39,7 @@ def test_matrix_symmetric(harmonic):
 def test_hermite_eigenvalues(harmonic):
     # continuum spectrum of -h^2 d^2/dx^2 + x^2 is h(2n + 1)
     h = 0.05
-    op = assemble(harmonic, None, h, 0.41, GridSpec(2.0, 800))
+    op = assemble(harmonic, h, 0.41, GridSpec(2.0, 800))
     lam = eigsh(op.matrix, k=5, sigma=0.0, which="LM")[0]
     expect = h * (2 * np.arange(5) + 1)
     np.testing.assert_allclose(np.sort(lam), expect, atol=1e-3)
@@ -53,7 +47,7 @@ def test_hermite_eigenvalues(harmonic):
 
 def test_hermite_count(harmonic):
     # eigenvalues h(2n+1) < 1 for n = 0..49 at h = 0.01
-    op = assemble(harmonic, None, 0.01, 0.41, GridSpec(2.0, 2400))
+    op = assemble(harmonic, 0.01, 0.41, GridSpec(2.0, 2400))
     assert count_below(op, 1.0).count == 50
 
 
@@ -61,13 +55,13 @@ def test_separable_harmonic_count():
     # levels 2h(i + j + 1); finite differences shift ties at exactly E down
     m = make_model("separable_harmonic_2d")
     h = 0.05
-    op = assemble(m, None, h, 0.41, GridSpec(2.0, 320))
+    op = assemble(m, h, 0.41, GridSpec(2.0, 320))
     # strictly below: 45; the 10-fold level at exactly 1.0 also counts
     assert count_below(op, 1.0).count == 55
 
 
 def test_count_monotone_in_energy(harmonic):
-    op = assemble(harmonic, None, 0.05, 0.41, GridSpec(2.0, 400))
+    op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 400))
     counts = [count_below(op, e).count for e in (0.25, 0.5, 1.0)]
     assert counts[0] <= counts[1] <= counts[2]
     assert counts[2] == pytest.approx(1.0 / (2 * 0.05), abs=2)
@@ -75,9 +69,9 @@ def test_count_monotone_in_energy(harmonic):
 
 def test_sparse_dense_agree(harmonic):
     h = 0.05
-    op_small = assemble(harmonic, None, h, 0.41, GridSpec(2.0, 500))
+    op_small = assemble(harmonic, h, 0.41, GridSpec(2.0, 500))
     m2 = make_model("separable_harmonic_2d")
-    op_big = assemble(m2, None, h, 0.41, GridSpec(2.0, 120),
+    op_big = assemble(m2, h, 0.41, GridSpec(2.0, 120),
                       strict_resolution=False)
     s1 = count_below(op_small, 1.0)
     s2 = count_below(op_big, 1.0)
@@ -89,27 +83,27 @@ def test_sparse_dense_agree(harmonic):
 
 def test_confinement_fault(harmonic):
     grid = GridSpec(2.0, 400)
-    assemble(harmonic, None, 0.05, 0.41, grid, energy=1.0)
+    assemble(harmonic, 0.05, 0.41, grid, energy=1.0)
     with pytest.raises(ConfinementFault):
-        assemble(harmonic, None, 0.05, 0.41, grid, energy=100.0)
+        assemble(harmonic, 0.05, 0.41, grid, energy=100.0)
 
 
 def test_resolution_fault(harmonic):
     with pytest.raises(ResolutionFault):
-        assemble(harmonic, None, 0.01, 0.41, GridSpec(2.0, 100))
+        assemble(harmonic, 0.01, 0.41, GridSpec(2.0, 100))
     op = assemble(
-        harmonic, None, 0.01, 0.41, GridSpec(2.0, 100), strict_resolution=False
+        harmonic, 0.01, 0.41, GridSpec(2.0, 100), strict_resolution=False
     )
     assert not op.resolution_ok
 
 
-def test_bracketing_single_h(kernel2):
+def test_bracketing_single_h():
     m = make_model("double_well_2d")
     h = 0.05
     grid = GridSpec(m.box_x, 240)
     counts = {}
     for variant in ("plus", "raw", "minus"):
-        op = assemble(m, kernel2, h, 0.41, grid, variant=variant,
+        op = assemble(m, h, 0.41, grid, variant=variant,
                       strict_resolution=False)
         counts[variant] = count_below(op, 1.0).count
     assert counts["plus"] <= counts["raw"] <= counts["minus"]
@@ -117,7 +111,7 @@ def test_bracketing_single_h(kernel2):
 
 
 def test_eigenvalues_below_matches_count(harmonic):
-    op = assemble(harmonic, None, 0.05, 0.41, GridSpec(2.0, 400))
+    op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 400))
     slc = eigenvalues_below(op, 1.0, 0.0)
     assert slc.count == count_below(op, 1.0).count
     assert len(slc.eigenvalues) == slc.count
@@ -164,7 +158,7 @@ def test_smoothed_counting_operators_match_dense_reference(harmonic, h):
     # the 1200-point operators of the smoothed_counting experiment against a
     # full dense eigendecomposition
     counter = build_mollified_counter(1.0, h, (0.2, 0.8))
-    op = assemble(harmonic, None, h, 0.41, GridSpec(harmonic.box_x, 1200),
+    op = assemble(harmonic, h, 0.41, GridSpec(harmonic.box_x, 1200),
                   strict_resolution=False)
     ref = np.linalg.eigvalsh(op.matrix.toarray())
     level = counter.coverage_level()
@@ -177,7 +171,7 @@ def test_smoothed_counting_operators_match_dense_reference(harmonic, h):
 
 def test_eigenvalues_below_rejects_two_dimensions():
     m = make_model("separable_harmonic_2d")
-    op = assemble(m, None, 0.05, 0.41, GridSpec(2.0, 20),
+    op = assemble(m, 0.05, 0.41, GridSpec(2.0, 20),
                   strict_resolution=False)
     with pytest.raises(NotImplementedError, match="d = 2"):
         eigenvalues_below(op, 1.0, 0.0)
@@ -200,7 +194,7 @@ def test_assemble_rejects_three_dimensions():
     )
     with pytest.raises(NotImplementedError, match="d = 3"):
         assemble(
-            model, None, 0.1, 0.41, GridSpec(2.0, 9), energy=1.0,
+            model, 0.1, 0.41, GridSpec(2.0, 9), energy=1.0,
             strict_resolution=False,
         )
 
@@ -226,7 +220,7 @@ def test_smoothed_count_close_to_sharp(harmonic):
     h = 0.05
     window = (0.2, 0.8)
     counter = build_mollified_counter(1.0, h, window)
-    op = assemble(harmonic, None, h, 0.41, GridSpec(2.0, 400))
+    op = assemble(harmonic, h, 0.41, GridSpec(2.0, 400))
     slc = eigenvalues_below(op, counter.coverage_level(), 0.0)
     sharp = int(np.sum((slc.eigenvalues >= window[0])
                        & (slc.eigenvalues <= window[1])))

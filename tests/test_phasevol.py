@@ -231,7 +231,7 @@ def test_fourth_order_symbol_rejected():
         holder_exponent=0.5,
     )
     with pytest.raises(NotImplementedError):
-        assemble(model, None, 0.05, 0.41, GridSpec(2.0, 80))
+        assemble(model, 0.05, 0.41, GridSpec(2.0, 80))
     with pytest.raises(NotImplementedError):
         FiberCloud(model)
 
