@@ -30,6 +30,7 @@ from .operators import (
 from .phasevol import (
     ContainmentFault,
     FiberCloud,
+    InvariantFault,
     VolumeEstimate,
     remainder_functional,
     weyl_volume,
@@ -59,7 +60,7 @@ _SAMPLE_FAULTS = (
     ConfinementFault,
     FactorizationFault,
     EvaluationFault,
-    ValueError,
+    InvariantFault,
 )
 
 
@@ -78,9 +79,9 @@ class SweepRecord:
 
     def __post_init__(self):
         if self.r_value < self.h - 1e-15:
-            raise ValueError("remainder functional below its h floor")
+            raise InvariantFault("remainder functional below its h floor")
         if self.ratio < 0:
-            raise ValueError("ratio must be nonnegative")
+            raise InvariantFault("ratio must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,12 @@ def run_h_sweep(
 
     One fiber cloud serves the phase-space volume and every h's remainder
     sup; it is dropped before the first operator is assembled, so it does
-    not stay resident through the factorizations.  A fault at one h
-    (containment, confinement, factorization, evaluation or a ValueError)
-    aborts that sample only; the gap is recorded and the sweep continues.
-    Any other exception is a bug and reaches the caller.
+    not stay resident through the factorizations.  Each h is checked by its
+    remainder sup before any operator is built.  An h that is not positive
+    and finite, or a fault at one h (containment, confinement,
+    factorization, evaluation or a broken invariant), aborts that sample
+    only; the gap is recorded and the sweep continues.  Any other exception
+    is a bug and reaches the caller.
     """
     problems = check_hypotheses(model, energy)
     if problems and not out_of_scope_ok:
@@ -162,6 +165,8 @@ def run_h_sweep(
     records, gaps = [], []
     for h, rem in zip(hs, sups):
         try:
+            if isinstance(rem, Exception):
+                raise rem  # a bad h or a failed sup: skip the operator
             grid = _default_grid(model, h, max_grid_points)
             op = assemble(
                 model,
@@ -173,8 +178,6 @@ def run_h_sweep(
                 strict_resolution=False,
             )
             n = count_below(op, energy).count
-            if isinstance(rem, Exception):
-                raise rem
             weyl = (2.0 * math.pi * h) ** (-d) * vol.value
             weyl_se = (2.0 * math.pi * h) ** (-d) * vol.std_error
             deviation = n - weyl

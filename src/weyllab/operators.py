@@ -7,6 +7,18 @@ uses matrix inertia (Sylvester's law of inertia applied to a sparse LU
 factorization with symmetric pivoting: the negative pivots count the negative
 eigenvalues), which is exact: no eigenvalue is ever computed for a count.
 
+Nodes and cell faces are exactly mirror-symmetric about 0, so a coefficient
+that is even in x_k gives a matrix A that commutes, bit for bit, with the
+reflection P_k of axis k.  For every such axis the count factors reflection
+blocks instead of A: with S_i the tensor product of exact +-1 even/odd maps
+on the mirrored axes (and the identity on the others), S^T A S is block
+diagonal and S is invertible, so inertia(A - E I) is the sum over i of
+inertia(S_i^T A S_i - E S_i^T S_i), where S_i^T S_i is diagonal with
+entries 1, 2 or 4.  On a 2-D registry model that is four factorizations of
+a quarter of the unknowns each (Bossavit, "Symmetry, groups, and boundary
+value problems", CMAME 56, 1986).  A matrix that is not mirror-symmetric is
+factored whole.
+
 The smoothed counter replaces the sharp indicator of a window Z = [E1, E2] by
 f(lambda) = integral over Z of gamma_h(lambda - mu), where gamma_h is the
 inverse h-Fourier transform of a self-convolved bump.  Self-convolution makes
@@ -16,9 +28,10 @@ the unit mass equals the self-convolution at zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -80,9 +93,9 @@ class GridSpec:
         return 2.0 * self.halfwidth / (self.points_per_axis + 1)
 
     def nodes(self) -> np.ndarray:
-        return -self.halfwidth + self.spacing * np.arange(
-            1, self.points_per_axis + 1
-        )
+        """Interior nodes, exactly antisymmetric: nodes[::-1] == -nodes."""
+        n = self.points_per_axis
+        return self.spacing * (np.arange(n) - 0.5 * (n - 1))
 
 
 @dataclass
@@ -109,6 +122,7 @@ class SpectrumSlice:
     eigenvalues: Optional[np.ndarray] = None
     complete_to: Optional[float] = None
     shifts_applied: int = 0
+    blocks: int = 1  # reflection blocks whose inertias were summed
 
     def __post_init__(self):
         if self.count < 0:
@@ -150,7 +164,8 @@ def _axis_term(coef_mid: np.ndarray, axis: int, shape, scale: float):
 def _midpoint_coords(grid: GridSpec, d: int, axis: int):
     """Grid coordinates with the `axis` coordinate at cell faces."""
     nodes = grid.nodes()
-    faces = np.concatenate([[nodes[0] - grid.spacing], nodes]) + 0.5 * grid.spacing
+    n = grid.points_per_axis
+    faces = grid.spacing * (np.arange(n + 1) - 0.5 * n)
     axes = [faces if j == axis else nodes for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1), tuple(
@@ -309,32 +324,102 @@ def _sparse_inertia(mat: sp.csc_matrix) -> int:
     return int(np.sum(du < 0.0))
 
 
-def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
-    """Exact number of eigenvalues below `energy` via matrix inertia.
+def _mirrored_axes(op: DiscreteOperator) -> list:
+    """Axes k whose reflection P_k commutes with the matrix: A == P_k A P_k
+    bit for bit."""
+    n, d = op.grid.points_per_axis, op.dimension
+    if n < 2 or op.size != n**d:
+        return [False] * d
+    idx = np.arange(op.size).reshape((n,) * d)
+    a = op.matrix
+    axes = []
+    for axis in range(d):
+        p = np.flip(idx, axis=axis).ravel()
+        axes.append((a[p][:, p] != a).nnz == 0)
+    return axes
 
-    A singular or near-singular factorization means an eigenvalue sits at
-    the threshold; the threshold then moves down by SHIFT_STEP, so that an
-    eigenvalue at `energy` stays uncounted and every count is strict.
+
+def _mirror_maps(n: int) -> list:
+    """The even and the odd map of one axis, entries 0 and +-1.
+
+    Column j pairs node j with its mirror n - 1 - j, with entries +1/+1
+    (even) or +1/-1 (odd); the centre node of an odd axis is even only.
     """
-    n = op.size
+    i = np.arange(n)
+    col = np.minimum(i, n - 1 - i)
+    side = np.sign(n - 1 - 2.0 * i)  # +1 before the centre, -1 after it
+    odd = side != 0
+    return [
+        sp.csc_matrix((np.ones(n), (i, col)), shape=(n, n - n // 2)),
+        sp.csc_matrix((side[odd], (i[odd], col[odd])), shape=(n, n // 2)),
+    ]
+
+
+def _reflection_blocks(op: DiscreteOperator) -> list:
+    """[(S_i^T A S_i, diag(S_i^T S_i))] over the reflection blocks of A.
+
+    S_i is the tensor product, over the axes, of an even or odd map on each
+    mirrored axis and the identity on the others.  When A commutes with
+    those reflections, S^T A S is block diagonal, so by Sylvester's law the
+    inertia of A - E I is the sum of the inertias of the blocks
+    S_i^T A S_i - E S_i^T S_i.  With no mirrored axis the one block is A.
+    """
+    mirrored = _mirrored_axes(op)
+    if not any(mirrored):
+        return [(op.matrix, np.ones(op.size))]
+    n = op.grid.points_per_axis
+    identity = [sp.identity(n, format="csc")]
+    blocks = []
+    for parts in itertools.product(
+        *(_mirror_maps(n) if m else identity for m in mirrored)
+    ):
+        s = reduce(sp.kron, parts).tocsc()
+        weights = np.asarray(s.multiply(s).sum(axis=0)).ravel()
+        blocks.append(((s.T @ op.matrix @ s).tocsc(), weights))
+    return blocks
+
+
+def _count_blocks(blocks, energy: float):
+    """(sum of the negative inertias of B - E' W over the blocks, shifts).
+
+    A singular or near-singular pivot in any block means an eigenvalue sits
+    at the threshold E' = energy - shifts * SHIFT_STEP; every block is then
+    factored again at the next shift, so the count uses one threshold.
+    """
     pivot_log = []
     for shifts in range(MAX_SHIFTS + 1):
-        m = op.matrix - (energy - shifts * SHIFT_STEP) * sp.identity(
-            n, format="csc"
-        )
+        shifted = energy - shifts * SHIFT_STEP
         try:
-            count = _sparse_inertia(m)
+            count = sum(
+                _sparse_inertia(b - sp.diags(shifted * w, format="csc"))
+                for b, w in blocks
+            )
         except FactorizationFault as fault:
             pivot_log.append(str(fault))
             continue
-        return SpectrumSlice(
-            threshold=energy,
-            count=count,
-            method="inertia",
-            shifts_applied=shifts,
-        )
+        return count, shifts
     raise FactorizationFault(
         f"factorization failed after {MAX_SHIFTS} shifts: {pivot_log}"
+    )
+
+
+def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
+    """Exact number of eigenvalues below `energy` via matrix inertia.
+
+    The matrix is split into its reflection blocks (one per even/odd
+    pattern of the mirrored axes) and the block inertias are summed.  A
+    singular or near-singular factorization means an eigenvalue sits at
+    the threshold; the threshold then moves down by SHIFT_STEP, so that an
+    eigenvalue at `energy` stays uncounted and every count is strict.
+    """
+    blocks = _reflection_blocks(op)
+    count, shifts = _count_blocks(blocks, energy)
+    return SpectrumSlice(
+        threshold=energy,
+        count=count,
+        method="inertia",
+        shifts_applied=shifts,
+        blocks=len(blocks),
     )
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "PolySublevelQuery",
     "SublevelLemmaReport",
     "ContainmentFault",
+    "InvariantFault",
     "FiberCloud",
     "weyl_volume",
     "remainder_functional",
@@ -54,6 +55,10 @@ NEWTON_TOL = 1e-12
 
 class ContainmentFault(RuntimeError):
     """The target set reaches the sampling box boundary; enlarge the box."""
+
+
+class InvariantFault(ValueError):
+    """A sample's input or result breaks an invariant of its construction."""
 
 
 @dataclass(frozen=True)
@@ -79,10 +84,10 @@ class RemainderFunctional:
 
     def __post_init__(self):
         if self.value < self.h - 1e-15:
-            raise ValueError("remainder functional is bounded below by h")
+            raise InvariantFault("remainder functional is bounded below by h")
         half = self.h ** (1.0 - self.epsilon)
         if abs(self.argmax_energy - self.energy) > half * (1 + 1e-12):
-            raise ValueError("argmax energy escaped the sup window")
+            raise InvariantFault("argmax energy escaped the sup window")
 
 
 @dataclass(frozen=True)
@@ -263,8 +268,8 @@ def remainder_functional(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise InvariantFault(f"h = {h} is not positive and finite")
     half = h ** (1.0 - epsilon)
     n_grid = int(math.ceil(4.0 * h ** (-epsilon))) + 1
     grid = np.linspace(energy - half, energy + half, n_grid)

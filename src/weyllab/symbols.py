@@ -79,12 +79,19 @@ class Coefficient:
 
 
 def _poly_eval(terms: dict[tuple, float], x: np.ndarray) -> np.ndarray:
+    """Sum of coef * prod_j x_j^e_j.  Powers are taken of x_j * x_j, so an
+    even power is exactly even and an odd one exactly odd in x_j: a
+    polynomial even in a coordinate gives bit-identical values at mirrored
+    points."""
     out = np.zeros(x.shape[0])
     for expo, coef in terms.items():
         term = np.full(x.shape[0], coef)
         for j, e in enumerate(expo):
-            if e:
-                term = term * x[:, j] ** e
+            if e > 1:
+                xj = x[:, j]
+                term = term * (xj * xj) ** (e // 2)
+            if e % 2:
+                term = term * x[:, j]
         out += term
     return out
 

@@ -125,21 +125,20 @@ def test_sweep_gap_on_fault():
                       max_grid_points=200, volume_budget=2**16)
     assert len(res.records) == 1
     assert len(res.gaps) == 1
+    assert res.gaps[0][1].startswith("InvariantFault: h = nan")
 
 
-def test_sweep_propagates_programming_errors(monkeypatch):
-    # a TypeError is a bug, not a fault of one sample: it must reach the
-    # caller instead of becoming a gap.  The potential breaks only once the
-    # operator is assembled, after the fiber cloud has read it.
+def _break_potential_in_assembly(monkeypatch, broken_value):
+    """The separable harmonic model whose potential evaluates through
+    broken_value(pot, x) once the operator is assembled, after the fiber
+    cloud has read it."""
     m = make_model("separable_harmonic_2d")
     pot_key = ((0, 0), (0, 0))
     pot = m.coefficients[pot_key]
     assembling = []
 
     def value(x):
-        if assembling:
-            raise TypeError("unsupported operand")
-        return pot.value(x)
+        return broken_value(pot, x) if assembling else pot.value(x)
 
     coeffs = dict(m.coefficients)
     coeffs[pot_key] = Coefficient(value, pot.grad, pot.hess)
@@ -153,9 +152,40 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         return operators.assemble(*args, **kwargs)
 
     monkeypatch.setattr(harness, "assemble", assemble)
+    return broken
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # a TypeError is a bug, not a fault of one sample: it must reach the
+    # caller instead of becoming a gap
+    def value(pot, x):
+        raise TypeError("unsupported operand")
+
+    broken = _break_potential_in_assembly(monkeypatch, value)
     with pytest.raises(TypeError, match="unsupported operand"):
         run_h_sweep(broken, 1.0, [0.1], delta0=0.41, max_grid_points=100,
                     volume_budget=2**16, out_of_scope_ok=True)
+
+
+def test_sweep_propagates_shape_errors(monkeypatch):
+    # numpy raises ValueError for a potential that returns one value too
+    # few; that is a bug too, not a gap
+    broken = _break_potential_in_assembly(
+        monkeypatch, lambda pot, x: pot.value(x)[:-1]
+    )
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run_h_sweep(broken, 1.0, [0.1], delta0=0.41, max_grid_points=100,
+                    volume_budget=2**16, out_of_scope_ok=True)
+
+
+def test_invariant_faults_are_typed():
+    with pytest.raises(phasevol.InvariantFault, match="h floor"):
+        _record(0.1, 10, 9.0, 0.01)
+    with pytest.raises(phasevol.InvariantFault, match="not positive"):
+        phasevol.remainder_functional(None, 1.0, 0.1, float("nan"))
+    with pytest.raises(phasevol.InvariantFault, match="bounded below"):
+        phasevol.RemainderFunctional(1.0, 0.1, 0.1, 0.05, 1.0, 9)
+    assert ValueError not in harness._SAMPLE_FAULTS
 
 
 def test_raw_sweep_builds_no_kernel(monkeypatch):

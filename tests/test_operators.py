@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
+from weyllab import operators
 from weyllab.operators import (
     ConfinementFault,
     DiscreteOperator,
@@ -16,7 +18,12 @@ from weyllab.operators import (
     eigenvalues_below,
     smoothed_count,
 )
-from weyllab.symbols import PolynomialCoefficient, SymbolModel, make_model
+from weyllab.symbols import (
+    PolynomialCoefficient,
+    SymbolModel,
+    _poly_eval,
+    make_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +35,23 @@ def test_grid_spec_spacing():
     g = GridSpec(2.0, 399)
     assert g.spacing == pytest.approx(4.0 / 400)
     assert len(g.nodes()) == 399
+
+
+@pytest.mark.parametrize("n", [1, 2, 159, 160, 639])
+@pytest.mark.parametrize("halfwidth", [1.8, 2.0, 2.5])
+def test_grid_nodes_exactly_antisymmetric(n, halfwidth):
+    nodes = GridSpec(halfwidth, n).nodes()
+    assert np.all(nodes + nodes[::-1] == 0.0)
+
+
+def test_poly_eval_exact_parity():
+    # even powers are exactly even, odd powers exactly odd, in each axis
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (1000, 2))
+    mirrored = x * [-1.0, 1.0]
+    even = {(4, 0): 1.0, (2, 0): -2.0, (0, 0): 1.0, (0, 2): 1.0, (6, 3): 0.7}
+    odd = {(3, 0): 1.0, (1, 2): -0.3, (5, 1): 0.2}
+    assert np.array_equal(_poly_eval(even, mirrored), _poly_eval(even, x))
+    assert np.array_equal(_poly_eval(odd, mirrored), -_poly_eval(odd, x))
 
 
 def test_matrix_symmetric(harmonic):
@@ -226,3 +250,124 @@ def test_smoothed_count_close_to_sharp(harmonic):
                        & (slc.eigenvalues <= window[1])))
     smooth = smoothed_count(slc, counter)
     assert abs(smooth - sharp) < 2.0
+
+
+# -- reflection blocks ---------------------------------------------------------
+
+
+def _full_count(op, energy):
+    """Count on the whole matrix, as one block: (count, shifts)."""
+    return operators._count_blocks([(op.matrix, np.ones(op.size))], energy)
+
+
+@pytest.mark.parametrize("variant", ["plus", "raw", "minus"])
+@pytest.mark.parametrize(
+    "name, n, h",
+    [
+        ("separable_harmonic_2d", 159, 0.1),
+        ("separable_harmonic_2d", 160, 0.1),
+        ("double_well_2d", 300, 0.07),
+        ("double_well_2d", 301, 0.07),
+    ],
+)
+def test_split_count_matches_full_count(name, n, h, variant):
+    m = make_model(name)
+    op = assemble(m, h, 0.41, GridSpec(m.box_x, n), variant=variant,
+                  strict_resolution=False)
+    slc = count_below(op, 1.0)
+    assert slc.blocks == 4
+    assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
+
+
+@pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
+def test_split_blocks_share_the_shifted_threshold(tie):
+    # a mirror-symmetric diagonal: the tie at the centre node makes only the
+    # even block singular at E = 2, and the pair at 2 - SHIFT_STEP/2 puts
+    # one eigenvalue in each block between the first two thresholds.  The
+    # odd block must be counted again at the shifted threshold, or it would
+    # count its copy of the pair and the even block would not.
+    half = np.linspace(1.0, 3.0, 1500)
+    below = int(np.sum(half < 2.0))
+    half[below - 1] = 2.0 - 0.5 * operators.SHIFT_STEP
+    entries = np.concatenate([half, [tie], half[::-1]])
+    op = _diagonal_operator(entries)
+    slc = count_below(op, 2.0)
+    assert slc.blocks == 2
+    assert slc.shifts_applied == 1
+    assert slc.count == 2 * (below - 1)
+    assert (slc.count, slc.shifts_applied) == _full_count(op, 2.0)
+
+
+@pytest.mark.parametrize(
+    "odd_terms, blocks",
+    [
+        ({(3, 0): 0.3}, 2),  # odd in x1 only: x2 still splits
+        ({(1, 0): 0.3}, 2),
+        ({(1, 1): 0.3}, 1),  # odd under either reflection
+        ({(1, 0): 0.3, (0, 3): 0.3}, 1),
+    ],
+)
+def test_odd_potential_falls_back(odd_terms, blocks):
+    base = make_model("separable_harmonic_2d")
+    pot_key = ((0, 0), (0, 0))
+    coeffs = dict(base.coefficients)
+    coeffs[pot_key] = PolynomialCoefficient(
+        {**base.coefficients[pot_key].terms, **odd_terms}, 2
+    )
+    m = SymbolModel(
+        base.dimension, base.order, coeffs, base.ellipticity_constant,
+        base.holder_exponent, base.box_x, base.box_xi, "odd_potential",
+    )
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 120),
+                  strict_resolution=False)
+    slc = count_below(op, 1.0)
+    assert slc.blocks == blocks
+    assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
+
+
+def test_one_dimensional_operator_splits(harmonic):
+    op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 401))
+    slc = count_below(op, 1.0)
+    assert slc.blocks == 2
+    assert slc.count == 10 == _full_count(op, 1.0)[0]
+
+
+TAU = 1e-9
+
+
+def _kronecker_bracket(axis_potentials, box_x, n, h, energy):
+    """(#{lam_i + mu_j < E - tau}, #{lam_i + mu_j < E + tau}) for
+    T1 (x) I + I (x) T2, T_k = (h/dx)^2 tridiag(-1, 2, -1) + V_k(x_i) on the
+    Dirichlet grid x_i = -box_x + i dx, i = 1..n."""
+    dx = 2.0 * box_x / (n + 1)
+    x = -box_x + dx * np.arange(1, n + 1)
+    k = (h / dx) ** 2
+    lam, mu = (
+        eigvalsh_tridiagonal(2.0 * k + v(x), np.full(n - 1, -k))
+        for v in axis_potentials
+    )
+    mu = np.sort(mu)
+    lo = int(np.searchsorted(mu, energy - TAU - lam, side="left").sum())
+    hi = int(np.searchsorted(mu, energy + TAU - lam, side="left").sum())
+    return lo, hi
+
+
+@pytest.mark.parametrize(
+    "name, axis_potentials, n, h",
+    [
+        ("separable_harmonic_2d", (lambda x: x**2, lambda x: x**2),
+         639, 0.025),
+        ("double_well_2d", (lambda x: (x**2 - 1.0) ** 2, lambda x: x**2),
+         300, 0.07),
+    ],
+)
+def test_raw_count_matches_kronecker_oracle(name, axis_potentials, n, h):
+    # every 2-D registry operator is T1 (x) I + I (x) T2, so its count is
+    # #{lam_i + mu_j < E} over two tridiagonal spectra: an exact check of
+    # the reflection-block count, independent of any factorization
+    m = make_model(name)
+    op = assemble(m, h, 0.41, GridSpec(m.box_x, n), strict_resolution=False)
+    lo, hi = _kronecker_bracket(axis_potentials, m.box_x, n, h, 1.0)
+    slc = count_below(op, 1.0)
+    assert slc.blocks == 4
+    assert lo == hi == slc.count
