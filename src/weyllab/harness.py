@@ -29,13 +29,13 @@ from .operators import (
 )
 from .phasevol import (
     ContainmentFault,
-    FiberCloud,
     InvariantFault,
+    ReducedSymbol,
     VolumeEstimate,
     remainder_functional,
     weyl_volume,
 )
-from .symbols import EvaluationFault, SymbolModel, check_theorem_hypotheses
+from .symbols import EvaluationFault, SymbolModel
 
 __all__ = [
     "SweepRecord",
@@ -105,14 +105,33 @@ class SweepResult:
 
 
 def check_hypotheses(
-    model: SymbolModel, energy: float, window: float = 0.5
+    model: SymbolModel, energy: float, reduced: ReducedSymbol | None = None
 ) -> list:
     """Hypothesis screens for the sharp-remainder sweep; returns the list of
-    violations (empty when the model/energy pair is in scope)."""
-    rep = check_theorem_hypotheses(model, energy, window)
-    problems = [] if rep.all_ok else [rep.verdict]
+    violations (empty when the model/energy pair is in scope).
+
+    Ellipticity and confinement are read off the reduced symbol (built here
+    when not given): the least eigenvalue of G(x) over the x grid against
+    the model's ellipticity constant, and E against the least m(x) on the
+    x boundary band.  The Hessian rank hypothesis needs no search: the
+    xi-xi block of Hess a0 is 2G, so by Haynsworth's inertia additivity
+    Hess a0 has at least d positive eigenvalues wherever G is positive
+    definite, and rank >= 2 in d >= 2.
+    """
     if model.order != 1:
-        problems.append("matrix assembly requires a second-order symbol")
+        return ["matrix assembly requires a second-order symbol"]
+    if reduced is None:
+        reduced = ReducedSymbol(model)
+    problems = []
+    if model.dimension < 2:
+        problems.append("rank hypothesis out of scope in d=1; Weyl sanity only")
+    if reduced.ellipticity < model.ellipticity_constant:
+        problems.append(
+            f"ellipticity fails: G(x) has eigenvalue {reduced.ellipticity:.4g}"
+            f" below the ellipticity constant {model.ellipticity_constant:.4g}"
+        )
+    if not energy < reduced.boundary_min:
+        problems.append("confinement fails on the truncation boundary")
     return problems
 
 
@@ -137,31 +156,32 @@ def run_h_sweep(
 ) -> SweepResult:
     """Counts, Weyl volumes, and remainder functionals across an h grid.
 
-    One fiber cloud serves the phase-space volume and every h's remainder
-    sup; it is dropped before the first operator is assembled, so it does
-    not stay resident through the factorizations.  Each h is checked by its
-    remainder sup before any operator is built.  An h that is not positive
-    and finite, or a fault at one h (containment, confinement,
-    factorization, evaluation or a broken invariant), aborts that sample
-    only; the gap is recorded and the sweep continues.  Any other exception
-    is a bug and reaches the caller.
+    One reduced symbol serves the hypothesis screen, the phase-space volume
+    and every h's remainder sup; it is dropped before the first operator is
+    assembled, so it does not stay resident through the factorizations.
+    Nothing is drawn at random: `seed` only labels the records.  Each h is
+    checked by its remainder sup before any operator is built.  An h that
+    is not positive and finite, or a fault at one h (containment,
+    confinement, factorization, evaluation or a broken invariant), aborts
+    that sample only; the gap is recorded and the sweep continues.  Any
+    other exception is a bug and reaches the caller.
     """
-    problems = check_hypotheses(model, energy)
+    reduced = ReducedSymbol(model, volume_budget)
+    problems = check_hypotheses(model, energy, reduced)
     if problems and not out_of_scope_ok:
         raise ValueError(
             "model/energy outside scope: " + "; ".join(problems)
         )
     d = model.dimension
     hs = sorted(float(x) for x in h_grid)
-    cloud = FiberCloud(model, volume_budget, seed)
-    vol = weyl_volume(cloud, energy)
+    vol = weyl_volume(reduced, energy)
     sups = []
     for h in hs:
         try:
-            sups.append(remainder_functional(cloud, energy, epsilon, h))
+            sups.append(remainder_functional(reduced, energy, epsilon, h))
         except _SAMPLE_FAULTS as exc:
             sups.append(exc)
-    del cloud
+    del reduced
     records, gaps = [], []
     for h, rem in zip(hs, sups):
         try:

@@ -6,20 +6,20 @@ remainder functional built from the worst thin energy shell
 {|a0 - E'| <= h} near E, the h^delta0-thickened near-critical set, and
 exact 1-D polynomial sublevel measures.
 
-For second-order symbols the fiber in the first momentum coordinate is a
-quadratic A (t - t0)^2 + m with A > 0, read off the symbol's term table
-a(x) xi^mu: each term adds to the t^2, t or constant coefficient by its
-power of t.  While its sublevel interval stays inside the momentum box,
-which the containment check guarantees, the measure of {a0 < L} on the
-fiber is exactly 2 sqrt((L - m)_+ / A).  A `FiberCloud` holds (A, m, t0) at
-every base point (a midpoint grid in x for d = 1, a stratified Monte Carlo
-cloud over the remaining coordinates for d >= 2), and `weyl_volume` and
-`remainder_functional` integrate that one closed form over it.  This
-removes the indicator-function variance in the thin-shell regime and makes
-the relative error h-independent.  A sweep builds one cloud and measures
-every energy level on it; the remainder sup checks containment once per h
-and measures its shells only on the points whose fiber minimum lies below
-the top shell edge.
+A second-order symbol is quadratic in the momentum,
+a0 = xi.G(x) xi + b(x).xi + c(x), with G, b and c read off its term table.
+Where G is positive definite, the momentum fiber of {a0 < L} over x is a
+whole ellipsoid centred at xi* = -G^-1 b / 2, of measure
+omega_d (L - m(x))_+^(d/2) / sqrt(det G(x)) with m = c - b.G^-1 b / 4, so
+every volume and every shell is an integral over x alone (Dimassi and
+Sjostrand, Spectral Asymptotics in the Semi-Classical Limit, ch. 9).  A
+sweep builds one `ReducedSymbol`: m and the weight
+omega_d dx^d / sqrt(det G) on a midpoint x grid of `budget` nodes, plus
+the three scalars that the containment check and the hypothesis screen
+read.  No sweep draws random numbers.  `weyl_volume` sums the closed form
+over the grid, with the gap to an independent grid of half as many nodes
+per axis as its error; `remainder_functional` sums it at every shell edge
+of its E'-grid, over the nodes whose m lies below the top edge.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._fitting import ExponentFit, fit_loglog
-from .symbols import SymbolModel, _monomial, find_critical_points
+from .symbols import SymbolModel, find_critical_points
 
 __all__ = [
     "VolumeEstimate",
@@ -40,7 +39,7 @@ __all__ = [
     "SublevelLemmaReport",
     "ContainmentFault",
     "InvariantFault",
-    "FiberCloud",
+    "ReducedSymbol",
     "weyl_volume",
     "remainder_functional",
     "near_critical_volume",
@@ -49,6 +48,9 @@ __all__ = [
 ]
 
 BOUNDARY_MARGIN = 0.02
+# x nodes per chunk of the grid reduction: 64 KB temporaries stay in cache
+# and below glibc's mmap threshold, so they are reused without page faults
+CHUNK_NODES = 2**13
 N_BATCHES = 32
 NEWTON_TOL = 1e-12
 
@@ -98,173 +100,183 @@ class PolySublevelQuery:
     intervals: tuple
 
 
-# -- quadratic momentum fibers ------------------------------------------------
+# -- momentum ellipsoids on an x grid -------------------------------------------
 
 
-def _fiber_coefficients(model: SymbolModel, base: np.ndarray):
-    """Quadratic coefficients (A, B, C) of t -> a0(x, t, xi_rest).
+def _quadratic_parts(model: SymbolModel, x: np.ndarray):
+    """G, b and c of a0(x, xi) = xi.G(x) xi + b(x).xi + c(x) on x nodes of
+    shape (n, d), as nested lists of (n,) arrays.
 
-    `base` holds phase points whose first momentum slot is ignored.  The
-    fibers are read off the term table: a term a(x) xi^mu adds
-    a(x) xi_rest^mu_rest to C, B or A by its power mu_1 = 0, 1 or 2 of the
-    fiber coordinate.  A second-order symbol has mu_1 <= 2 by construction.
+    Each term a(x) xi^mu of the term table adds to the part keyed by the
+    sorted axes of its monomial: () is c, (j,) is b_j, (j, j) is G_jj and
+    (j, k) with j < k is G_jk + G_kj = 2 G_jk.  A second-order symbol has
+    |mu| <= 2 by construction.
     """
     if model.order != 1:
         raise NotImplementedError(
-            "momentum fibers are quadratic for second-order symbols only"
+            "momentum ellipsoids need a second-order symbol"
         )
     d = model.dimension
-    xi_rest = base[:, d + 1 :]
-    fiber = [np.zeros(base.shape[0]) for _ in range(3)]  # C, B, A
-    for mu, a in model.terms_at(base[:, :d]):
-        fiber[mu[0]] += a * _monomial(mu[1:], xi_rest)
-    C, B, A = fiber
-    if A.min() <= 0:
+    zero = np.zeros(x.shape[0])
+    parts = {}
+    for mu, a in model.terms_at(x):
+        key = tuple(j for j in range(d) for _ in range(mu[j]))
+        parts[key] = parts.get(key, zero) + a
+    G = [
+        [parts.get((min(j, k), max(j, k)), zero) * (1.0 if j == k else 0.5)
+         for k in range(d)]
+        for j in range(d)
+    ]
+    b = [parts.get((j,), zero) for j in range(d)]
+    return G, b, parts.get((), zero)
+
+
+def _ellipsoids(G, b, c):
+    """(det G, least eigenvalue of G, diagonal of G^-1, centre xi*, minimum
+    m) elementwise, in closed form for d <= 2.
+
+    Raises ValueError where G is not positive definite: there the sublevel
+    fibers are not ellipsoids, which contradicts ellipticity."""
+    d = len(G)
+    if d == 1:
+        det = least = G[0][0]
+    else:
+        (p, q), (_, r) = G
+        det = p * r - q * q
+        least = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
+    if least.min() <= 0:
         raise ValueError(
-            "nonpositive leading fiber coefficient contradicts ellipticity"
+            "G(x) is not positive definite, which contradicts ellipticity"
         )
-    return A, B, C
+    inv = [[1.0 / det]] if d == 1 else [[r / det, -q / det], [-q / det, p / det]]
+    centre = [-0.5 * sum(inv[j][k] * b[k] for k in range(d)) for j in range(d)]
+    minimum = c + 0.5 * sum(b[j] * centre[j] for j in range(d))
+    return det, least, [inv[j][j] for j in range(d)], centre, minimum
 
 
-def _fiber_measure(A, minimum, level):
-    """Measure of {t : A (t - vertex)^2 + minimum < level}, with A > 0
-    elementwise: the whole sublevel interval, which containment keeps
-    inside the momentum box."""
-    return 2.0 * np.sqrt(np.maximum(level - minimum, 0.0) / A)
+def _reduce(model: SymbolModel, k: int):
+    """(m, w, reach, boundary_min, ellipticity) on the midpoint grid of k
+    nodes per axis, built in chunks of CHUNK_NODES nodes.
 
-
-def _base_cloud(model: SymbolModel, budget: int, seed: int):
-    """Stratified phase points; the first momentum slot is a placeholder.
-
-    The non-fiber coordinates are jittered on a tensor grid of equal cells
-    (one point per cell, fresh jitter per batch), which beats plain uniform
-    sampling by an order of magnitude on the Lipschitz fiber measures
-    integrated here.  Returns (points, per_batch).
+    w is omega_d dx^d / sqrt(det G), so that sum w (L - m)_+^(d/2) is the
+    volume of {a0 < L}.  The scalars are the lowest level whose sublevel
+    set reaches within 2% of the box (in x: any mass on a node of the
+    boundary band; in xi: |xi*_j| + sqrt((L - m) (G^-1)_jj) past 98% of
+    box_xi), the least m on the boundary band, and the least eigenvalue of
+    G over the grid.  The band is the 2% edge of the x box and always holds
+    the outermost node of each axis.
     """
     d = model.dimension
-    ndim = 2 * d - 1
-    per_target = max(budget // N_BATCHES, 256)
-    k = max(int(round(per_target ** (1.0 / ndim))), 2)
-    per = k**ndim
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    axes = [np.arange(k)] * ndim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
-    pts = np.zeros((N_BATCHES * per, 2 * d))
-    scale = np.array([model.box_x] * d + [model.box_xi] * (d - 1))
-    cols = list(range(d)) + list(range(d + 1, 2 * d))
-    for b in range(N_BATCHES):
-        unit = (mesh + rng.random((per, ndim))) / k
-        pts[b * per : (b + 1) * per, cols] = (2.0 * unit - 1.0) * scale
-    return pts, per
+    if d > 2:
+        raise NotImplementedError(f"momentum ellipsoids support d <= 2; got {d}")
+    spacing = 2.0 * model.box_x / k
+    axis = (np.arange(k) + 0.5) * spacing - model.box_x
+    band = np.abs(axis) > min(
+        (1.0 - BOUNDARY_MARGIN) * model.box_x, model.box_x - spacing
+    )
+    xi_limit = (1.0 - BOUNDARY_MARGIN) * model.box_xi
+    ball = math.pi ** (0.5 * d) / math.gamma(0.5 * d + 1.0) * spacing**d
+    n = k**d
+    minimum, weight = np.empty(n), np.empty(n)
+    reach = boundary_min = ellipticity = math.inf
+    for start in range(0, n, CHUNK_NODES):
+        idx = np.unravel_index(
+            np.arange(start, min(start + CHUNK_NODES, n)), (k,) * d
+        )
+        x = np.stack([axis[i] for i in idx], axis=1)
+        det, least, inv_diag, centre, m = _ellipsoids(
+            *_quadratic_parts(model, x)
+        )
+        chunk = slice(start, start + x.shape[0])
+        minimum[chunk] = m
+        weight[chunk] = ball / np.sqrt(det)
+        room = np.minimum.reduce([
+            np.maximum(xi_limit - np.abs(centre[j]), 0.0) ** 2 / inv_diag[j]
+            for j in range(d)
+        ])
+        edge = np.logical_or.reduce([band[i] for i in idx])
+        reach = min(reach, float(np.where(edge, m, m + room).min()))
+        if edge.any():
+            boundary_min = min(boundary_min, float(m[edge].min()))
+        ellipticity = min(ellipticity, float(least.min()))
+    return minimum, weight, reach, boundary_min, ellipticity
 
 
-class FiberCloud:
-    """Base points of phase space reduced to their quadratic momentum fibers.
+def _sublevel_volumes(minimum, weight, d, levels) -> np.ndarray:
+    """vol{a0 < L} = sum w (L - m)_+^(d/2) for each level L, summed over
+    the nodes whose m lies below the highest level: the others carry no
+    mass."""
+    keep = minimum < max(levels)
+    m, w = minimum[keep], weight[keep]
+    gap = np.empty_like(m)  # one buffer for every level
+    out = np.empty(len(levels))
+    for i, level in enumerate(levels):
+        np.subtract(level, m, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        if d != 2:  # (L - m)^(d/2) is L - m itself in d = 2
+            gap **= 0.5 * d
+        # einsum, not w @ gap: a threaded BLAS dot waits for a free core
+        out[i] = np.einsum("i,i->", w, gap)
+    return out
 
-    d = 1 takes a midpoint grid of max(budget, 2^14) points in x; d >= 2
-    takes the stratified 32-batch cloud of `_base_cloud`.  Each point's
-    fiber t -> A t^2 + B t + C, read off the term table of the symbol at
-    the point's x, is kept as its curvature A, its minimum
-    m = C - B^2/(4A) and its vertex -B/(2A), together with a mask of the
-    points within 2% of the box edge in a non-fiber coordinate; the points
-    themselves are not kept.  Once `contained` has cleared a level, no
-    sublevel interval below it is clipped by the momentum box, so the fiber
-    measure of {a0 < L} is exactly 2 sqrt((L - m)_+ / A).  Every volume of
-    one sweep is measured on the same cloud.
+
+class ReducedSymbol:
+    """A second-order symbol reduced to its momentum ellipsoids on a
+    midpoint x grid.
+
+    `budget` counts x nodes: round(budget^(1/d)) per axis, so 1024^2 in
+    d = 2 and 2^20 in d = 1 by default.  Each node keeps only the minimum m
+    of its fiber and its weight w; `reach`, `boundary_min` and
+    `ellipticity` are the scalars of `_reduce`.  A second grid with half as
+    many nodes per axis keeps m and w alone; the gap between the two is the
+    error of the Weyl volume.  Every volume of one sweep is measured on the
+    same grid.
     """
 
-    def __init__(self, model: SymbolModel, budget: int = 2**18, seed: int = 0):
+    def __init__(self, model: SymbolModel, budget: int = 2**20):
         d = model.dimension
-        if d == 1:
-            n = max(budget, 2**14)
-            pts = np.zeros((n, 2))
-            x = (np.arange(n) + 0.5) / n * (2 * model.box_x) - model.box_x
-            pts[:, 0] = x
-            self.base_volume = 2 * model.box_x
-            self.batches = None
-        else:
-            pts, per = _base_cloud(model, budget, seed)
-            n = per * N_BATCHES
-            # all but the fiber
-            self.base_volume = model.box_volume() / (2.0 * model.box_xi)
-            self.batches = N_BATCHES
-        self.size = n
-        self.box_xi = model.box_xi
-        A, B, C = _fiber_coefficients(model, pts)
-        # one column at a time: freeing an (n, d) temporary here raises
-        # glibc's dynamic mmap threshold, and the sparse factorizations of
-        # the sweep that follows then peak about 16 MB higher
-        limit = 1.0 - BOUNDARY_MARGIN
-        self.edge = np.zeros(n, dtype=bool)
-        for k in range(2 * d):
-            if k != d:
-                box = model.box_x if k < d else model.box_xi
-                self.edge |= np.abs(pts[:, k]) > limit * box
-        del pts  # free the points before the fiber temporaries below
-        self.A = A
-        self.minimum = C - B * B / (4.0 * A)
-        self.vertex = -B / (2.0 * A)
+        k = max(int(round(budget ** (1.0 / d))), 2)
+        self.dimension = d
+        self.size = k**d
+        (self.minimum, self.weight, self.reach, self.boundary_min,
+         self.ellipticity) = _reduce(model, k)
+        self.coarse = _reduce(model, k // 2)[:2]
 
-    def contained(self, level: float) -> np.ndarray:
-        """Mask of the points whose fiber meets {a0 < level}.
-
-        Raises ContainmentFault if one of them sits within 2% of the box
-        edge, or if its sublevel interval reaches 98% of the momentum range.
-        Both the mask and the intervals only grow with the level, so a
-        cleared level clears every level below it.
-        """
-        active = self.minimum < level
-        if np.any(active):
-            half = 0.5 * _fiber_measure(
-                self.A[active], self.minimum[active], level
+    def check_contained(self, level: float) -> None:
+        """Raise ContainmentFault if {a0 < level} reaches within 2% of the
+        box.  The sublevel sets grow with the level, so a cleared level
+        clears every level below it."""
+        if level > self.reach:
+            raise ContainmentFault(
+                "sublevel/shell set reaches within 2% of the sampling box; "
+                "enlarge box_x/box_xi"
             )
-            reach = np.abs(self.vertex[active]) + half
-            if (
-                np.any(self.edge[active])
-                or reach.max() > (1.0 - BOUNDARY_MARGIN) * self.box_xi
-            ):
-                raise ContainmentFault(
-                    "sublevel/shell set reaches within 2% of the sampling box; "
-                    "enlarge box_x/box_xi"
-                )
-        return active
 
 
-def weyl_volume(cloud: FiberCloud, energy: float) -> VolumeEstimate:
+def weyl_volume(reduced: ReducedSymbol, energy: float) -> VolumeEstimate:
     """vol{v : a0(v) < E}, the leading term of the counting asymptotics.
 
-    d = 1 integrates the exact momentum-fiber measure over the x grid, with
-    the midpoint rule's refinement gap as the error; d >= 2 averages it over
-    the Monte Carlo cloud, with the spread of the 32 batch means as the
-    standard error.
+    The closed form summed over the x grid, with the gap to the
+    half-resolution grid as the error.
     """
-    cloud.contained(energy)
-    meas = _fiber_measure(cloud.A, cloud.minimum, energy)
-    if cloud.batches is None:
-        dx = cloud.base_volume / cloud.size
-        value = float(meas.sum() * dx)
-        coarse = float(meas[::2].sum() * 2 * dx)
-        return VolumeEstimate(
-            value, abs(value - coarse), "tensor_grid", cloud.size
-        )
-    means = meas.reshape(cloud.batches, -1).mean(axis=1)
-    value = cloud.base_volume * float(means.mean())
-    se = cloud.base_volume * float(means.std(ddof=1)) / math.sqrt(cloud.batches)
-    return VolumeEstimate(max(value, 0.0), se, "monte_carlo", cloud.size)
+    reduced.check_contained(energy)
+    d = reduced.dimension
+    value = float(_sublevel_volumes(reduced.minimum, reduced.weight, d,
+                                    [energy])[0])
+    coarse = float(_sublevel_volumes(*reduced.coarse, d, [energy])[0])
+    return VolumeEstimate(value, abs(value - coarse), "tensor_grid",
+                          reduced.size)
 
 
 def remainder_functional(
-    cloud: FiberCloud, energy: float, epsilon: float, h: float
+    reduced: ReducedSymbol, energy: float, epsilon: float, h: float
 ) -> RemainderFunctional:
     """h plus the worst shell volume vol{|a0 - E'| <= h} over
     E' in [E - h^(1-eps), E + h^(1-eps)].
 
     The E'-grid has ceil(4 h^(-eps)) + 1 points, so its spacing is at most
     h/2 and no width-h shell can slip between grid points.  Containment is
-    checked once, at the top shell edge E + h^(1-eps) + h, and every shell
-    is measured on the points whose fiber minimum lies below that edge: the
-    others carry no shell mass.  The common cloud makes the discrete sup
-    exact up to the shared Monte Carlo error.
+    checked once, at the top shell edge E + h^(1-eps) + h.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -274,21 +286,18 @@ def remainder_functional(
     n_grid = int(math.ceil(4.0 * h ** (-epsilon))) + 1
     grid = np.linspace(energy - half, energy + half, n_grid)
 
-    keep = cloud.contained(grid[-1] + h)
-    A, minimum = cloud.A[keep], cloud.minimum[keep]
-    weight = cloud.base_volume / cloud.size
-    vols = []
-    for e_prime in grid:
-        shell = _fiber_measure(A, minimum, e_prime + h) - _fiber_measure(
-            A, minimum, e_prime - h
-        )
-        vols.append(float(shell.sum() * weight))
+    reduced.check_contained(grid[-1] + h)
+    edges = _sublevel_volumes(
+        reduced.minimum, reduced.weight, reduced.dimension,
+        np.concatenate([grid + h, grid - h]),
+    )
+    vols = edges[:n_grid] - edges[n_grid:]
     best = int(np.argmax(vols))  # the first of equal maxima
     return RemainderFunctional(
         energy=energy,
         epsilon=epsilon,
         h=h,
-        value=h + vols[best],
+        value=h + float(vols[best]),
         argmax_energy=float(grid[best]),
         grid_size=n_grid,
     )

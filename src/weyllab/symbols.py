@@ -22,9 +22,7 @@ __all__ = [
     "DimensionMismatch",
     "SymbolModel",
     "CriticalPointReport",
-    "HypothesisReport",
     "find_critical_points",
-    "check_theorem_hypotheses",
     "make_model",
     "MODEL_REGISTRY",
     "smooth_cutoff",
@@ -227,17 +225,6 @@ class SymbolModel:
                     f"coefficient pair ({nu},{nubar}) is not symmetric"
                 )
 
-    def boundary_min(self, n_samples: int = 4096, seed: int = 0) -> float:
-        """Minimum of the symbol over sampled points of the box boundary."""
-        d = self.dimension
-        rng = np.random.default_rng(seed)
-        pts = self.sample_box(n_samples, rng)
-        face = rng.integers(0, 2 * d, size=n_samples)
-        sign = rng.choice([-1.0, 1.0], size=n_samples)
-        box = np.where(face < d, self.box_x, self.box_xi)
-        pts[np.arange(n_samples), face] = sign * box
-        return float(self.value(pts).min())
-
     # -- evaluation --------------------------------------------------------
 
     def terms_at(self, x: np.ndarray) -> list:
@@ -302,10 +289,6 @@ class SymbolModel:
             np.abs(pts[:, d:]).max(axis=1) <= self.box_xi
         )
 
-    def box_volume(self) -> float:
-        d = self.dimension
-        return (2.0 * self.box_x) ** d * (2.0 * self.box_xi) ** d
-
     def sample_box(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dimension
         pts = rng.uniform(-1.0, 1.0, size=(n, 2 * d))
@@ -322,23 +305,6 @@ class CriticalPointReport:
     hessian: np.ndarray
     hessian_eigenvalues: np.ndarray
     hessian_rank: int
-
-
-@dataclass
-class HypothesisReport:
-    confinement_ok: bool
-    dimension_ok: bool
-    rank_ok: bool
-    critical_points: list
-    boundary_min: float
-    verdict: str
-    coverage_caveat: str = (
-        "critical points located by multi-start Newton; misses possible"
-    )
-
-    @property
-    def all_ok(self) -> bool:
-        return self.confinement_ok and self.dimension_ok and self.rank_ok
 
 
 def hessian_rank(eigs: np.ndarray) -> int:
@@ -422,36 +388,6 @@ def find_critical_points(
             )
         )
     return reports
-
-
-def check_theorem_hypotheses(
-    model: SymbolModel,
-    energy: float,
-    window: float,
-    n_seeds: int = 10_000,
-    seed: int = 0,
-) -> HypothesisReport:
-    bmin = model.boundary_min()
-    confinement_ok = energy < bmin
-    dimension_ok = model.dimension >= 2
-    crits = find_critical_points(model, energy, window, n_seeds, seed)
-    rank_ok = all(r.hessian_rank >= 2 for r in crits)
-    if not dimension_ok:
-        verdict = "rank hypothesis out of scope in d=1; Weyl sanity only"
-    elif not confinement_ok:
-        verdict = "confinement fails on the truncation boundary"
-    elif not rank_ok:
-        verdict = "Hessian rank < 2 at a located critical point"
-    else:
-        verdict = "all hypotheses pass"
-    return HypothesisReport(
-        confinement_ok=confinement_ok,
-        dimension_ok=dimension_ok,
-        rank_ok=rank_ok,
-        critical_points=crits,
-        boundary_min=bmin,
-        verdict=verdict,
-    )
 
 
 # -- built-in models ---------------------------------------------------------

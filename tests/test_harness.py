@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weyllab import harness, operators, phasevol
+from weyllab import harness, operators, phasevol, symbols
 from weyllab._fitting import fit_loglog
 from weyllab.harness import (
     SweepRecord,
@@ -14,7 +14,12 @@ from weyllab.harness import (
     run_h_sweep,
     sweep_csv_text,
 )
-from weyllab.symbols import Coefficient, SymbolModel, make_model
+from weyllab.symbols import (
+    Coefficient,
+    PolynomialCoefficient,
+    SymbolModel,
+    make_model,
+)
 
 
 def _record(h, count, weyl, r_value, **kw):
@@ -100,21 +105,27 @@ def test_sweep_counts_match_tensor_oracle():
         assert abs(rec.count - oracle) <= 2
 
 
-def test_sweep_draws_one_cloud(monkeypatch):
-    # the volume and every h's remainder sup share one fiber cloud
-    calls = []
-    draw = phasevol._base_cloud
+def test_sweep_reduces_the_symbol_once(monkeypatch):
+    # the hypothesis screen, the volume and every h's remainder sup share
+    # one reduced symbol, and no critical point is searched for
+    built = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return draw(*args, **kwargs)
+    class Counting(phasevol.ReducedSymbol):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(phasevol, "_base_cloud", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep searched for critical points")
+
+    monkeypatch.setattr(harness, "ReducedSymbol", Counting)
+    monkeypatch.setattr(symbols, "find_critical_points", refuse)
+    monkeypatch.setattr(phasevol, "find_critical_points", refuse)
     m = make_model("separable_harmonic_2d")
     res = run_h_sweep(m, 1.0, [0.1, 0.08, 0.07], delta0=0.41,
                       max_grid_points=100, volume_budget=2**16)
     assert len(res.records) == 3
-    assert len(calls) == 1
+    assert len(built) == 1
 
 
 def test_sweep_gap_on_fault():
@@ -130,8 +141,8 @@ def test_sweep_gap_on_fault():
 
 def _break_potential_in_assembly(monkeypatch, broken_value):
     """The separable harmonic model whose potential evaluates through
-    broken_value(pot, x) once the operator is assembled, after the fiber
-    cloud has read it."""
+    broken_value(pot, x) once the operator is assembled, after the reduced
+    symbol has read it."""
     m = make_model("separable_harmonic_2d")
     pot_key = ((0, 0), (0, 0))
     pot = m.coefficients[pot_key]
@@ -202,6 +213,29 @@ def test_raw_sweep_builds_no_kernel(monkeypatch):
 def test_check_hypotheses_flags_d1():
     assert check_hypotheses(make_model("harmonic"), 1.0) != []
     assert check_hypotheses(make_model("double_well_2d"), 1.0) == []
+
+
+def test_check_hypotheses_enforces_ellipticity():
+    # 0.5 |xi|^2 + |x|^2 has G = I/2, below an ellipticity constant of 1
+    def poly(terms):
+        return PolynomialCoefficient(terms, 2)
+
+    def model(constant):
+        return SymbolModel(
+            dimension=2,
+            order=1,
+            coefficients={
+                ((1, 0), (1, 0)): poly({(0, 0): 0.5}),
+                ((0, 1), (0, 1)): poly({(0, 0): 0.5}),
+                ((0, 0), (0, 0)): poly({(2, 0): 1.0, (0, 2): 1.0}),
+            },
+            ellipticity_constant=constant,
+            holder_exponent=0.5,
+        )
+
+    problems = check_hypotheses(model(1.0), 1.0)
+    assert len(problems) == 1 and problems[0].startswith("ellipticity fails")
+    assert check_hypotheses(model(0.5), 1.0) == []
 
 
 def test_out_of_scope_requires_flag():

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from weyllab import phasevol
 from weyllab.operators import GridSpec, assemble
 from weyllab.phasevol import (
     ContainmentFault,
-    FiberCloud,
+    ReducedSymbol,
     near_critical_volume,
     poly_sublevel_measure,
     remainder_functional,
@@ -19,6 +20,7 @@ from weyllab.phasevol import (
     weyl_volume,
 )
 from weyllab.symbols import (
+    MODEL_REGISTRY,
     PolynomialCoefficient,
     SymbolModel,
     make_model,
@@ -28,24 +30,54 @@ from weyllab.symbols import (
 def test_harmonic_disk_volume():
     # {x^2 + xi^2 < E} is a disk of area pi E
     m = make_model("harmonic")
-    est = weyl_volume(FiberCloud(m), 1.0)
+    est = weyl_volume(ReducedSymbol(m), 1.0)
     assert est.method == "tensor_grid"
     assert est.value == pytest.approx(math.pi, abs=1e-4)
 
 
 def test_separable_harmonic_ball_volume():
-    # {|x|^2 + |xi|^2 < 1} is the unit 4-ball of volume pi^2/2
+    # {|x|^2 + |xi|^2 < 1} is the unit 4-ball of volume pi^2/2; the default
+    # budget of 2^20 x nodes is a 1024^2 grid
     m = make_model("separable_harmonic_2d")
-    est = weyl_volume(FiberCloud(m, budget=2**18), 1.0)
-    assert est.method == "monte_carlo"
-    assert est.std_error > 0
-    assert abs(est.value - math.pi**2 / 2) <= 3 * est.std_error
+    est = weyl_volume(ReducedSymbol(m), 1.0)
+    assert est.method == "tensor_grid"
+    assert est.sample_count == 1024**2
+    assert est.value == pytest.approx(math.pi**2 / 2, abs=1e-5)
+
+
+def _exact_volume(name, e):
+    """vol{a0 < e} in closed form for the registry models."""
+    if name == "harmonic":
+        return math.pi * e
+    if name == "separable_harmonic_2d":
+        return 0.5 * math.pi**2 * e**2
+    # double well: over x1, (x2, xi) fills a 3-ball of radius
+    # sqrt(e - (x1^2 - 1)^2)
+    def ball(x):
+        r2 = e - (x * x - 1.0) ** 2
+        return 4.0 * math.pi / 3.0 * r2**1.5 if r2 > 0.0 else 0.0
+
+    root = math.sqrt(e)
+    lo = math.sqrt(1.0 - root) if root < 1.0 else 0.0
+    return 2.0 * quad(ball, lo, math.sqrt(1.0 + root),
+                      epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize(
+    "name", ["harmonic", "separable_harmonic_2d", "double_well_2d"]
+)
+def test_volume_error_bounds_true_error(name):
+    # the error is the gap to an independent grid with half as many nodes
+    # per axis: positive, and at least the true error
+    est = weyl_volume(ReducedSymbol(make_model(name)), 1.0)
+    assert 0.0 < est.std_error
+    assert abs(est.value - _exact_volume(name, 1.0)) <= est.std_error
 
 
 def test_volume_monotone_in_energy():
     m = make_model("double_well_2d")
-    cloud = FiberCloud(m, budget=2**16)
-    vals = [weyl_volume(cloud, e).value for e in (0.5, 1.0, 1.5)]
+    reduced = ReducedSymbol(m, budget=2**16)
+    vals = [weyl_volume(reduced, e).value for e in (0.5, 1.0, 1.5)]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -53,7 +85,7 @@ def test_shell_volume_annulus():
     # every shell {|x^2 + xi^2 - E'| <= h} is an annulus of area 2 pi h, so
     # the sup over E' adds exactly that to the h floor
     h = 0.05
-    rem = remainder_functional(FiberCloud(make_model("harmonic")), 1.0, 0.1, h)
+    rem = remainder_functional(ReducedSymbol(make_model("harmonic")), 1.0, 0.1, h)
     assert rem.value == pytest.approx(h + 2 * math.pi * h, rel=1e-3)
 
 
@@ -62,11 +94,11 @@ def test_shell_volume_annulus():
 def test_containment_fault(name, box):
     # the unit sublevel set and the shells near E = 0.9 reach the 2% edge
     # band of a unit position or momentum box
-    cloud = FiberCloud(make_model(name, **box))
+    reduced = ReducedSymbol(make_model(name, **box))
     with pytest.raises(ContainmentFault):
-        weyl_volume(cloud, 1.0)
+        weyl_volume(reduced, 1.0)
     with pytest.raises(ContainmentFault):
-        remainder_functional(cloud, 0.9, 0.1, 0.05)
+        remainder_functional(reduced, 0.9, 0.1, 0.05)
 
 
 def test_only_the_top_shell_edge_faults():
@@ -74,11 +106,11 @@ def test_only_the_top_shell_edge_faults():
     # E = 0.9 itself reaches 0.949 < 0.98, and so does every shell edge up
     # to E + h^0.9 + h = 0.926 at h = 0.01; at h = 0.05 only the top edge
     # 1.0175 reaches past 0.98 (to 1.0087)
-    cloud = FiberCloud(make_model("harmonic", box_xi=1.0))
-    weyl_volume(cloud, 0.9)
+    reduced = ReducedSymbol(make_model("harmonic", box_xi=1.0))
+    weyl_volume(reduced, 0.9)
     with pytest.raises(ContainmentFault):
-        remainder_functional(cloud, 0.9, 0.1, 0.05)
-    remainder_functional(cloud, 0.9, 0.1, 0.01)
+        remainder_functional(reduced, 0.9, 0.1, 0.05)
+    remainder_functional(reduced, 0.9, 0.1, 0.01)
 
 
 def _shifted_harmonic(shift, potential, **box):
@@ -104,118 +136,89 @@ def _shifted_harmonic(shift, potential, **box):
 def test_sheared_fibers_keep_disk_and_annulus():
     # (xi + x/2)^2 + x^2 is the harmonic symbol after a shear of phase
     # space, so it keeps the disk area pi E and the shell area 2 pi h
-    cloud = FiberCloud(_shifted_harmonic({(1,): 0.5}, {(2,): 1.25}))
-    assert weyl_volume(cloud, 1.0).value == pytest.approx(math.pi, abs=1e-4)
+    reduced = ReducedSymbol(_shifted_harmonic({(1,): 0.5}, {(2,): 1.25}))
+    assert weyl_volume(reduced, 1.0).value == pytest.approx(math.pi, abs=1e-4)
     h = 0.05
-    rem = remainder_functional(cloud, 1.0, 0.1, h)
+    rem = remainder_functional(reduced, 1.0, 0.1, h)
     assert rem.value == pytest.approx(h + 2 * math.pi * h, rel=1e-3)
 
 
 def test_fiber_outside_the_momentum_box_faults():
     # {(xi - 3)^2 + x^2 < 1} lies at xi in (2, 4), beyond box_xi = 2
-    cloud = FiberCloud(_shifted_harmonic({(0,): -3.0}, {(2,): 1.0, (0,): 9.0}))
+    reduced = ReducedSymbol(
+        _shifted_harmonic({(0,): -3.0}, {(2,): 1.0, (0,): 9.0})
+    )
     with pytest.raises(ContainmentFault):
-        weyl_volume(cloud, 1.0)
-
-
-class _ClipAndSubtract:
-    """Reference measure on the same draw as FiberCloud: the clipped
-    sublevel interval of each fiber at the upper level minus that at the
-    lower, with a containment check at every pair of levels."""
-
-    def __init__(self, model, budget, seed):
-        d = model.dimension
-        pts, _ = phasevol._base_cloud(model, budget, seed)
-        self.A, self.B, self.C = phasevol._fiber_coefficients(model, pts)
-        self.size = len(pts)
-        self.base_volume = model.box_volume() / (2.0 * model.box_xi)
-        self.box_xi = model.box_xi
-        self.edge = (np.abs(pts[:, :d]).max(axis=1) > 0.98 * model.box_x) | (
-            np.abs(pts[:, d + 1 :]).max(axis=1) > 0.98 * model.box_xi
-        )
-
-    def _sublevel(self, level):
-        A, B, C, L = self.A, self.B, self.C, self.box_xi
-        disc = B * B - 4.0 * A * (C - level)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        lo = np.clip((-B - sq) / (2.0 * A), -L, L)
-        hi = np.clip((-B + sq) / (2.0 * A), -L, L)
-        meas = np.where(disc > 0.0, np.maximum(hi - lo, 0.0), 0.0)
-        reach = np.where(meas > 0.0, np.maximum(np.abs(lo), np.abs(hi)), 0.0)
-        return meas, reach
-
-    def measure(self, upper, lower=None):
-        meas, reach = self._sublevel(upper)
-        if lower is not None:
-            meas = meas - self._sublevel(lower)[0]
-        active = meas > 0
-        assert not np.any(self.edge[active])
-        assert reach[active].max() <= 0.98 * self.box_xi
-        return meas
-
-    def weyl(self, energy):
-        means = self.measure(energy).reshape(phasevol.N_BATCHES, -1).mean(axis=1)
-        value = self.base_volume * means.mean()
-        se = self.base_volume * means.std(ddof=1) / math.sqrt(len(means))
-        return value, se
-
-    def sup(self, energy, epsilon, h):
-        half = h ** (1.0 - epsilon)
-        n_grid = int(math.ceil(4.0 * h ** (-epsilon))) + 1
-        weight = self.base_volume / self.size
-        best_vol, best_e = -1.0, None
-        for e in np.linspace(energy - half, energy + half, n_grid):
-            vol = float(self.measure(e + h, e - h).sum() * weight)
-            if vol > best_vol:
-                best_vol, best_e = vol, float(e)
-        return h + best_vol, best_e, n_grid
+        weyl_volume(reduced, 1.0)
 
 
 @pytest.mark.parametrize("name", ["double_well_2d", "separable_harmonic_2d"])
-def test_closed_form_matches_clip_and_subtract(name):
-    model = make_model(name)
-    cloud = FiberCloud(model, budget=2**16)
-    ref = _ClipAndSubtract(model, 2**16, 0)
-    est = weyl_volume(cloud, 1.0)
-    value, se = ref.weyl(1.0)
-    assert est.value == pytest.approx(value, rel=1e-12, abs=0)
-    assert est.std_error == pytest.approx(se, rel=1e-12, abs=0)
+def test_closed_form_matches_exact_volumes(name):
+    # the volume and every shell of the sup against the exact sublevel
+    # volumes, on the sup's own E'-grid
+    reduced = ReducedSymbol(make_model(name))
+    est = weyl_volume(reduced, 1.0)
+    assert est.value == pytest.approx(_exact_volume(name, 1.0), rel=1e-5)
     for h in (0.1, 0.05, 0.025):
-        rem = remainder_functional(cloud, 1.0, 0.1, h)
-        value, argmax, n_grid = ref.sup(1.0, 0.1, h)
-        assert rem.value == pytest.approx(value, rel=1e-12, abs=0)
-        assert rem.argmax_energy == argmax
+        rem = remainder_functional(reduced, 1.0, 0.1, h)
+        half = h**0.9
+        n_grid = int(math.ceil(4.0 * h ** (-0.1))) + 1
+        grid = np.linspace(1.0 - half, 1.0 + half, n_grid)
+        shells = [_exact_volume(name, e + h) - _exact_volume(name, e - h)
+                  for e in grid]
+        assert rem.value == pytest.approx(h + max(shells), rel=1e-5)
+        assert rem.argmax_energy == grid[int(np.argmax(shells))]
         assert rem.grid_size == n_grid
 
 
 _FIBER_MODELS = {
-    "double_well_2d": lambda: make_model("double_well_2d"),
-    "separable_harmonic_2d": lambda: make_model("separable_harmonic_2d"),
-    "harmonic": lambda: make_model("harmonic"),
+    **{name: lambda name=name: make_model(name) for name in MODEL_REGISTRY},
     "sheared_harmonic": lambda: _shifted_harmonic({(1,): 0.5}, {(2,): 1.25}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FIBER_MODELS))
-def test_fiber_coefficients_match_symbol_values(name):
-    # the term-table read against the symbol itself: (A, B, C) from its
-    # values at xi_1 = 0, +1, -1, and the quadratic checked at xi_1 = 2
+def test_hessian_has_d_positive_eigenvalues(name):
+    # Haynsworth: the xi-xi block of Hess a0 is 2G, so Hess a0 has at least
+    # d positive eigenvalues wherever G is positive definite
     model = _FIBER_MODELS[name]()
     d = model.dimension
-    pts, _ = phasevol._base_cloud(model, 2**12, 0)
-    A, B, C = phasevol._fiber_coefficients(model, pts)
+    pts = model.sample_box(500, np.random.default_rng(5))
+    hess = model.hessian(pts)
+    G, _, _ = phasevol._quadratic_parts(model, pts[:, :d])
+    for j in range(d):
+        for k in range(d):
+            np.testing.assert_allclose(hess[:, d + j, d + k], 2 * G[j][k],
+                                       rtol=1e-12, atol=1e-12)
+    positive = (np.linalg.eigvalsh(hess) > 0).sum(axis=1)
+    assert positive.min() >= d
 
-    def on_fiber(t):
-        q = pts.copy()
-        q[:, d] = t
-        return model.value(q)
 
-    f0, fp, fm = on_fiber(0.0), on_fiber(1.0), on_fiber(-1.0)
-    tol = 1e-13 * (1.0 + np.abs(C))
-    assert np.all(np.abs(A - (0.5 * (fp + fm) - f0)) <= tol)
-    assert np.all(np.abs(B - 0.5 * (fp - fm)) <= tol)
-    assert np.all(np.abs(C - f0) <= tol)
-    assert np.all(np.abs(on_fiber(2.0) - (4 * A + 2 * B + C)) <= tol)
+@pytest.mark.parametrize("name", sorted(_FIBER_MODELS))
+def test_fiber_coefficients_match_symbol_values(name):
+    # the term-table read against the symbol itself: xi.G xi + b.xi + c at
+    # random momenta, and the minimum m over the fiber attained at the
+    # centre xi*, where the momentum gradient vanishes
+    model = _FIBER_MODELS[name]()
+    d = model.dimension
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-model.box_x, model.box_x, size=(2**12, d))
+    G, b, c = phasevol._quadratic_parts(model, x)
+    for _ in range(3):
+        xi = rng.uniform(-model.box_xi, model.box_xi, size=(len(x), d))
+        quadratic = c + sum(
+            b[j] * xi[:, j]
+            + sum(G[j][k] * xi[:, j] * xi[:, k] for k in range(d))
+            for j in range(d)
+        )
+        got = model.value(np.hstack([x, xi]))
+        assert np.all(np.abs(got - quadratic) <= 1e-13 * (1.0 + np.abs(got)))
+    _, _, _, centre, minimum = phasevol._ellipsoids(G, b, c)
+    at_centre = np.hstack([x, np.stack(centre, axis=1)])
+    np.testing.assert_allclose(model.value(at_centre), minimum,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model.gradient(at_centre)[:, d:], 0.0,
+                               atol=1e-12)
 
 
 def test_fourth_order_symbol_rejected():
@@ -233,12 +236,12 @@ def test_fourth_order_symbol_rejected():
     with pytest.raises(NotImplementedError):
         assemble(model, 0.05, 0.41, GridSpec(2.0, 80))
     with pytest.raises(NotImplementedError):
-        FiberCloud(model)
+        ReducedSymbol(model)
 
 
 def test_remainder_functional_floor_and_grid():
     m = make_model("harmonic")
-    rem = remainder_functional(FiberCloud(m), 1.0, 0.1, 0.05)
+    rem = remainder_functional(ReducedSymbol(m), 1.0, 0.1, 0.05)
     assert rem.value >= 0.05
     assert rem.grid_size >= math.ceil(4 * 0.05 ** (-0.1)) + 1
     assert abs(rem.argmax_energy - 1.0) <= 0.05 ** (1 - 0.1) + 1e-12
@@ -246,8 +249,9 @@ def test_remainder_functional_floor_and_grid():
 
 def test_remainder_functional_near_linear_in_h():
     m = make_model("harmonic")
-    cloud = FiberCloud(m)
-    vals = {h: remainder_functional(cloud, 1.0, 0.1, h).value for h in (0.02, 0.04)}
+    reduced = ReducedSymbol(m)
+    vals = {h: remainder_functional(reduced, 1.0, 0.1, h).value
+            for h in (0.02, 0.04)}
     assert vals[0.04] == pytest.approx(2 * vals[0.02], rel=0.1)
 
 

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyllab import dynamics
-from weyllab.phasevol import FiberCloud
+from weyllab.harness import check_hypotheses
+from weyllab.phasevol import ReducedSymbol
 from weyllab.symbols import (
     MODEL_REGISTRY,
     Coefficient,
     EvaluationFault,
     PolynomialCoefficient,
     SymbolModel,
-    check_theorem_hypotheses,
     find_critical_points,
     make_model,
     smooth_cutoff,
@@ -78,7 +78,6 @@ def test_sample_box_inside():
     assert pts.shape == (500, 4)
     assert np.all(np.abs(pts[:, :2]) <= m.box_x)
     assert np.all(np.abs(pts[:, 2:]) <= m.box_xi)
-    assert m.box_volume() == pytest.approx((2 * m.box_x) ** 2 * (2 * m.box_xi) ** 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -120,11 +119,22 @@ def test_harmonic_has_no_critical_point_near_one(seed):
 
 
 def test_hypothesis_report():
-    rep = check_theorem_hypotheses(make_model("double_well_2d"), 1.0, 0.25)
-    assert rep.all_ok
-    assert rep.verdict == "all hypotheses pass"
-    rep1 = check_theorem_hypotheses(make_model("harmonic"), 1.0, 0.25)
-    assert not rep1.dimension_ok
+    # the screen's scalars against closed forms on the double well: G = I,
+    # so its least eigenvalue is exactly 1; m = V(x), whose least value on
+    # the x boundary band is about 0.98^2 box_x^2 (x1 = +-1, x2 at the band
+    # edge); and with xi* = 0 the sublevel sets reach 98% of box_xi at the
+    # level m + (0.98 box_xi)^2, lowest where V vanishes
+    model = make_model("double_well_2d")
+    reduced = ReducedSymbol(model)
+    edge = (0.98 * model.box_x) ** 2
+    step = 2 * model.box_x / 1024
+    assert reduced.ellipticity == 1.0
+    assert edge < reduced.boundary_min < edge + 4 * step
+    assert edge <= reduced.reach < edge + 1e-4
+    assert check_hypotheses(model, 1.0, reduced) == []
+    problems = check_hypotheses(model, reduced.boundary_min, reduced)
+    assert problems == ["confinement fails on the truncation boundary"]
+    assert check_hypotheses(make_model("harmonic"), 1.0) != []
 
 
 def test_smooth_cutoff_shape():
@@ -164,8 +174,8 @@ def test_symbol_even_in_momentum(x, y, xi1, xi2):
 
 
 def test_non_finite_coefficient_faults_at_its_x_node():
-    # a potential that is nan beyond x = 1: the symbol's value, the fiber
-    # cloud and the oscillatory quadrature each fault at an x node past 1
+    # a potential that is nan beyond x = 1: the symbol's value, the reduced
+    # symbol and the oscillatory quadrature each fault at an x node past 1
     potential = Coefficient(
         lambda x: np.where(x[:, 0] > 1.0, np.nan, x[:, 0] ** 2),
         lambda x: 2.0 * x,
@@ -184,7 +194,7 @@ def test_non_finite_coefficient_faults_at_its_x_node():
     box = [(-2.0, 2.0), (-2.0, 2.0)]
     calls = {
         "value": lambda: model.value(np.array([[0.5, 0.0], [1.5, 0.3]])),
-        "fiber cloud": lambda: FiberCloud(model),
+        "reduced symbol": lambda: ReducedSymbol(model),
         "quadrature": lambda: dynamics._tensor_quadrature(
             model, lambda pts: np.ones(len(pts)), 1.0, 0.1, box, 2
         ),
