@@ -76,6 +76,12 @@ class SweepRecord:
     ratio: float
     grid_points: int
     seed: int
+    # provenance of the count, every column numeric: the symmetry blocks
+    # factored, the threshold shifts, and grid spacing over h (the
+    # invariant asks for at most 0.25)
+    blocks: int
+    shifts_applied: int
+    dx_over_h: float
 
     def __post_init__(self):
         if self.r_value < self.h - 1e-15:
@@ -197,7 +203,8 @@ def run_h_sweep(
                 energy=energy,
                 strict_resolution=False,
             )
-            n = count_below(op, energy).count
+            spectrum = count_below(op, energy)
+            n = spectrum.count
             weyl = (2.0 * math.pi * h) ** (-d) * vol.value
             weyl_se = (2.0 * math.pi * h) ** (-d) * vol.std_error
             deviation = n - weyl
@@ -213,6 +220,9 @@ def run_h_sweep(
                     ratio=abs(deviation) * h**d / rem.value,
                     grid_points=grid.points_per_axis,
                     seed=seed,
+                    blocks=spectrum.blocks,
+                    shifts_applied=spectrum.shifts_applied,
+                    dx_over_h=grid.spacing / h,
                 )
             )
         except _SAMPLE_FAULTS as exc:

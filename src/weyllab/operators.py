@@ -8,16 +8,23 @@ factorization with symmetric pivoting: the negative pivots count the negative
 eigenvalues), which is exact: no eigenvalue is ever computed for a count.
 
 Nodes and cell faces are exactly mirror-symmetric about 0, so a coefficient
-that is even in x_k gives a matrix A that commutes, bit for bit, with the
-reflection P_k of axis k.  For every such axis the count factors reflection
-blocks instead of A: with S_i the tensor product of exact +-1 even/odd maps
-on the mirrored axes (and the identity on the others), S^T A S is block
-diagonal and S is invertible, so inertia(A - E I) is the sum over i of
-inertia(S_i^T A S_i - E S_i^T S_i), where S_i^T S_i is diagonal with
-entries 1, 2 or 4.  On a 2-D registry model that is four factorizations of
-a quarter of the unknowns each (Bossavit, "Symmetry, groups, and boundary
-value problems", CMAME 56, 1986).  A matrix that is not mirror-symmetric is
-factored whole.
+that is even in x_k gives a 2-D matrix A that commutes, bit for bit, with
+the reflection P_k of axis k; when A also commutes with the swap T of the
+two axes, its symmetry group is D4, that of the square.  The count then
+factors symmetry blocks instead of A.  Each block's map S_i has at most one
+exact +-1 entry per node, so S_i^T A S_i is built from the stencil by index
+arithmetic; S^T A S is block diagonal and S is invertible, so inertia(A -
+E I) is the sum over i of multiplicity_i times inertia(S_i^T A S_i - E
+S_i^T S_i), where S_i^T S_i is the diagonal of orbit sizes 1, 2, 4 or 8.
+With the mirrors alone the blocks are even/odd on each mirrored axis: four
+blocks of a quarter of the unknowns on a mirror-symmetric square.  With D4
+the even-even and odd-odd blocks split again into swap-even and swap-odd
+halves, and T carries the even-odd block onto the odd-even one, so that
+block is factored once and counted twice: five factorizations, of an
+eighth of the unknowns four times and a quarter once (Bossavit, "Symmetry,
+groups, and boundary value problems", CMAME 56, 1986; Fassler and Stiefel,
+"Group Theoretical Methods and Their Applications", 1992).  A 1-D matrix,
+and one with no mirror symmetry, is factored whole.
 
 The smoothed counter replaces the sharp indicator of a window Z = [E1, E2] by
 f(lambda) = integral over Z of gamma_h(lambda - mu), where gamma_h is the
@@ -122,7 +129,7 @@ class SpectrumSlice:
     eigenvalues: Optional[np.ndarray] = None
     complete_to: Optional[float] = None
     shifts_applied: int = 0
-    blocks: int = 1  # reflection blocks whose inertias were summed
+    blocks: int = 1  # symmetry blocks factored at the final threshold
 
     def __post_init__(self):
         if self.count < 0:
@@ -133,32 +140,21 @@ class SpectrumSlice:
                 raise ValueError("eigenvalue list inconsistent with count")
 
 
-def _axis_term(coef_mid: np.ndarray, axis: int, shape, scale: float):
+def _axis_term(coef_mid: np.ndarray, axis: int, scale: float):
     """Flux-form 1-D second difference along `axis` with midpoint
-    coefficients, as COO data for the flattened tensor grid.
+    coefficients, as grid arrays: (diagonal, couplings).
 
     coef_mid has one extra entry along `axis` (left face of the first node
     through right face of the last); Dirichlet drops the exterior neighbors
-    but keeps the boundary-face coefficients on the diagonal.
+    but keeps the boundary-face coefficients on the diagonal.  The couplings
+    have one entry fewer than the nodes along `axis`: entry i couples nodes
+    i and i + 1.
     """
-    n_total = int(np.prod(shape))
-    idx = np.arange(n_total).reshape(shape)
-    left = np.take(coef_mid, range(0, shape[axis]), axis=axis)
-    right = np.take(coef_mid, range(1, shape[axis] + 1), axis=axis)
-    diag = scale * (left + right)
-
-    sl_lo = [slice(None)] * len(shape)
-    sl_lo[axis] = slice(0, shape[axis] - 1)
-    sl_hi = [slice(None)] * len(shape)
-    sl_hi[axis] = slice(1, shape[axis])
-    rows = idx[tuple(sl_lo)].ravel()
-    cols = idx[tuple(sl_hi)].ravel()
-    off = -scale * right[tuple(sl_lo)].ravel()
-
-    data = np.concatenate([diag.ravel(), off, off])
-    ii = np.concatenate([idx.ravel(), rows, cols])
-    jj = np.concatenate([idx.ravel(), cols, rows])
-    return data, ii, jj
+    n = coef_mid.shape[axis] - 1
+    left = np.take(coef_mid, range(0, n), axis=axis)
+    right = np.take(coef_mid, range(1, n + 1), axis=axis)
+    off = -scale * np.take(right, range(n - 1), axis=axis)
+    return scale * (left + right), off
 
 
 def _midpoint_coords(grid: GridSpec, d: int, axis: int):
@@ -222,8 +218,18 @@ def assemble(
     node_pts = np.stack([m.ravel() for m in mesh], axis=-1)
     n_total = node_pts.shape[0]
 
-    data_all, ii_all, jj_all = [], [], []
+    # the stencil's diagonal terms in the order the matrix sums them: each
+    # second-order term, then each shift term, then `diag`
+    diag_terms, couplings = [], [None] * d
     diag = np.zeros(n_total)
+
+    def add_axis_term(coef_mid, axis, scale):
+        term, off = _axis_term(coef_mid, axis, scale)
+        diag_terms.append(term.ravel())
+        couplings[axis] = off if couplings[axis] is None else (
+            couplings[axis] + off
+        )
+
     for (nu, nubar), coef in model.coefficients.items():
         o1, o2 = sum(nu), sum(nubar)
         if o1 == 0 and o2 == 0:
@@ -236,10 +242,7 @@ def assemble(
                 )
             mid_pts, mid_shape = _midpoint_coords(grid, d, axis)
             vals = field_of(coef).value(mid_pts).reshape(mid_shape)
-            data, ii, jj = _axis_term(vals, axis, shape, (h / dx) ** 2)
-            data_all.append(data)
-            ii_all.append(ii)
-            jj_all.append(jj)
+            add_axis_term(vals, axis, (h / dx) ** 2)
         else:
             raise NotImplementedError(
                 "first-order terms are not assembled"
@@ -252,20 +255,21 @@ def assemble(
             ones_ax = np.ones(
                 tuple(s + 1 if j == axis else s for j, s in enumerate(shape))
             )
-            data, ii, jj = _axis_term(
-                ones_ax, axis, shape, sign * h * (h / dx) ** 2
-            )
-            data_all.append(data)
-            ii_all.append(ii)
-            jj_all.append(jj)
+            add_axis_term(ones_ax, axis, sign * h * (h / dx) ** 2)
 
-    data_all.append(diag)
-    ii_all.append(np.arange(n_total))
-    jj_all.append(np.arange(n_total))
-    matrix = sp.coo_matrix(
-        (np.concatenate(data_all), (np.concatenate(ii_all), np.concatenate(jj_all))),
-        shape=(n_total, n_total),
-    ).tocsc()
+    bands, offsets = [reduce(np.add, diag_terms + [diag])], [0]
+    for axis, off in enumerate(couplings):
+        if off is None:
+            continue
+        # flat node p couples with p + stride; the last node along `axis`
+        # has no such neighbour, and its zero entry is dropped
+        stride = grid.points_per_axis ** (d - 1 - axis)
+        band = np.zeros(shape)
+        band[(slice(None),) * axis + (slice(0, shape[axis] - 1),)] = off
+        band = band.ravel()[: n_total - stride]
+        bands += [band, band]
+        offsets += [stride, -stride]
+    matrix = sp.diags(bands, offsets, shape=(n_total, n_total), format="csc")
 
     # potential at the closed box boundary bounds the symbol from below there
     pot = model.coefficients.get(((0,) * d, (0,) * d))
@@ -324,63 +328,201 @@ def _sparse_inertia(mat: sp.csc_matrix) -> int:
     return int(np.sum(du < 0.0))
 
 
-def _mirrored_axes(op: DiscreteOperator) -> list:
-    """Axes k whose reflection P_k commutes with the matrix: A == P_k A P_k
-    bit for bit."""
+def _stencil(op: DiscreteOperator):
+    """(diagonal, couplings) of the matrix as grid arrays, or None.
+
+    None unless the matrix is a (2d+1)-point stencil on the tensor grid
+    that equals its transpose bit for bit: every nonzero lies on the
+    diagonal or couples two neighbours along one axis.  couplings[k] has
+    n - 1 entries along axis k; its entry i couples nodes i and i + 1.
+    """
     n, d = op.grid.points_per_axis, op.dimension
-    if n < 2 or op.size != n**d:
-        return [False] * d
-    idx = np.arange(op.size).reshape((n,) * d)
+    shape = (n,) * d
     a = op.matrix
-    axes = []
+    if n < 2 or a.shape != (n**d, n**d):
+        return None
+    diag = a.diagonal()
+    couplings, on_stencil = [], np.count_nonzero(diag)
     for axis in range(d):
-        p = np.flip(idx, axis=axis).ravel()
-        axes.append((a[p][:, p] != a).nnz == 0)
-    return axes
+        stride = n ** (d - 1 - axis)
+        band = a.diagonal(stride)
+        if not np.array_equal(band, a.diagonal(-stride)):
+            return None
+        band = np.append(band, np.zeros(stride)).reshape(shape)
+        inner, wrap = np.split(band, [n - 1], axis=axis)
+        if np.any(wrap):  # the last node of a line coupled to the next line
+            return None
+        on_stencil += 2 * np.count_nonzero(inner)
+        couplings.append(inner)
+    if on_stencil != np.count_nonzero(a.data):
+        return None
+    return diag.reshape(shape), couplings
 
 
-def _mirror_maps(n: int) -> list:
-    """The even and the odd map of one axis, entries 0 and +-1.
-
-    Column j pairs node j with its mirror n - 1 - j, with entries +1/+1
-    (even) or +1/-1 (odd); the centre node of an odd axis is even only.
-    """
-    i = np.arange(n)
-    col = np.minimum(i, n - 1 - i)
-    side = np.sign(n - 1 - 2.0 * i)  # +1 before the centre, -1 after it
-    odd = side != 0
-    return [
-        sp.csc_matrix((np.ones(n), (i, col)), shape=(n, n - n // 2)),
-        sp.csc_matrix((side[odd], (i[odd], col[odd])), shape=(n, n // 2)),
+def _symmetries(stencil) -> tuple:
+    """(mirrored, swap): the axes whose reflection commutes with the 2-D
+    stencil matrix bit for bit, and whether the swap (i, j) -> (j, i) does
+    too.  The swap is used only with both reflections, which together make
+    the symmetry group D4 of the square."""
+    diag, couplings = stencil
+    mirrored = [
+        all(np.array_equal(x, np.flip(x, axis)) for x in (diag, *couplings))
+        for axis in range(diag.ndim)
     ]
+    swap = (
+        all(mirrored)
+        and np.array_equal(diag, diag.T)
+        and np.array_equal(couplings[0], couplings[1].T)
+    )
+    return mirrored, swap
 
 
-def _reflection_blocks(op: DiscreteOperator) -> list:
-    """[(S_i^T A S_i, diag(S_i^T S_i))] over the reflection blocks of A.
+def _block_map(n: int, parity, half=None) -> tuple:
+    """(columns, reps, weights) of one symmetry block on an n x n grid.
 
-    S_i is the tensor product, over the axes, of an even or odd map on each
-    mirrored axis and the identity on the others.  When A commutes with
-    those reflections, S^T A S is block diagonal, so by Sylvester's law the
-    inertia of A - E I is the sum of the inertias of the blocks
-    S_i^T A S_i - E S_i^T S_i.  With no mirrored axis the one block is A.
+    The block's map S has at most one +-1 entry per node: columns(i, j)
+    gives its column and sign for nodes (i, j), column -1 off the block.
+    parity[k] is +1 or -1 for the even or odd map of a mirrored axis, None
+    for an axis that is not split; the odd map leaves out the centre node.
+    half = +1 or -1 takes the swap-even or swap-odd half of a same-parity
+    block, whose columns are the pairs u <= v (u < v) of axis ranks in
+    row-major order; the swap-odd half leaves out the diagonal.  reps are
+    the (i, j) index arrays of one node per column, in column order, each
+    with sign +1, and weights is diag(S^T S), the orbit sizes.
     """
-    mirrored = _mirrored_axes(op)
+    k = np.arange(n)
+    ones = np.ones(n, dtype=np.int64)
+    # per axis: the rank of each node's orbit, its sign, the number of
+    # ranks, and the orbit size along the axis
+    axes = [
+        (k, ones, n, ones) if p is None else (
+            np.minimum(k, n - 1 - k),
+            np.sign(n - 1 - 2 * k) if p == -1 else ones,
+            n // 2 if p == -1 else n - n // 2,
+            np.where(2 * k == n - 1, 1, 2),
+        )
+        for p in parity
+    ]
+    (r0, s0, m0, w0), (r1, s1, m1, w1) = axes
+    if half is None:
+        def columns(i, j):
+            sign = s0[i] * s1[j]
+            return np.where(sign != 0, r0[i] * m1 + r1[j], -1), sign
+
+        a, b = np.divmod(np.arange(m0 * m1), m1)
+        return columns, (a, b), w0[a] * w1[b]
+
+    odd = int(half == -1)
+
+    def columns(i, j):
+        a, b = r0[i], r1[j]
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        sign = s0[i] * s1[j] * (np.sign(b - a) if odd else 1)
+        col = u * m0 - u * (u - 1 + 2 * odd) // 2 + v - u - odd
+        return np.where(sign != 0, col, -1), sign
+
+    a, b = np.triu_indices(m0, odd)
+    return columns, (a, b), w0[a] * w1[b] * np.where(a == b, 1, 2)
+
+
+def _block_matrix(stencil, columns, reps, weights) -> sp.csc_matrix:
+    """S^T A S of one block, by index arithmetic on the stencil.
+
+    A S = S M when A commutes with the symmetry, and each representative
+    row of S holds a single +1, so M is A S read on the representative
+    rows and S^T A S = W M with W = diag(S^T S).  Only the entries on and
+    above the diagonal are computed; the others are their transposes, so
+    the block equals its transpose bit for bit.
+    """
+    diag, couplings = stencil
+    n = diag.shape[0]
+    rows = np.arange(weights.size)
+    ii, jj, vals = [], [], []
+    for k, coupling in enumerate(couplings):
+        for step in (1, -1):
+            face = reps[k] - (step < 0)
+            row = np.flatnonzero((face >= 0) & (face < n - 1))
+            nbr = [x[row] for x in reps]
+            nbr[k] = nbr[k] + step
+            col, sign = columns(*nbr)
+            upper = col >= row
+            row = row[upper]
+            at = [x[row] for x in reps]
+            at[k] = face[row]
+            ii.append(row)
+            jj.append(col[upper])
+            vals.append(coupling[tuple(at)] * (sign[upper] * weights[row]))
+    # the diagonal comes last: a node coupled to its own orbit (next to a
+    # centre line) sums those couplings first, in either order, so a
+    # T-congruent block gets the same sums
+    ii.append(rows)
+    jj.append(rows)
+    vals.append(diag[reps] * weights)
+    ii, jj, vals = (np.concatenate(x) for x in (ii, jj, vals))
+    off = ii != jj
+    return sp.csc_matrix(
+        (
+            np.concatenate([vals, vals[off]]),
+            (np.concatenate([ii, jj[off]]), np.concatenate([jj, ii[off]])),
+        ),
+        shape=(rows.size, rows.size),
+    )
+
+
+def _symmetry_blocks(op: DiscreteOperator) -> list:
+    """[(S_i^T A S_i, diag(S_i^T S_i), multiplicity)] over the symmetry
+    blocks of A.
+
+    With the mirror group, S_i is the tensor product of an even or odd map
+    on each mirrored axis and the identity on the others.  With D4, the
+    even-even and odd-odd blocks split again into swap-even and swap-odd
+    halves, and the swap T carries the even-odd block onto the odd-even
+    one by a permutation congruence, so that block is factored once and
+    counted twice once T * OE * T == EO and their weights are checked bit
+    for bit.  S^T A S is block diagonal and S invertible, so by Sylvester's
+    law the inertia of A - E I is the sum over the blocks of multiplicity
+    times the inertia of S_i^T A S_i - E S_i^T S_i.  A matrix that is not a
+    symmetric stencil, or has no mirrored axis, is the one block A.
+    """
+    # a tridiagonal matrix factors without fill: its halves would cost
+    # about as much as the whole, plus each block's fixed cost
+    stencil = _stencil(op) if op.dimension >= 2 else None
+    mirrored, swap = _symmetries(stencil) if stencil else ([], False)
     if not any(mirrored):
-        return [(op.matrix, np.ones(op.size))]
-    n = op.grid.points_per_axis
-    identity = [sp.identity(n, format="csc")]
+        return [(op.matrix, np.ones(op.size), 1)]
+    n = stencil[0].shape[0]
     blocks = []
-    for parts in itertools.product(
-        *(_mirror_maps(n) if m else identity for m in mirrored)
+    for parity in itertools.product(
+        *((1, -1) if m else (None,) for m in mirrored)
     ):
-        s = reduce(sp.kron, parts).tocsc()
-        weights = np.asarray(s.multiply(s).sum(axis=0)).ravel()
-        blocks.append(((s.T @ op.matrix @ s).tocsc(), weights))
-    return blocks
+        if swap and parity[0] != parity[1]:
+            if parity[0] == 1:  # the odd-even block is counted with this one
+                blocks += _mixed_pair(stencil, parity)
+            continue
+        for half in (1, -1) if swap else (None,):
+            block_map = _block_map(n, parity, half)
+            blocks.append((_block_matrix(stencil, *block_map), block_map[2], 1))
+    return [b for b in blocks if b[0].shape[0] > 0]
+
+
+def _mixed_pair(stencil, parity) -> list:
+    """The even-odd block with multiplicity 2 when T * OE * T == EO and
+    their weights agree bit for bit; else both blocks, each once."""
+    n = stencil[0].shape[0]
+    eo_map, oe_map = (_block_map(n, p) for p in (parity, parity[::-1]))
+    eo, oe = (_block_matrix(stencil, *m) for m in (eo_map, oe_map))
+    w_eo, w_oe = eo_map[2], oe_map[2]
+    # T sends the representative (i, j) of an EO column to node (j, i)
+    i, j = eo_map[1]
+    perm, _ = oe_map[0](j, i)
+    if np.array_equal(w_oe[perm], w_eo) and (oe[perm][:, perm] != eo).nnz == 0:
+        return [(eo, w_eo, 2)]
+    return [(eo, w_eo, 1), (oe, w_oe, 1)]
 
 
 def _count_blocks(blocks, energy: float):
-    """(sum of the negative inertias of B - E' W over the blocks, shifts).
+    """(sum over the blocks of multiplicity times the negative inertia of
+    B - E' W, shifts).
 
     A singular or near-singular pivot in any block means an eigenvalue sits
     at the threshold E' = energy - shifts * SHIFT_STEP; every block is then
@@ -391,8 +533,8 @@ def _count_blocks(blocks, energy: float):
         shifted = energy - shifts * SHIFT_STEP
         try:
             count = sum(
-                _sparse_inertia(b - sp.diags(shifted * w, format="csc"))
-                for b, w in blocks
+                mult * _sparse_inertia(b - sp.diags(shifted * w, format="csc"))
+                for b, w, mult in blocks
             )
         except FactorizationFault as fault:
             pivot_log.append(str(fault))
@@ -406,13 +548,12 @@ def _count_blocks(blocks, energy: float):
 def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
     """Exact number of eigenvalues below `energy` via matrix inertia.
 
-    The matrix is split into its reflection blocks (one per even/odd
-    pattern of the mirrored axes) and the block inertias are summed.  A
-    singular or near-singular factorization means an eigenvalue sits at
-    the threshold; the threshold then moves down by SHIFT_STEP, so that an
+    The matrix is split into its symmetry blocks and their inertias are
+    summed, each times its multiplicity.  A singular or near-singular
+    factorization means an eigenvalue sits at the threshold; the threshold then moves down by SHIFT_STEP, so that an
     eigenvalue at `energy` stays uncounted and every count is strict.
     """
-    blocks = _reflection_blocks(op)
+    blocks = _symmetry_blocks(op)
     count, shifts = _count_blocks(blocks, energy)
     return SpectrumSlice(
         threshold=energy,

@@ -1,5 +1,8 @@
 """Sweep orchestration, exponent fits, and verdict reports."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,8 @@ def _record(h, count, weyl, r_value, **kw):
     return SweepRecord(
         h=h, energy=1.0, count=count, weyl=weyl, weyl_std_error=0.0,
         remainder=rem, r_value=r_value, ratio=abs(rem) * h**2 / r_value,
-        grid_points=100, seed=0, **kw,
+        grid_points=100, seed=0, blocks=1, shifts_applied=0, dx_over_h=0.25,
+        **kw,
     )
 
 
@@ -254,6 +258,23 @@ def test_csv_deterministic():
     b = sweep_csv_text(run_h_sweep(m, 1.0, [0.1, 0.08], **kw))
     assert a == b
     assert a.startswith("h,energy,count,")
+
+
+def test_csv_provenance_columns_are_numeric():
+    # the bench oracle reads every CSV column with float()
+    m = make_model("separable_harmonic_2d")
+    res = run_h_sweep(m, 1.0, [0.1, 0.05], delta0=0.41, max_grid_points=200,
+                      volume_budget=2**16)
+    rows = list(csv.DictReader(io.StringIO(sweep_csv_text(res))))
+    assert [k for k in rows[0]][-3:] == ["blocks", "shifts_applied",
+                                         "dx_over_h"]
+    table = [{k: float(v) for k, v in row.items()} for row in rows]
+    # h = 0.1 resolves on 159 points; h = 0.05 wants 319 and is capped
+    assert [r["grid_points"] for r in table] == [200, 159]
+    assert [r["blocks"] for r in table] == [5, 5]  # D4: four halves + EO
+    assert [r["shifts_applied"] for r in table] == [0, 0]
+    assert table[1]["dx_over_h"] == pytest.approx(0.25)
+    assert table[0]["dx_over_h"] == pytest.approx(4.0 / 201 / 0.05)
 
 
 def test_acceptance_report_verdicts():

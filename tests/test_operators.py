@@ -7,6 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 from weyllab import operators
+from weyllab.mollify import build_mollifier, regularize
 from weyllab.operators import (
     ConfinementFault,
     DiscreteOperator,
@@ -19,6 +20,7 @@ from weyllab.operators import (
     smoothed_count,
 )
 from weyllab.symbols import (
+    MODEL_REGISTRY,
     PolynomialCoefficient,
     SymbolModel,
     _poly_eval,
@@ -58,6 +60,71 @@ def test_matrix_symmetric(harmonic):
     op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 400))
     m = op.matrix
     assert abs(m - m.T).max() <= 1e-12
+
+
+def _coo_assemble(model, h, grid, variant):
+    """The matrix as (value, row, column) triplets summed by coo -> csc, as
+    assembly once built it: each second-order term, then each shift term,
+    then the diagonal of potential and shift."""
+    d, n, dx = model.dimension, grid.points_per_axis, grid.spacing
+    kernel = None if variant == "raw" else build_mollifier(d)
+
+    def field(coef):
+        return coef if kernel is None else regularize(coef, h, 0.41, kernel)
+
+    shape = (n,) * d
+    idx = np.arange(n**d).reshape(shape)
+    mesh = np.meshgrid(*([grid.nodes()] * d), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    data, rows, cols = [], [], []
+
+    def axis_term(mid, axis, scale):
+        left, right = mid.take(range(n), axis), mid.take(range(1, n + 1), axis)
+        lo, hi = idx.take(range(n - 1), axis), idx.take(range(1, n), axis)
+        off = -scale * right.take(range(n - 1), axis).ravel()
+        data.extend([(scale * (left + right)).ravel(), off, off])
+        rows.extend([idx.ravel(), lo.ravel(), hi.ravel()])
+        cols.extend([idx.ravel(), hi.ravel(), lo.ravel()])
+
+    diag = np.zeros(n**d)
+    for (nu, _), coef in model.coefficients.items():
+        if sum(nu) == 0:
+            diag += field(coef).value(pts)
+        else:
+            axis = int(np.argmax(nu))
+            mid, mid_shape = operators._midpoint_coords(grid, d, axis)
+            axis_term(field(coef).value(mid).reshape(mid_shape), axis,
+                      (h / dx) ** 2)
+    if variant != "raw":
+        sign = 1.0 if variant == "plus" else -1.0
+        diag += sign * h
+        for axis in range(d):
+            ones = np.ones(tuple(n + (j == axis) for j in range(d)))
+            axis_term(ones, axis, sign * h * (h / dx) ** 2)
+    data.append(diag)
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n**d, n**d),
+    ).tocsc()
+
+
+@pytest.mark.parametrize("variant", ["plus", "raw", "minus"])
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+@pytest.mark.parametrize("n", [41, 42])
+def test_assembly_matches_coo_triplets_bit_for_bit(name, variant, n):
+    m = make_model(name)
+    grid = GridSpec(m.box_x, n**2 if m.dimension == 1 else n)
+    new = assemble(m, 0.1, 0.41, grid, variant=variant,
+                   strict_resolution=False).matrix
+    ref = _coo_assemble(m, 0.1, grid, variant)
+    assert new.format == "csc" and new.has_canonical_format
+    ref.sort_indices()
+    np.testing.assert_array_equal(new.indptr, ref.indptr)
+    np.testing.assert_array_equal(new.indices, ref.indices)
+    np.testing.assert_array_equal(new.data.view(np.int64),
+                                  ref.data.view(np.int64))
 
 
 def test_hermite_eigenvalues(harmonic):
@@ -257,7 +324,12 @@ def test_smoothed_count_close_to_sharp(harmonic):
 
 def _full_count(op, energy):
     """Count on the whole matrix, as one block: (count, shifts)."""
-    return operators._count_blocks([(op.matrix, np.ones(op.size))], energy)
+    return operators._count_blocks([(op.matrix, np.ones(op.size), 1)], energy)
+
+
+# symmetry blocks factored per count: D4 splits the square's four mirror
+# blocks into four swap halves and the even-odd block, counted twice
+BLOCKS = {"separable_harmonic_2d": 5, "double_well_2d": 4}
 
 
 @pytest.mark.parametrize("variant", ["plus", "raw", "minus"])
@@ -275,27 +347,91 @@ def test_split_count_matches_full_count(name, n, h, variant):
     op = assemble(m, h, 0.41, GridSpec(m.box_x, n), variant=variant,
                   strict_resolution=False)
     slc = count_below(op, 1.0)
-    assert slc.blocks == 4
+    assert slc.blocks == BLOCKS[name]
     assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
+    for block, _, _ in operators._symmetry_blocks(op):
+        assert (block != block.T).nnz == 0
+
+
+def _square_operator(diag, couplings=None) -> DiscreteOperator:
+    """5-point stencil on an n x n grid with node values `diag`.
+    couplings[i, j] couples (i, j) with (i + 1, j), and the same value
+    couples (j, i) with (j, i + 1); none by default."""
+    n = diag.shape[0]
+    c0 = np.zeros((n - 1, n)) if couplings is None else couplings
+    band1 = np.zeros((n, n))
+    band1[:, :-1] = c0.T
+    band1 = band1.ravel()[:-1]
+    matrix = sp.diags([diag.ravel(), c0.ravel(), c0.ravel(), band1, band1],
+                      [0, n, -n, 1, -1], format="csc")
+    return DiscreteOperator(h=0.1, grid=GridSpec(1.0, n), matrix=matrix,
+                            variant="raw", dimension=2)
+
+
+def _orbit(n, i, j):
+    """Index arrays of the D4 orbit of node (i, j) on an n x n grid."""
+    nodes = {(x, y) for a, b in ((i, j), (j, i))
+             for x in (a, n - 1 - a) for y in (b, n - 1 - b)}
+    return tuple(np.array(sorted(nodes)).T)
+
+
+def _block_sizes(op):
+    return [(b.shape[0], mult) for b, _, mult in operators._symmetry_blocks(op)]
 
 
 @pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
 def test_split_blocks_share_the_shifted_threshold(tie):
-    # a mirror-symmetric diagonal: the tie at the centre node makes only the
-    # even block singular at E = 2, and the pair at 2 - SHIFT_STEP/2 puts
-    # one eigenvalue in each block between the first two thresholds.  The
-    # odd block must be counted again at the shifted threshold, or it would
-    # count its copy of the pair and the even block would not.
-    half = np.linspace(1.0, 3.0, 1500)
-    below = int(np.sum(half < 2.0))
-    half[below - 1] = 2.0 - 0.5 * operators.SHIFT_STEP
-    entries = np.concatenate([half, [tie], half[::-1]])
-    op = _diagonal_operator(entries)
+    # a D4-symmetric diagonal on 5 x 5 nodes: the tie at the centre node
+    # makes only the swap-even even-even block singular at E = 2, and the
+    # orbit of (0, 1) at 2 - SHIFT_STEP/2 puts one eigenvalue in each
+    # block, two in the even-odd one, between the first two thresholds.
+    # Every block must be counted again at the shifted threshold, or the
+    # others would count their copies of the orbit and the singular one
+    # would not.
+    diag = np.ones((5, 5))
+    diag[_orbit(5, 0, 1)] = 2.0 - 0.5 * operators.SHIFT_STEP
+    diag[2, 2] = tie
+    op = _square_operator(diag)
+    assert _block_sizes(op) == [(6, 1), (3, 1), (6, 2), (3, 1), (1, 1)]
     slc = count_below(op, 2.0)
-    assert slc.blocks == 2
+    assert slc.blocks == 5
     assert slc.shifts_applied == 1
-    assert slc.count == 2 * (below - 1)
+    assert slc.count == 25 - 1 - 8
     assert (slc.count, slc.shifts_applied) == _full_count(op, 2.0)
+
+
+@pytest.mark.parametrize("n", [4, 3], ids=["even_odd_pair", "swap_odd_half"])
+def test_tie_inside_one_block_shifts_every_block(n):
+    # n = 4: the four centre nodes, at E, are coupled to each other only,
+    # so there A = E + c * (4-cycle) with eigenvalues E + 2c, E - 2c and
+    # E twice, in the even-odd pair: it alone is singular at E.
+    # n = 3: the four edge midpoints, at E, are coupled to the centre only.
+    # Their swap-odd combination (and their even-odd pair) keeps the
+    # eigenvalue E, which the swap-even block mixes with the centre.
+    # Every other node sits at E - SHIFT_STEP/2, in every block, so a
+    # count that shifted the singular blocks alone would count those
+    # nodes elsewhere.  The reference is the dense spectrum: factored
+    # whole, the tie's tiny pivot makes the next one huge, and the
+    # near-zero pivot test then rejects the E - SHIFT_STEP/2 pivots.
+    e, c = 2.0, 0.5
+    diag = np.full((n, n), e - 0.5 * operators.SHIFT_STEP)
+    couplings = np.zeros((n - 1, n))
+    if n == 4:
+        diag[_orbit(4, 1, 1)] = e
+        couplings[1, 1:3] = c
+        sizes, below = [(3, 1), (1, 1), (4, 2), (3, 1), (1, 1)], 1
+    else:
+        diag[_orbit(3, 0, 1)] = e
+        diag[1, 1] = 5.0
+        couplings[:, 1] = c
+        sizes, below = [(3, 1), (1, 1), (2, 2), (1, 1)], 1
+    op = _square_operator(diag, couplings)
+    assert _block_sizes(op) == sizes
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert np.sum(dense < e - operators.SHIFT_STEP) == below
+    slc = count_below(op, e)
+    assert slc.shifts_applied == 1
+    assert slc.count == below
 
 
 @pytest.mark.parametrize(
@@ -310,14 +446,7 @@ def test_split_blocks_share_the_shifted_threshold(tie):
 def test_odd_potential_falls_back(odd_terms, blocks):
     base = make_model("separable_harmonic_2d")
     pot_key = ((0, 0), (0, 0))
-    coeffs = dict(base.coefficients)
-    coeffs[pot_key] = PolynomialCoefficient(
-        {**base.coefficients[pot_key].terms, **odd_terms}, 2
-    )
-    m = SymbolModel(
-        base.dimension, base.order, coeffs, base.ellipticity_constant,
-        base.holder_exponent, base.box_x, base.box_xi, "odd_potential",
-    )
+    m = _square_model({**base.coefficients[pot_key].terms, **odd_terms})
     op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 120),
                   strict_resolution=False)
     slc = count_below(op, 1.0)
@@ -325,10 +454,49 @@ def test_odd_potential_falls_back(odd_terms, blocks):
     assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
 
 
-def test_one_dimensional_operator_splits(harmonic):
+def _square_model(potential_terms, kinetic=(1.0, 1.0)) -> SymbolModel:
+    """separable_harmonic_2d with another potential term table and the
+    given kinetic coefficient on each axis."""
+    base = make_model("separable_harmonic_2d")
+    coeffs = {
+        key: PolynomialCoefficient({(0, 0): k}, 2)
+        for key, k in zip(list(base.coefficients)[:2], kinetic)
+    }
+    coeffs[((0, 0), (0, 0))] = PolynomialCoefficient(potential_terms, 2)
+    return SymbolModel(
+        base.dimension, base.order, coeffs, base.ellipticity_constant,
+        base.holder_exponent, base.box_x, base.box_xi, "square_variant",
+    )
+
+
+@pytest.mark.parametrize("n", [120, 121])
+@pytest.mark.parametrize(
+    "potential, kinetic, blocks",
+    [
+        ({(2, 0): 1.0, (0, 2): 2.0}, (1.0, 1.0), 4),  # mirrors, no swap
+        ({(2, 0): 1.0, (0, 3): 1.0}, (1.0, 1.0), 2),  # x1 mirror only
+        ({(2, 0): 1.0, (0, 2): 1.0}, (1.0, 1.5), 4),  # anisotropic kinetic
+        ({(2, 0): 1.0, (0, 2): 1.0}, (1.0, 1.0), 5),  # D4
+    ],
+    ids=["potential_x1sq_2x2sq", "potential_x2_cubed", "kinetic_1_1.5", "d4"],
+)
+def test_swap_only_with_the_full_square_symmetry(potential, kinetic,
+                                                 blocks, n):
+    # the swap (i, j) -> (j, i) splits the blocks only when it commutes
+    # with the matrix; otherwise the mirror blocks of the parent stay
+    m = _square_model(potential, kinetic)
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n), strict_resolution=False)
+    slc = count_below(op, 1.0)
+    assert slc.blocks == blocks
+    assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
+
+
+def test_one_dimensional_operator_factors_whole(harmonic):
+    # a tridiagonal matrix factors without fill, so its mirror halves
+    # would cost about as much as the whole plus each block's fixed cost
     op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 401))
     slc = count_below(op, 1.0)
-    assert slc.blocks == 2
+    assert slc.blocks == 1
     assert slc.count == 10 == _full_count(op, 1.0)[0]
 
 
@@ -369,5 +537,5 @@ def test_raw_count_matches_kronecker_oracle(name, axis_potentials, n, h):
     op = assemble(m, h, 0.41, GridSpec(m.box_x, n), strict_resolution=False)
     lo, hi = _kronecker_bracket(axis_potentials, m.box_x, n, h, 1.0)
     slc = count_below(op, 1.0)
-    assert slc.blocks == 4
+    assert slc.blocks == BLOCKS[name]
     assert lo == hi == slc.count
