@@ -26,6 +26,15 @@ built; the chunks are dealt round-robin to the workers, and each worker
 evaluates its chunks in order into one (rows, m) buffer.  The chunk
 boundaries are fixed and the partial sums are added in chunk order, so the
 result does not depend on the number of cores.
+
+Each axis on which the integrand is even, bit for bit, is folded: only its
+upper half of nodes is summed, with doubled weights.  An axis is folded when
+(i) its rule mirrors itself (the panel edges are c + r (2k - P)/P, so on a
+box symmetric about 0 nodes and weights are exact mirrors), (ii) the phase
+does: every term coefficient for an x axis, the column phase and every mixed
+monomial for a xi axis, and (iii) the amplitude declares the axis in its
+``even_axes`` attribute.  An amplitude without the attribute is integrated
+whole.  NODE_BUDGET applies to the unfolded rule.
 """
 
 from __future__ import annotations
@@ -276,7 +285,11 @@ class OscillatoryResult:
 
 def _panel_rule(lo: float, hi: float, panels: int):
     z, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-    edges = np.linspace(lo, hi, panels + 1)
+    # edges c + r (2k - P)/P, not linspace: on a box symmetric about 0 the
+    # edges, and with leggauss's symmetric z and w the nodes and weights,
+    # mirror each other bit for bit
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    edges = c + r * (2.0 * np.arange(panels + 1) - panels) / panels
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     pts = (mid[:, None] + half * z[None, :]).ravel()
@@ -294,26 +307,69 @@ def _product_rule(rules):
     return pts, wts
 
 
+def _mirrored(a, shape, axis) -> bool:
+    """Whether the tensor-grid values ``a`` equal their mirror on ``axis``,
+    bit for bit."""
+    a = a.reshape(shape)
+    return np.array_equal(a, np.flip(a, axis))
+
+
+def _upper_half(a, shape, axes):
+    """The values of the tensor-grid array ``a`` at the upper half of the
+    nodes of each of ``axes``, flattened in the same order."""
+    index = tuple(slice(n // 2, None) if k in axes else slice(None)
+                  for k, n in enumerate(shape))
+    return a.reshape(shape)[index].ravel()
+
+
 def _tensor_quadrature(model, amplitude, t, h, box, panels):
     rules = [_panel_rule(lo, hi, panels) for lo, hi in box]
     total = math.prod(len(pts) for pts, _ in rules)
     if total > NODE_BUDGET:
         raise NodeBudgetExceeded(total)
     d = model.dimension
-    x_pts, x_wts = _product_rule(rules[:d])
-    xi_pts, xi_wts = _product_rule(rules[d:])
+    x_shape = [len(pts) for pts, _ in rules[:d]]
+    xi_shape = [len(pts) for pts, _ in rules[d:]]
+    x_pts, _ = _product_rule(rules[:d])
+    xi_pts, _ = _product_rule(rules[d:])
     s = t / h
 
     # p = sum a(x) xi^mu splits into a row phase (mu = 0), a column phase
     # (a constant on the x nodes) and mixed terms a(x) (x) xi^mu
+    terms = model.terms_at(x_pts)
     row, col, mixed = np.zeros(len(x_pts)), np.zeros(len(xi_pts)), []
-    for mu, a in model.terms_at(x_pts):
+    for mu, a in terms:
         if not any(mu):
             row += a
         elif np.all(a == a[0]):
             col += a[0] * _monomial(mu, xi_pts)
         else:
             mixed.append((a, _monomial(mu, xi_pts)))
+
+    # fold each axis on which rule, phase and amplitude are mirror-symmetric
+    # bit for bit: the integrand is even there, so its upper half with
+    # doubled weights sums to the same integral
+    def rule_even(k):
+        pts, wts = rules[k]
+        return (len(pts) % 2 == 0 and np.array_equal(pts, -pts[::-1])
+                and np.array_equal(wts, wts[::-1]))
+
+    declared = getattr(amplitude, "even_axes", ())
+    even = [k for k in range(2 * d) if k in declared and rule_even(k)]
+    x_fold = [k for k in even if k < d
+              and all(_mirrored(a, x_shape, k) for _, a in terms)]
+    xi_fold = [k - d for k in even if k >= d
+               and _mirrored(col, xi_shape, k - d)
+               and all(_mirrored(mono, xi_shape, k - d) for _, mono in mixed)]
+    for k in x_fold + [d + j for j in xi_fold]:
+        pts, wts = rules[k]
+        rules[k] = (pts[len(pts) // 2:], 2.0 * wts[len(pts) // 2:])
+    x_pts, x_wts = _product_rule(rules[:d])
+    xi_pts, xi_wts = _product_rule(rules[d:])
+    row = _upper_half(row, x_shape, x_fold)
+    col = _upper_half(col, xi_shape, xi_fold)
+    mixed = [(_upper_half(a, x_shape, x_fold),
+              _upper_half(mono, xi_shape, xi_fold)) for a, mono in mixed]
     u = x_wts * np.exp(1j * s * row)
     v = xi_wts * np.exp(1j * s * col)
     # a real amplitude matrix times v as one real product with (Re v, Im v)
@@ -367,8 +423,13 @@ def oscillatory_integral(
     broadcastable arrays (here x columns of shape (rows, 1), xi columns of
     shape (1, m)) and returns b on their broadcast grid; given ``out``, it
     writes b there and returns it.  Each quadrature worker passes one
-    (rows, m) buffer, reused for all of its chunks.  A rule over
-    NODE_BUDGET nodes falls back to min_panels with ``reliable=False``."""
+    (rows, m) buffer, reused for all of its chunks.  An optional attribute
+    ``amplitude.even_axes`` lists coordinates (0 .. 2d-1) on which b is even
+    about 0 bit for bit; each of them whose rule and phase are mirrored too
+    is folded to its upper half with doubled weights.  A wrong declaration
+    gives a wrong value, so declare only what holds exactly.  A rule over
+    NODE_BUDGET nodes, counted unfolded, falls back to min_panels with
+    ``reliable=False``."""
     d = model.dimension
     if 2 * d > 4:
         raise NotImplementedError("quadrature supports 2d <= 4 only")
@@ -433,12 +494,21 @@ def _radius(coords, center, out):
     return np.sqrt(r2, out=out)
 
 
+def _centred_axes(center) -> tuple:
+    """The coordinates on which a radial amplitude about ``center`` is even
+    bit for bit: those where the centre is exactly 0, since _radius squares
+    x - 0 = x and (-x)^2 == x^2 exactly."""
+    return tuple(k for k, c in enumerate(center) if c == 0.0)
+
+
 def ring_amplitude(center, r_inner: float, r_outer: float):
     """Smooth bump of |v - center| supported in the open ring
     (r_inner, r_outer), identically 1 on the middle half.
 
     The amplitude is called as ``amp(*coords, out=None)`` with one
-    broadcastable array per coordinate of ``center``."""
+    broadcastable array per coordinate of ``center``.  Its ``even_axes`` are
+    the coordinates where ``center`` is exactly 0: on the mirror of such a
+    coordinate it returns the same values bit for bit."""
     center = np.asarray(center, dtype=float)
     w = 0.25 * (r_outer - r_inner)
 
@@ -452,13 +522,15 @@ def ring_amplitude(center, r_inner: float, r_outer: float):
         np.put(r, down[0], np.take(r, down[0]) * down[1])
         return r
 
+    amp.even_axes = _centred_axes(center)
     return amp
 
 
 def bump_amplitude(center, radius: float):
     """Smooth bump of |v - center|, 1 inside radius/2, 0 outside radius.
 
-    Called as ``amp(*coords, out=None)``, like ring_amplitude."""
+    Called as ``amp(*coords, out=None)``, and declares ``even_axes``, like
+    ring_amplitude."""
     center = np.asarray(center, dtype=float)
 
     def amp(*coords, out=None):
@@ -468,6 +540,7 @@ def bump_amplitude(center, radius: float):
         np.put(r, *band)
         return r
 
+    amp.even_axes = _centred_axes(center)
     return amp
 
 

@@ -550,8 +550,9 @@ def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
 
     The matrix is split into its symmetry blocks and their inertias are
     summed, each times its multiplicity.  A singular or near-singular
-    factorization means an eigenvalue sits at the threshold; the threshold then moves down by SHIFT_STEP, so that an
-    eigenvalue at `energy` stays uncounted and every count is strict.
+    factorization means an eigenvalue sits at the threshold; the threshold
+    then moves down by SHIFT_STEP, so that an eigenvalue at `energy` stays
+    uncounted and every count is strict.
     """
     blocks = _symmetry_blocks(op)
     count, shifts = _count_blocks(blocks, energy)
@@ -623,19 +624,23 @@ def _counter_tables(t0: float):
     g0 = np.exp(-1.0 / (1.0 - (t_nodes / half) ** 2))
     conv0 = float(np.dot(t_wts, g0 * g0))  # (g0*g0)(0), the normalizer
 
+    def ghat(z):
+        return (np.cos(np.outer(z, t_nodes)) * (t_wts * g0)).sum(axis=1)
+
+    # double z_max until Phi has decayed there: the table's first and last
+    # rows are Phi(0) and Phi(z_max), so only those two are evaluated
     z_max = 16.0 / t0
-    for _ in range(12):
-        zeta = np.linspace(0.0, z_max, 8001)
-        # row blocks: the whole 8001 x 512 cosine table is 33 MB, held twice
-        # while it is weighted, and would set the process's peak memory
-        ghat = np.concatenate([
-            (np.cos(np.outer(z, t_nodes)) * (t_wts * g0)).sum(axis=1)
-            for z in np.array_split(zeta, 8)
-        ])
-        phi = ghat * ghat / conv0
-        if phi[-1] < 1e-16 * phi[0]:
+    for _ in range(11):
+        g = ghat([0.0, z_max])
+        ends = g * g / conv0
+        if ends[1] < 1e-16 * ends[0]:
             break
         z_max *= 2.0
+    zeta = np.linspace(0.0, z_max, 8001)
+    # row blocks: the whole 8001 x 512 cosine table is 33 MB, held twice
+    # while it is weighted, and would set the process's peak memory
+    g = np.concatenate([ghat(z) for z in np.array_split(zeta, 8)])
+    phi = g * g / conv0
     psi_half = np.concatenate(
         [[0.0], np.cumsum(0.5 * (phi[1:] + phi[:-1]) * np.diff(zeta))]
     ) / (2.0 * math.pi)

@@ -318,6 +318,130 @@ def test_tensor_quadrature_matches_direct_sum(name, t, h):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+# -- mirror fold -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("hi", [1.6, 0.9, 0.7, 1.0 / 3.0, 2.0, 1e-3])
+@pytest.mark.parametrize("panels", [1, 2, 3, 75, 150, 151, 1000])
+def test_panel_rule_antisymmetric_on_symmetric_boxes(hi, panels):
+    pts, wts = dynamics._panel_rule(-hi, hi, panels)
+    assert len(pts) == panels * dynamics.NODES_PER_PANEL
+    assert np.array_equal(pts, -pts[::-1])
+    assert np.array_equal(wts, wts[::-1])
+    assert -hi < pts[0] and pts[-1] < hi
+    assert wts.sum() == pytest.approx(2.0 * hi, rel=1e-13)
+
+
+@pytest.mark.parametrize("center, even", [
+    ((0.0, 0.0), (0, 1)),
+    ((0.1, 0.0), (1,)),
+    ((0.0, 0.2, 0.0, -0.1), (0, 2)),
+    ((0.0, 0.0, 0.0, 0.0), (0, 1, 2, 3)),
+])
+def test_radial_amplitudes_even_on_centred_axes(center, even):
+    # each axis its own symmetric node set, on the full broadcast grid
+    rng = np.random.default_rng(5)
+    dim = len(center)
+    n = 40 if dim == 2 else 10
+    coords = []
+    for k in range(dim):
+        half = np.sort(rng.uniform(0.0, 2.0, n))
+        shape = [1] * dim
+        shape[k] = 2 * n
+        coords.append(np.concatenate([-half[::-1], half]).reshape(shape))
+    for amp in (ring_amplitude(center, 0.5, 1.5), bump_amplitude(center, 0.8)):
+        assert amp.even_axes == even
+        b = amp(*coords)
+        assert b.shape == (2 * n,) * dim
+        for k in range(dim):
+            assert np.array_equal(b, np.flip(b, k)) == (k in even)
+
+
+def _quadrature_folds(model, amp, box, t=0.3, h=0.01, panels=40):
+    """(value, axes folded): on a folded axis the amplitude sees only the
+    upper half of the nodes, all of them positive."""
+    lows = []
+
+    def recording(*coords, out=None):
+        lows.append([float(np.min(c)) for c in coords])
+        return amp(*coords, out=out)
+
+    if hasattr(amp, "even_axes"):
+        recording.even_axes = amp.even_axes
+    value = dynamics._tensor_quadrature(model, recording, t, h, box, panels)
+    return value, tuple(np.flatnonzero(np.min(lows, axis=0) > 0))
+
+
+@pytest.mark.parametrize("t, h", [(0.0, 0.02), (0.3, 0.01), (1.0, 0.005)])
+@pytest.mark.parametrize("name", ["harmonic", "mixed_kinetic"])
+def test_fold_matches_unfolded(name, t, h):
+    model = make_model("harmonic") if name == "harmonic" else _mixed_model()
+    amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
+    box = [(-1.6, 1.6)] * 2
+    folded, axes = _quadrature_folds(model, amp, box, t, h)
+    assert axes == (0, 1)
+
+    def stripped(*coords, out=None):
+        return amp(*coords, out=out)
+
+    whole, axes = _quadrature_folds(model, stripped, box, t, h)
+    assert axes == ()
+    assert abs(folded - whole) <= 1e-13 * abs(whole)
+
+
+def _one_dimensional_model(potential, momentum=0.0):
+    # xi^2 + 2 momentum xi + V(x), V given as {power: coefficient}
+    coeffs = {
+        ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, 1),
+        ((0,), (0,)): PolynomialCoefficient(
+            {(e,): c for e, c in potential.items()}, 1),
+    }
+    if momentum:
+        for pair in (((1,), (0,)), ((0,), (1,))):
+            coeffs[pair] = PolynomialCoefficient({(0,): momentum}, 1)
+    return SymbolModel(dimension=1, order=1, coefficients=coeffs,
+                       ellipticity_constant=1.0, holder_exponent=0.5,
+                       name="one_dimensional")
+
+
+@pytest.mark.parametrize("case, folded", [
+    ("centred", (0, 1)),
+    ("off_centre_x", (1,)),
+    ("odd_potential", (1,)),
+    ("odd_momentum_term", (0,)),
+    ("asymmetric_box", (1,)),
+    # a phase constant in x is mirrored on any box: only the rule tells
+    ("asymmetric_box_flat_potential", (1,)),
+    ("no_even_axes", ()),
+])
+def test_fold_only_on_proven_even_axes(case, folded):
+    model = make_model("harmonic")
+    center = [0.0, 0.0]
+    box = [(-1.6, 1.6)] * 2
+    if case == "off_centre_x":
+        center = [0.1, 0.0]
+    elif case == "odd_potential":
+        model = _one_dimensional_model({2: 1.0, 3: 0.1})
+    elif case == "odd_momentum_term":
+        model = _one_dimensional_model({2: 1.0}, momentum=0.15)
+    elif case == "asymmetric_box":
+        box = [(-1.5, 1.6), (-1.6, 1.6)]
+    elif case == "asymmetric_box_flat_potential":
+        model = _one_dimensional_model({0: 1.0})
+        box = [(-1.5, 1.6), (-1.6, 1.6)]
+    amp = ring_amplitude(center, 0.5, 1.5)
+    if case == "no_even_axes":
+        ring = amp
+
+        def amp(*coords, out=None):
+            return ring(*coords, out=out)
+
+    got, axes = _quadrature_folds(model, amp, box)
+    assert axes == folded
+    ref = _direct_sum(model, amp, 0.3, 0.01, box, 40)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
     panels = []
     quadrature = dynamics._tensor_quadrature
@@ -334,9 +458,10 @@ def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
         results.append(oscillatory_integral(
             harmonic, amp, 0.3, 0.01, support_box=[(-1.6, 1.6)] * 2
         ))
-    # the fine rule's x nodes come in chunks of CHUNK_POINTS // |xi nodes|
-    # rows; it must span several chunks for the worker count to matter
-    nodes = max(panels) * dynamics.NODES_PER_PANEL
+    # the fine rule, folded on both axes, has half its nodes per axis; its x
+    # nodes come in chunks of CHUNK_POINTS // |xi nodes| rows, and it must
+    # span several chunks for the worker count to matter
+    nodes = max(panels) * dynamics.NODES_PER_PANEL // 2
     rows = dynamics.CHUNK_POINTS // nodes
     assert math.ceil(nodes / rows) >= 2
     one, two = results
@@ -347,7 +472,8 @@ def test_oscillatory_independent_of_worker_count(harmonic, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_quadrature_reuses_one_buffer_per_worker(harmonic, monkeypatch,
                                                  workers):
-    # 128 panels: 1024^2 nodes in four chunks of 256 x rows
+    # 256 panels folded on both axes: 1024^2 nodes in four chunks of 256
+    # x rows
     monkeypatch.setattr(dynamics, "_WORKERS", workers)
     amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
     box = [(-1.6, 1.6)] * 2
@@ -357,7 +483,8 @@ def test_quadrature_reuses_one_buffer_per_worker(harmonic, monkeypatch,
         outs.append(out)
         return amp(*coords, out=out)
 
-    got = dynamics._tensor_quadrature(harmonic, recording, 0.3, 0.01, box, 128)
+    recording.even_axes = amp.even_axes
+    got = dynamics._tensor_quadrature(harmonic, recording, 0.3, 0.01, box, 256)
     assert len(outs) >= 3
     buffers = []
     for out in outs:
@@ -366,7 +493,7 @@ def test_quadrature_reuses_one_buffer_per_worker(harmonic, monkeypatch,
             buffers.append(out)
     assert len(buffers) <= workers
     assert got == dynamics._tensor_quadrature(harmonic, amp, 0.3, 0.01, box,
-                                              128)
+                                              256)
 
 
 def test_allocation_failure_propagates(harmonic):

@@ -319,6 +319,39 @@ def test_smoothed_count_close_to_sharp(harmonic):
     assert abs(smooth - sharp) < 2.0
 
 
+def _counter_tables_by_doubling(t0):
+    # reference: the whole cosine table rebuilt at every doubling of z_max
+    half = t0 / 2.0
+    t_nodes, t_wts = np.polynomial.legendre.leggauss(512)
+    t_nodes = t_nodes * half
+    t_wts = t_wts * half
+    g0 = np.exp(-1.0 / (1.0 - (t_nodes / half) ** 2))
+    conv0 = float(np.dot(t_wts, g0 * g0))
+    z_max = 16.0 / t0
+    for _ in range(12):
+        zeta = np.linspace(0.0, z_max, 8001)
+        ghat = np.concatenate([
+            (np.cos(np.outer(z, t_nodes)) * (t_wts * g0)).sum(axis=1)
+            for z in np.array_split(zeta, 8)
+        ])
+        phi = ghat * ghat / conv0
+        if phi[-1] < 1e-16 * phi[0]:
+            break
+        z_max *= 2.0
+    psi_half = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (phi[1:] + phi[:-1]) * np.diff(zeta))]
+    ) / (2.0 * np.pi)
+    return zeta, phi, psi_half, 2.0 * psi_half[-1]
+
+
+@pytest.mark.parametrize("t0", [0.1, 0.5, 1.0, 2.0, 3.7])
+def test_counter_tables_match_doubling_reference(t0):
+    got = operators._counter_tables.__wrapped__(t0)
+    want = _counter_tables_by_doubling(t0)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 # -- reflection blocks ---------------------------------------------------------
 
 
