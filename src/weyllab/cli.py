@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +33,6 @@ __all__ = [
     "ConfigError",
     "EXPERIMENTS",
     "parse_config",
-    "emit_config",
     "run",
     "main",
 ]
@@ -154,15 +154,6 @@ def parse_config(
     if violations:
         raise ConfigError(violations)
     return cfg
-
-
-def emit_config(cfg: ExperimentConfig) -> str:
-    """Inverse of parse_config: parse(emit(cfg)) == cfg."""
-    lines = [
-        f"{f.name} = {getattr(cfg, f.name)}"
-        for f in dataclasses.fields(ExperimentConfig)
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # -- experiments -----------------------------------------------------------------
@@ -421,7 +412,8 @@ def run(cfg: ExperimentConfig, experiment: str) -> int:
     except Exception as exc:
         report = harness.acceptance_report(
             [{"name": experiment, "status": "fail",
-              "error": f"{type(exc).__name__}: {exc}"}]
+              "error": f"{type(exc).__name__}: {exc}",
+              "traceback": traceback.format_exc()}]
         )
         harness.write_verdict_json(os.path.join(out, "verdict.json"), report)
         return 1

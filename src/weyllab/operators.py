@@ -1,11 +1,13 @@
 """Finite-difference operators, eigenvalue counting, and smoothed counting.
 
 The divergence-form operator sum (hD)^nubar a(x) (hD)^nu is discretized on a
-Dirichlet box with flux-form (midpoint-coefficient) second-order stencils, so
-the matrix is symmetric to machine precision.  Counting below a threshold
-uses matrix inertia (Sylvester's law of inertia applied to a sparse LU
-factorization with symmetric pivoting: the negative pivots count the negative
-eigenvalues), which is exact: no eigenvalue is ever computed for a count.
+Dirichlet box with flux-form (midpoint-coefficient) second-order stencils.  An
+operator is its stencil: a diagonal entry per node and a coupling per pair of
+neighbours along each axis, kept as grid arrays, so its matrix is symmetric
+by construction.  Counting below a threshold uses matrix inertia
+(Sylvester's law of inertia applied to a sparse LU factorization with
+symmetric pivoting: the negative pivots count the negative eigenvalues),
+which is exact: no eigenvalue is ever computed for a count.
 
 Nodes and cell faces are exactly mirror-symmetric about 0, so a coefficient
 that is even in x_k gives a 2-D matrix A that commutes, bit for bit, with
@@ -24,7 +26,8 @@ block is factored once and counted twice: five factorizations, of an
 eighth of the unknowns four times and a quarter once (Bossavit, "Symmetry,
 groups, and boundary value problems", CMAME 56, 1986; Fassler and Stiefel,
 "Group Theoretical Methods and Their Applications", 1992).  A 1-D matrix,
-and one with no mirror symmetry, is factored whole.
+and one with no mirror symmetry, is factored whole: only then is the stencil
+packed into one CSC matrix.
 
 The smoothed counter replaces the sharp indicator of a window Z = [E1, E2] by
 f(lambda) = integral over Z of gamma_h(lambda - mu), where gamma_h is the
@@ -105,20 +108,62 @@ class GridSpec:
         return self.spacing * (np.arange(n) - 0.5 * (n - 1))
 
 
+def _coupling_shapes(*shape) -> list:
+    """Shapes of the couplings along each axis of a grid of `shape`."""
+    return [
+        tuple(s - (j == axis) for j, s in enumerate(shape))
+        for axis in range(len(shape))
+    ]
+
+
 @dataclass
 class DiscreteOperator:
+    """A symmetric (2d+1)-point stencil on the tensor grid.
+
+    diagonal has shape (n,)*d; couplings[k] has n - 1 entries along axis k,
+    and its entry i couples nodes i and i + 1 along that axis.
+    """
+
     h: float
     grid: GridSpec
-    matrix: sp.csc_matrix
+    diagonal: np.ndarray
+    couplings: tuple
     variant: str  # raw | plus | minus
     dimension: int
-    boundary: str = "dirichlet"
-    boundary_symbol_min: float = math.inf
     resolution_ok: bool = True
+
+    def __post_init__(self):
+        shape = (self.grid.points_per_axis,) * self.dimension
+        shapes = _coupling_shapes(*shape)
+        if np.shape(self.diagonal) != shape or [
+            np.shape(c) for c in self.couplings
+        ] != shapes:
+            raise ValueError(
+                f"a stencil on a {shape} grid needs a diagonal of that "
+                f"shape and couplings of shapes {shapes}"
+            )
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.grid.points_per_axis ** self.dimension
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """The whole matrix, for a count that factors it as one block.
+
+        Flat node p couples with p + stride along an axis; the last node
+        along the axis has no such neighbour, and its zero entry is dropped.
+        """
+        n, d, size = self.grid.points_per_axis, self.dimension, self.size
+        bands, offsets = [self.diagonal.ravel()], [0]
+        for axis, coupling in enumerate(self.couplings):
+            stride = n ** (d - 1 - axis)
+            band = np.zeros((n,) * d)
+            band[(slice(None),) * axis + (slice(0, n - 1),)] = coupling
+            band = band.ravel()[: size - stride]
+            bands += [band, band]
+            offsets += [stride, -stride]
+        return sp.diags(bands, offsets, shape=(size, size), format="csc")
 
 
 @dataclass
@@ -178,7 +223,7 @@ def assemble(
     energy: Optional[float] = None,
     strict_resolution: bool = True,
 ) -> DiscreteOperator:
-    """Symmetric sparse matrix for sum (hD)^nubar a(x) (hD)^nu on the grid.
+    """Symmetric stencil of sum (hD)^nubar a(x) (hD)^nu on the grid.
 
     variant plus/minus regularizes every coefficient at scale h^delta0 with
     the mollifier of the model's dimension and adds +-h (I - h^2 Laplacian),
@@ -218,17 +263,16 @@ def assemble(
     node_pts = np.stack([m.ravel() for m in mesh], axis=-1)
     n_total = node_pts.shape[0]
 
-    # the stencil's diagonal terms in the order the matrix sums them: each
+    # the stencil's diagonal terms in the order they are summed: each
     # second-order term, then each shift term, then `diag`
-    diag_terms, couplings = [], [None] * d
+    diag_terms = []
+    couplings = [np.zeros(s) for s in _coupling_shapes(*shape)]
     diag = np.zeros(n_total)
 
     def add_axis_term(coef_mid, axis, scale):
         term, off = _axis_term(coef_mid, axis, scale)
         diag_terms.append(term.ravel())
-        couplings[axis] = off if couplings[axis] is None else (
-            couplings[axis] + off
-        )
+        couplings[axis] += off
 
     for (nu, nubar), coef in model.coefficients.items():
         o1, o2 = sum(nu), sum(nubar)
@@ -257,20 +301,6 @@ def assemble(
             )
             add_axis_term(ones_ax, axis, sign * h * (h / dx) ** 2)
 
-    bands, offsets = [reduce(np.add, diag_terms + [diag])], [0]
-    for axis, off in enumerate(couplings):
-        if off is None:
-            continue
-        # flat node p couples with p + stride; the last node along `axis`
-        # has no such neighbour, and its zero entry is dropped
-        stride = grid.points_per_axis ** (d - 1 - axis)
-        band = np.zeros(shape)
-        band[(slice(None),) * axis + (slice(0, shape[axis] - 1),)] = off
-        band = band.ravel()[: n_total - stride]
-        bands += [band, band]
-        offsets += [stride, -stride]
-    matrix = sp.diags(bands, offsets, shape=(n_total, n_total), format="csc")
-
     # potential at the closed box boundary bounds the symbol from below there
     pot = model.coefficients.get(((0,) * d, (0,) * d))
     boundary_min = math.inf
@@ -298,10 +328,10 @@ def assemble(
     return DiscreteOperator(
         h=h,
         grid=grid,
-        matrix=matrix,
+        diagonal=reduce(np.add, diag_terms + [diag]).reshape(shape),
+        couplings=tuple(couplings),
         variant=variant,
         dimension=d,
-        boundary_symbol_min=boundary_min,
         resolution_ok=resolution_ok,
     )
 
@@ -328,43 +358,12 @@ def _sparse_inertia(mat: sp.csc_matrix) -> int:
     return int(np.sum(du < 0.0))
 
 
-def _stencil(op: DiscreteOperator):
-    """(diagonal, couplings) of the matrix as grid arrays, or None.
-
-    None unless the matrix is a (2d+1)-point stencil on the tensor grid
-    that equals its transpose bit for bit: every nonzero lies on the
-    diagonal or couples two neighbours along one axis.  couplings[k] has
-    n - 1 entries along axis k; its entry i couples nodes i and i + 1.
-    """
-    n, d = op.grid.points_per_axis, op.dimension
-    shape = (n,) * d
-    a = op.matrix
-    if n < 2 or a.shape != (n**d, n**d):
-        return None
-    diag = a.diagonal()
-    couplings, on_stencil = [], np.count_nonzero(diag)
-    for axis in range(d):
-        stride = n ** (d - 1 - axis)
-        band = a.diagonal(stride)
-        if not np.array_equal(band, a.diagonal(-stride)):
-            return None
-        band = np.append(band, np.zeros(stride)).reshape(shape)
-        inner, wrap = np.split(band, [n - 1], axis=axis)
-        if np.any(wrap):  # the last node of a line coupled to the next line
-            return None
-        on_stencil += 2 * np.count_nonzero(inner)
-        couplings.append(inner)
-    if on_stencil != np.count_nonzero(a.data):
-        return None
-    return diag.reshape(shape), couplings
-
-
-def _symmetries(stencil) -> tuple:
+def _symmetries(op: DiscreteOperator) -> tuple:
     """(mirrored, swap): the axes whose reflection commutes with the 2-D
-    stencil matrix bit for bit, and whether the swap (i, j) -> (j, i) does
-    too.  The swap is used only with both reflections, which together make
-    the symmetry group D4 of the square."""
-    diag, couplings = stencil
+    stencil bit for bit, and whether the swap (i, j) -> (j, i) does too.
+    The swap is used only with both reflections, which together make the
+    symmetry group D4 of the square."""
+    diag, couplings = op.diagonal, op.couplings
     mirrored = [
         all(np.array_equal(x, np.flip(x, axis)) for x in (diag, *couplings))
         for axis in range(diag.ndim)
@@ -425,7 +424,8 @@ def _block_map(n: int, parity, half=None) -> tuple:
     return columns, (a, b), w0[a] * w1[b] * np.where(a == b, 1, 2)
 
 
-def _block_matrix(stencil, columns, reps, weights) -> sp.csc_matrix:
+def _block_matrix(op: DiscreteOperator, columns, reps,
+                  weights) -> sp.csc_matrix:
     """S^T A S of one block, by index arithmetic on the stencil.
 
     A S = S M when A commutes with the symmetry, and each representative
@@ -434,11 +434,10 @@ def _block_matrix(stencil, columns, reps, weights) -> sp.csc_matrix:
     above the diagonal are computed; the others are their transposes, so
     the block equals its transpose bit for bit.
     """
-    diag, couplings = stencil
-    n = diag.shape[0]
+    n = op.grid.points_per_axis
     rows = np.arange(weights.size)
     ii, jj, vals = [], [], []
-    for k, coupling in enumerate(couplings):
+    for k, coupling in enumerate(op.couplings):
         for step in (1, -1):
             face = reps[k] - (step < 0)
             row = np.flatnonzero((face >= 0) & (face < n - 1))
@@ -457,7 +456,7 @@ def _block_matrix(stencil, columns, reps, weights) -> sp.csc_matrix:
     # T-congruent block gets the same sums
     ii.append(rows)
     jj.append(rows)
-    vals.append(diag[reps] * weights)
+    vals.append(op.diagonal[reps] * weights)
     ii, jj, vals = (np.concatenate(x) for x in (ii, jj, vals))
     off = ii != jj
     return sp.csc_matrix(
@@ -481,36 +480,37 @@ def _symmetry_blocks(op: DiscreteOperator) -> list:
     counted twice once T * OE * T == EO and their weights are checked bit
     for bit.  S^T A S is block diagonal and S invertible, so by Sylvester's
     law the inertia of A - E I is the sum over the blocks of multiplicity
-    times the inertia of S_i^T A S_i - E S_i^T S_i.  A matrix that is not a
-    symmetric stencil, or has no mirrored axis, is the one block A.
+    times the inertia of S_i^T A S_i - E S_i^T S_i.  A 1-D matrix, and one
+    with no mirrored axis, is the one block A.
     """
     # a tridiagonal matrix factors without fill: its halves would cost
     # about as much as the whole, plus each block's fixed cost
-    stencil = _stencil(op) if op.dimension >= 2 else None
-    mirrored, swap = _symmetries(stencil) if stencil else ([], False)
+    n = op.grid.points_per_axis
+    mirrored, swap = _symmetries(op) if op.dimension >= 2 and n >= 2 else (
+        [], False
+    )
     if not any(mirrored):
         return [(op.matrix, np.ones(op.size), 1)]
-    n = stencil[0].shape[0]
     blocks = []
     for parity in itertools.product(
         *((1, -1) if m else (None,) for m in mirrored)
     ):
         if swap and parity[0] != parity[1]:
             if parity[0] == 1:  # the odd-even block is counted with this one
-                blocks += _mixed_pair(stencil, parity)
+                blocks += _mixed_pair(op, parity)
             continue
         for half in (1, -1) if swap else (None,):
             block_map = _block_map(n, parity, half)
-            blocks.append((_block_matrix(stencil, *block_map), block_map[2], 1))
+            blocks.append((_block_matrix(op, *block_map), block_map[2], 1))
     return [b for b in blocks if b[0].shape[0] > 0]
 
 
-def _mixed_pair(stencil, parity) -> list:
+def _mixed_pair(op: DiscreteOperator, parity) -> list:
     """The even-odd block with multiplicity 2 when T * OE * T == EO and
     their weights agree bit for bit; else both blocks, each once."""
-    n = stencil[0].shape[0]
+    n = op.grid.points_per_axis
     eo_map, oe_map = (_block_map(n, p) for p in (parity, parity[::-1]))
-    eo, oe = (_block_matrix(stencil, *m) for m in (eo_map, oe_map))
+    eo, oe = (_block_matrix(op, *m) for m in (eo_map, oe_map))
     w_eo, w_oe = eo_map[2], oe_map[2]
     # T sends the representative (i, j) of an EO column to node (j, i)
     i, j = eo_map[1]
@@ -566,11 +566,10 @@ def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
 
 
 def _banded_eigenvalues(op: DiscreteOperator, hi: float) -> np.ndarray:
-    mat = op.matrix.tocsr()
     n = op.size
     band = np.zeros((2, n))
-    band[0] = mat.diagonal()
-    band[1, : n - 1] = mat.diagonal(-1)
+    band[0] = op.diagonal
+    band[1, : n - 1] = op.couplings[0]
     lo = float(band[0].min() - 2.0 * np.abs(band[1]).max() - 1.0)
     vals = eigvals_banded(
         band, lower=True, select="v", select_range=(lo, hi)

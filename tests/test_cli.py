@@ -13,16 +13,10 @@ from weyllab.cli import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    emit_config,
     main,
     parse_config,
     run,
 )
-
-
-def test_round_trip():
-    cfg = parse_config("model = harmonic\nenergy = 1.0\nseed = 5\n")
-    assert parse_config(emit_config(cfg)) == cfg
 
 
 def test_empty_document_lists_missing_keys():
@@ -229,3 +223,4 @@ def test_flow_bounds_unreachable_threshold_exit_1(tmp_path):
     error = verdict["criteria"][0]["error"]
     assert error.startswith("ValueError")
     assert f"threshold cbar h^delta0 = {100 * 0.05**0.41:.6g}" in error
+    assert "check_displacement_bounds" in verdict["criteria"][0]["traceback"]

@@ -213,10 +213,28 @@ def _diagonal_operator(entries) -> DiscreteOperator:
     return DiscreteOperator(
         h=0.1,
         grid=GridSpec(1.0, len(entries)),
-        matrix=sp.diags(entries).tocsc(),
+        diagonal=np.asarray(entries, dtype=float),
+        couplings=(np.zeros(len(entries) - 1),),
         variant="raw",
         dimension=1,
     )
+
+
+@pytest.mark.parametrize(
+    "n, diagonal, couplings",
+    [
+        (4, np.ones(4), (np.zeros(3),)),  # a 1-D stencil, declared 2-D
+        (4, np.ones((4, 3)), (np.zeros((3, 4)), np.zeros((4, 3)))),
+        (4, np.ones((4, 4)), (np.zeros((3, 4)), np.zeros((4, 4)))),
+        (4, np.ones((4, 4)), (np.zeros((3, 4)), np.zeros((3, 4)))),
+        (4, np.ones((4, 4)), (np.zeros((3, 4)),)),
+        (5, np.ones((4, 4)), (np.zeros((3, 4)), np.zeros((4, 3)))),
+    ],
+)
+def test_stencil_shapes_must_match_the_grid(n, diagonal, couplings):
+    with pytest.raises(ValueError, match="stencil"):
+        DiscreteOperator(h=0.1, grid=GridSpec(1.0, n), diagonal=diagonal,
+                         couplings=couplings, variant="raw", dimension=2)
 
 
 def test_counts_are_strict_at_an_eigenvalue():
@@ -392,13 +410,8 @@ def _square_operator(diag, couplings=None) -> DiscreteOperator:
     couples (j, i) with (j, i + 1); none by default."""
     n = diag.shape[0]
     c0 = np.zeros((n - 1, n)) if couplings is None else couplings
-    band1 = np.zeros((n, n))
-    band1[:, :-1] = c0.T
-    band1 = band1.ravel()[:-1]
-    matrix = sp.diags([diag.ravel(), c0.ravel(), c0.ravel(), band1, band1],
-                      [0, n, -n, 1, -1], format="csc")
-    return DiscreteOperator(h=0.1, grid=GridSpec(1.0, n), matrix=matrix,
-                            variant="raw", dimension=2)
+    return DiscreteOperator(h=0.1, grid=GridSpec(1.0, n), diagonal=diag,
+                            couplings=(c0, c0.T), variant="raw", dimension=2)
 
 
 def _orbit(n, i, j):
@@ -522,6 +535,47 @@ def test_swap_only_with_the_full_square_symmetry(potential, kinetic,
     slc = count_below(op, 1.0)
     assert slc.blocks == blocks
     assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
+
+
+def _count_matrix_builds(monkeypatch, forbid=False) -> list:
+    """Record (or forbid) every build of an operator's whole matrix."""
+    builds, build = [], DiscreteOperator.matrix.fget
+
+    def recorded(op):
+        if forbid:
+            raise AssertionError("the whole matrix was built")
+        builds.append(op.size)
+        return build(op)
+
+    monkeypatch.setattr(DiscreteOperator, "matrix", property(recorded))
+    return builds
+
+
+@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_mirrored_count_never_builds_the_matrix(name, n, monkeypatch):
+    m = make_model(name)
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n), strict_resolution=False)
+    full = _full_count(op, 1.0)
+    _count_matrix_builds(monkeypatch, forbid=True)
+    slc = count_below(op, 1.0)
+    assert slc.blocks == BLOCKS[name]
+    assert (slc.count, slc.shifts_applied) == full
+
+
+def test_unsplit_counts_build_the_matrix(harmonic, monkeypatch):
+    # a 1-D operator, and a 2-D one odd under both reflections, are
+    # factored whole
+    square = _square_model({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.3})
+    ops = [
+        assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 401)),
+        assemble(square, 0.1, 0.41, GridSpec(square.box_x, 20),
+                 strict_resolution=False),
+    ]
+    builds = _count_matrix_builds(monkeypatch)
+    for op in ops:
+        assert count_below(op, 1.0).blocks == 1
+    assert builds == [401, 400]
 
 
 def test_one_dimensional_operator_factors_whole(harmonic):
