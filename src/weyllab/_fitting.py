@@ -6,9 +6,46 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = ["ExponentFit", "fit_loglog"]
+
+
+def _t_central(t: float, nu: int) -> float:
+    """P(|T| < t) for Student's t with integer nu >= 1 degrees of freedom,
+    in closed form (Abramowitz and Stegun 26.7.3-4): with theta =
+    arctan(t / sqrt(nu)), (2/pi)(theta + sin theta * sum over odd powers of
+    cos theta) for odd nu, sin theta * sum over even powers for even nu."""
+    theta = math.atan(t / math.sqrt(nu))
+    c, s = math.cos(theta), math.sin(theta)
+    if nu % 2:
+        term, total = c, 0.0
+        for j in range(1, (nu - 1) // 2 + 1):
+            total += term
+            term *= c * c * (2 * j) / (2 * j + 1)
+        return 2.0 / math.pi * (theta + s * total)
+    term, total = 1.0, 0.0
+    for j in range(1, nu // 2 + 1):
+        total += term
+        term *= c * c * (2 * j - 1) / (2 * j)
+    return s * total
+
+
+def _t_quantile(p: float, nu: int) -> float:
+    """The p-quantile (1/2 < p < 1) of Student's t with integer nu degrees of
+    freedom: bisection on the closed-form central probability to adjacent
+    floating-point numbers."""
+    target = 2.0 * p - 1.0
+    lo, hi = 0.0, 1.0
+    while _t_central(hi, nu) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _t_central(mid, nu) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)
@@ -48,7 +85,7 @@ def fit_loglog(xs, ys, min_points: int = 4) -> ExponentFit:
     if n > 2:
         s2 = float(resid @ resid) / (n - 2)
         sxx_c = float(((lxf - lxf.mean()) ** 2).sum())
-        half = float(stdtrit(n - 2, 0.975)) * math.sqrt(s2 / sxx_c)
+        half = _t_quantile(0.975, n - 2) * math.sqrt(s2 / sxx_c)
     else:
         half = math.inf
     return ExponentFit(

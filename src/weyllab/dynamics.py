@@ -1,12 +1,14 @@
 """Hamiltonian flow diagnostics and oscillatory phase-space integrals.
 
-The Hamiltonian flow of the symbol is integrated with a high-order adaptive
-Runge-Kutta scheme, a batch of n starts as one stacked system at tolerance
-FLOW_TOL/sqrt(n); energy conservation along trajectories is the accuracy
-witness.  Displacement bounds flow every sample in one batch and compare the
-flow map against the gradient at the starting point: away from the
-near-critical set the displacement is pinched between |t grad p|/2 and
-C1 |t grad p|, and the first-order Taylor error is quadratic in t.
+The Hamiltonian flow of the symbol is integrated with the adaptive
+Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6,
+1980), a batch of n starts as one stacked system at tolerance
+FLOW_TOL/sqrt(n), with steps that land exactly on each requested snapshot
+time; energy conservation along trajectories is the accuracy witness.
+Displacement bounds flow every sample in one batch and compare the flow map
+against the gradient at the starting point: away from the near-critical set
+the displacement is pinched between |t grad p|/2 and C1 |t grad p|, and the
+first-order Taylor error is quadratic in t.
 
 Oscillatory integrals (2 pi h)^(-d) int exp(i t p/h) b dv are computed by
 panel-per-wavelength tensor Gauss-Legendre quadrature with a panel-halving
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._fitting import ExponentFit, fit_loglog
 from .symbols import SymbolModel, _cutoff_band, _monomial
@@ -76,6 +77,24 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = min(os.cpu_count() or 1, 4)
 NODES_PER_PANEL = 8
+
+# Dormand-Prince 5(4): row i < 6 of _DP_A gives stage i from stages 0 .. i-1,
+# row 6 the 5th-order step, whose slope is stage 6 and the next step's
+# stage 0 (first same as last); _DP_E weights the seven stages into the
+# difference of the embedded 4th-order and the 5th-order steps
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+# step-size control of an error estimate of order 4: h ~ err^(-1/5)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -115,6 +134,98 @@ class FlowTrajectory:
         return self.states[i]
 
 
+def _rms(x) -> float:
+    return float(np.sqrt(np.mean(np.square(x))))
+
+
+def _dp_step(rhs, y, k, h):
+    """One Dormand-Prince step of size h from y, whose slope k[0] is given:
+    fills k[1:] with the stages and returns (y_new, error estimate)."""
+    for i in range(1, 7):
+        y_new = y + h * (_DP_A[i, :i] @ k[:i])
+        k[i] = rhs(y_new)
+    return y_new, h * (_DP_E @ k)
+
+
+def _initial_step(rhs, y, f0, span, tol) -> float:
+    """First step size (Hairer, Norsett and Wanner, Solving Ordinary
+    Differential Equations I, sec. II.4), from the slope f0 at y, the slope
+    after a trial Euler step, and the length and sign of the span."""
+    scale = tol * (1.0 + np.abs(y))
+    d0, d1 = _rms(y / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(span))
+    d2 = _rms((rhs(y + math.copysign(h0, span) * f0) - f0) / scale) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, 1e-3 * h0)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return math.copysign(min(100.0 * h0, h1, abs(span)), span)
+
+
+def _dormand_prince(rhs, y0, stops, tol):
+    """The autonomous system y' = rhs(y) from y0 at t = 0 through the times
+    ``stops`` (nonzero, of one sign, ordered away from 0).
+
+    A step is accepted when the RMS over the components of its error
+    estimate, each scaled by tol (1 + max(|y|, |y_new|)), is below 1; the
+    next step is the current one times 0.9 err^(-1/5), clamped to
+    [0.2, 10] (not above 1 after a rejection).  A step that would pass a
+    stop is shortened to end exactly on it; the step after it is the larger
+    of the one proposed before the shortening and the controller's.
+    Raises IntegrationFault, with the last accepted state and time, when
+    the step falls below ten spacings of the floating-point numbers at t.
+
+    Returns (states at the stops (len(stops), size), the times at which
+    every accepted step ended, the number of rhs evaluations).
+    """
+    k = np.empty((7, y0.size))
+    k[0] = rhs(y0)
+    h = _initial_step(rhs, y0, k[0], stops[-1], tol)
+    evaluations = 2
+    y, t, ends, states = y0, 0.0, [], []
+    for stop in stops:
+        while t != stop:
+            min_step = 10.0 * abs(np.nextafter(t, stop) - t)
+            rejected = False
+            while True:
+                if abs(h) < min_step:
+                    raise IntegrationFault(
+                        f"step {abs(h):.3g} is below ten spacings of the "
+                        f"floating-point numbers at t = {t:.17g}",
+                        last_state=y, last_time=t,
+                    )
+                landing = abs(h) >= abs(stop - t)
+                step = stop - t if landing else h
+                y_new, err = _dp_step(rhs, y, k, step)
+                evaluations += 6
+                scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+                norm = _rms(err / scale)
+                if norm < 1.0:
+                    break
+                # a non-finite estimate shrinks the step by the most
+                factor = _SAFETY * norm**-0.2 if math.isfinite(norm) else 0.0
+                h = step * max(_MIN_FACTOR, factor)
+                rejected = True
+            factor = _MAX_FACTOR if norm == 0.0 else min(
+                _MAX_FACTOR, _SAFETY * norm**-0.2)
+            if rejected:
+                factor = min(1.0, factor)
+            if landing:
+                # a shortened step would shrink the next one: keep at
+                # least the proposal it was cut from
+                h = math.copysign(max(abs(h), abs(step) * factor), h)
+                t = stop
+            else:
+                h *= factor
+                t += step
+            y = y_new
+            k[0] = k[6]
+            ends.append(t)
+        states.append(y)
+    return np.array(states), ends, evaluations
+
+
 def integrate_flow(
     model: SymbolModel,
     v0,
@@ -123,18 +234,20 @@ def integrate_flow(
 ) -> FlowTrajectory:
     """Hamiltonian trajectories from v0 up to t_end (either sign).
 
-    ``v0`` is one start (2d,) or a batch (n, 2d), integrated as one stacked
-    system at rtol = atol = FLOW_TOL/sqrt(n): DOP853's error norm is the RMS
-    over all components, so each trajectory's own norm stays within FLOW_TOL.
-    ``times`` selects the stored snapshots (default: endpoints only); each
-    has the shape of v0, and t = 0 is always stored as exactly v0.
+    ``v0`` is one start (2d,) or a batch (n, 2d), integrated by
+    Dormand-Prince 5(4) as one stacked system at rtol = atol =
+    FLOW_TOL/sqrt(n): the error norm is the RMS over all components, so each
+    trajectory's own norm stays within FLOW_TOL.  ``times`` selects the
+    stored snapshots (default: endpoints only), on which the steps land
+    exactly; each has the shape of v0, and t = 0 is always stored as exactly
+    v0.  ``integrator_steps`` counts right-hand-side evaluations.
     """
     v0 = np.asarray(v0, dtype=float)
     starts = np.atleast_2d(v0)
     n, dim = starts.shape
     tol = FLOW_TOL / math.sqrt(n)
 
-    def rhs(_t, y):
+    def rhs(y):
         return symplectic_gradient(model, y.reshape(n, dim)).ravel()
 
     if times is None:
@@ -150,26 +263,17 @@ def integrate_flow(
     for slots in (np.flatnonzero(times < 0)[::-1], np.flatnonzero(times > 0)):
         if len(slots) == 0:
             continue
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(times[slots[-1]])),
-            starts.ravel(),
-            method="DOP853",
-            rtol=tol,
-            atol=tol,
-            t_eval=times[slots],
-        )
-        if not sol.success:
-            # stalled before the first snapshot: sol.t, sol.y are empty lists
-            stored = len(sol.t) > 0
-            last = sol.y[:, -1] if stored else starts
+        try:
+            flowed, _, evaluations = _dormand_prince(
+                rhs, starts.ravel(), times[slots], tol)
+        except IntegrationFault as fault:
             raise IntegrationFault(
-                f"flow integration of {n} start(s) stalled: {sol.message}",
-                last_state=last.reshape(v0.shape),
-                last_time=float(sol.t[-1]) if stored else 0.0,
-            )
-        states[slots] = sol.y.T.reshape(-1, n, dim)
-        steps += sol.nfev
+                f"flow integration of {n} start(s) stalled: {fault}",
+                last_state=fault.last_state.reshape(v0.shape),
+                last_time=fault.last_time,
+            ) from fault
+        states[slots] = flowed.reshape(-1, n, dim)
+        steps += evaluations
 
     energies = model.value(states.reshape(-1, dim)).reshape(len(times), n)
     drift = float(np.abs(energies - model.value(starts)).max())

@@ -71,6 +71,7 @@ __all__ = [
 
 SHIFT_STEP = 1e-10
 MAX_SHIFTS = 3
+PIVOT_TOL = 1e-13
 MASS_TOL = 1e-8
 TAIL_CUTOFF = 1e-10
 
@@ -339,7 +340,9 @@ def assemble(
 # -- counting ------------------------------------------------------------------
 
 
-def _sparse_inertia(mat: sp.csc_matrix) -> int:
+def _sparse_inertia(mat: sp.csc_matrix, bound: float) -> int:
+    """Negative pivots of a symmetric LU of `mat`; a pivot below PIVOT_TOL
+    times `bound`, a bound on the matrix's norm, counts as zero."""
     try:
         lu = splu(
             mat,
@@ -352,8 +355,7 @@ def _sparse_inertia(mat: sp.csc_matrix) -> int:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationFault("factorization lost symmetric pivoting")
     du = lu.U.diagonal()
-    scale = float(np.abs(du).max())
-    if np.any(np.abs(du) < 1e-13 * max(scale, 1.0)):
+    if np.any(np.abs(du) < PIVOT_TOL * bound):
         raise FactorizationFault("near-zero pivot")
     return int(np.sum(du < 0.0))
 
@@ -520,20 +522,41 @@ def _mixed_pair(op: DiscreteOperator, parity) -> list:
     return [(eo, w_eo, 1), (oe, w_oe, 1)]
 
 
-def _count_blocks(blocks, energy: float):
+def _pivot_bound(op: DiscreteOperator, energy: float, blocks) -> float:
+    """A bound on the infinity norm of B - E W for every block (B, W, _) of
+    `op`: the largest weight times the largest Gershgorin row sum
+    |A_pp - E| + sum over q != p of |A_pq|, read from the stencil arrays.
+
+    A row of B - E W is a row of (A - E I) S at a representative node,
+    times that node's weight, and S has one +-1 per node, so its absolute
+    sum is at most the weight times A's row sum.  The shifts move E by at
+    most MAX_SHIFTS * SHIFT_STEP, which the bound leaves out.
+    """
+    rows = np.abs(op.diagonal - energy)
+    for axis, coupling in enumerate(op.couplings):
+        before = (slice(None),) * axis
+        rows[before + (slice(0, -1),)] += np.abs(coupling)
+        rows[before + (slice(1, None),)] += np.abs(coupling)
+    weight = max(float(w.max()) for _, w, _ in blocks)
+    return weight * float(rows.max())
+
+
+def _count_blocks(blocks, energy: float, bound: float):
     """(sum over the blocks of multiplicity times the negative inertia of
     B - E' W, shifts).
 
-    A singular or near-singular pivot in any block means an eigenvalue sits
-    at the threshold E' = energy - shifts * SHIFT_STEP; every block is then
-    factored again at the next shift, so the count uses one threshold.
+    A singular pivot, or one below PIVOT_TOL times `bound` (from
+    `_pivot_bound`), in any block means an eigenvalue sits at the threshold
+    E' = energy - shifts * SHIFT_STEP; every block is then factored again
+    at the next shift, so the count uses one threshold.
     """
     pivot_log = []
     for shifts in range(MAX_SHIFTS + 1):
         shifted = energy - shifts * SHIFT_STEP
         try:
             count = sum(
-                mult * _sparse_inertia(b - sp.diags(shifted * w, format="csc"))
+                mult * _sparse_inertia(
+                    b - sp.diags(shifted * w, format="csc"), bound)
                 for b, w, mult in blocks
             )
         except FactorizationFault as fault:
@@ -552,10 +575,13 @@ def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
     summed, each times its multiplicity.  A singular or near-singular
     factorization means an eigenvalue sits at the threshold; the threshold
     then moves down by SHIFT_STEP, so that an eigenvalue at `energy` stays
-    uncounted and every count is strict.
+    uncounted and every count is strict.  A pivot is judged near zero
+    against a bound on the norm of its block, not against the other pivots,
+    so one huge pivot after a near tie does not make the rest look small.
     """
     blocks = _symmetry_blocks(op)
-    count, shifts = _count_blocks(blocks, energy)
+    count, shifts = _count_blocks(
+        blocks, energy, _pivot_bound(op, energy, blocks))
     return SpectrumSlice(
         threshold=energy,
         count=count,

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .symbols import SymbolModel, find_critical_points
 
@@ -326,6 +325,9 @@ def near_critical_volume(
     thickened indicator (nearest-cloud distance < h^delta0) over slightly
     enlarged boxes.
     """
+    # no CLI experiment calls this function: scipy.spatial loads here only
+    from scipy.spatial import cKDTree
+
     if cbar <= 1.0:
         raise ValueError("cbar must exceed 1")
     eps = h**delta0

@@ -142,22 +142,30 @@ _IMPORT_GRAPH_CHILD = """
 import sys
 import weyllab.cli
 from weyllab._fitting import fit_loglog
+from weyllab.dynamics import integrate_flow
+from weyllab.mollify import build_mollifier
 from weyllab.symbols import find_critical_points, make_model
 fit_loglog([0.1, 0.05, 0.025, 0.0125], [1.0, 0.6, 0.21, 0.13])
-find_critical_points(make_model("double_well_2d"), 1.0, 0.25)
-print("scipy.stats" in sys.modules)
+build_mollifier(1)
+build_mollifier(2)
+model = make_model("double_well_2d")
+find_critical_points(model, 1.0, 0.25)
+integrate_flow(model, [[0.5, 0.1, 0.2, -0.3], [0.1, 0.4, -0.2, 0.0]], 0.1)
+unused = ("stats", "integrate", "optimize", "spatial", "special")
+print(sorted(m for m in sys.modules if m in {"scipy." + u for u in unused}))
 """
 
 
 def test_scipy_stats_not_imported():
-    # scipy.stats costs about half a second and 20 MB at every start; the
-    # t quantile and the Newton start points need none of it
+    # the sweeps count by sparse LU and banded eigenvalues; the t quantile,
+    # the kernel moments and the flow have closed forms or in-house rules,
+    # so no start or run loads the scipy modules that served them
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GRAPH_CHILD],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sublevel_csv_constants_are_numbers(tmp_path):

@@ -113,6 +113,77 @@ def test_stalled_flow_raises_integration_fault(v0):
     assert np.shape(info.value.last_state) == np.shape(v0)
 
 
+def _rotation(starts, t):
+    """The flow of x^2 + xi^2: rotation of (x, xi) by the angle -2t."""
+    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+    x, xi = starts[:, 0], starts[:, 1]
+    return np.stack([c * x + s * xi, c * xi - s * x], axis=1)
+
+
+def test_harmonic_batch_matches_rotation(harmonic):
+    starts = np.random.default_rng(11).uniform(-1.0, 1.0, (64, 2))
+    times = [-1.3, -0.4, 0.25, 0.9, 2.1]
+    traj = integrate_flow(harmonic, starts, 2.1, times=times)
+    for t, state in zip(traj.times, traj.states):
+        np.testing.assert_allclose(state, _rotation(starts, t), rtol=0,
+                                   atol=1e-9)
+
+
+def _rotation_rhs(y):
+    # x' = 2 xi, xi' = -2 x, for one start
+    return np.array([2.0 * y[1], -2.0 * y[0]])
+
+
+def test_steps_land_on_every_snapshot():
+    # two stops 1e-9 apart, and one that is not a sum of earlier steps
+    start = np.array([[1.0, 0.0]])
+    for stops in (np.array([0.1, 0.1 + 1e-9, 0.7, 4.0 / 3.0, 2.5]),
+                  np.array([-0.2, -1.0 / 3.0, -1.9])):
+        states, ends, _ = dynamics._dormand_prince(
+            _rotation_rhs, start[0], stops, 1e-11)
+        assert np.all(np.diff(np.abs(ends)) > 0)
+        assert set(stops) <= set(ends)
+        np.testing.assert_allclose(
+            states, [_rotation(start, t)[0] for t in stops], rtol=0,
+            atol=1e-9)
+
+
+def test_error_estimate_is_fifth_order():
+    # the embedded pair differs at order h^5, which the estimate needs its
+    # seventh (first same as last) stage for
+    y = np.array([0.6, -0.3])
+    ratios = []
+    for h in (0.05, 0.025):
+        errs = []
+        for step in (h, h / 2):
+            k = np.empty((7, 2))
+            k[0] = _rotation_rhs(y)
+            errs.append(np.abs(dynamics._dp_step(_rotation_rhs, y, k,
+                                                 step)[1]).max())
+        ratios.append(errs[0] / errs[1])
+    assert all(28.0 < r < 36.0 for r in ratios)
+
+
+def test_rejected_steps_keep_the_error_in_bounds():
+    # y' = g(y) crosses a speed bump near y = 1, where g grows a
+    # thousandfold within 0.001: steps grown on the flat part are rejected
+    # there, and accepted they would leave an error near 1e-2.  The time to
+    # reach y is t(y) in closed form.
+    a, eps = 0.999, 0.001
+
+    def rhs(y):
+        return 1.0 / (1.0 - a * eps**2 / (eps**2 + (y - 1.0) ** 2))
+
+    def t_of(y):
+        return y - a * eps * (math.atan((y - 1.0) / eps) + math.atan(1.0 / eps))
+
+    stops = np.array([0.5, t_of(2.0)])
+    states, ends, evaluations = dynamics._dormand_prince(
+        rhs, np.array([0.0]), stops, 1e-10)
+    assert (evaluations - 2) // 6 > len(ends)  # some steps were rejected
+    assert abs(t_of(states[-1, 0]) - stops[-1]) < 1e-8
+
+
 def test_displacement_bounds_clean(harmonic):
     rep = check_displacement_bounds(
         harmonic, n_samples=25, t_grid=[-0.1, -0.05, 0.05, 0.1],

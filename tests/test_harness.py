@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weyllab import harness, operators, phasevol, symbols
-from weyllab._fitting import fit_loglog
+from weyllab._fitting import _t_quantile, fit_loglog
 from weyllab.harness import (
     SweepRecord,
     acceptance_report,
@@ -63,6 +63,15 @@ def test_fit_loglog_ci_halfwidth_closed_form():
     t = (2 * p - 1) / np.sqrt(2 * p * (1 - p))
     assert t == pytest.approx(4.3027, abs=1e-4)
     assert fit.ci_halfwidth == pytest.approx(t * np.sqrt(s2 / sxx), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.975, 0.6, 0.999])
+def test_t_quantile_matches_scipy(p):
+    from scipy.special import stdtrit
+
+    for nu in range(1, 201):  # odd and even nu take different closed forms
+        assert _t_quantile(p, nu) == pytest.approx(
+            float(stdtrit(nu, p)), rel=1e-13), nu
 
 
 def test_fit_loglog_excludes_nonpositive():

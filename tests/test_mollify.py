@@ -34,9 +34,9 @@ def test_admissible_delta0_open_interval():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_kernel_moments(d):
-    # construction itself validates defects at 1e-10 by adaptive radial
-    # quadrature and raises on failure; here we re-measure with the tensor
-    # rule, which converges more slowly in d=2
+    # construction itself validates defects at 1e-10 by the radial
+    # Gauss-Legendre rule and raises on failure; here we re-measure with the
+    # tensor rule, which converges more slowly in d=2
     tol = 1e-8 if d == 1 else 1e-6
     kernel = build_mollifier(d)
     pts, wts = kernel.quadrature
@@ -45,6 +45,18 @@ def test_kernel_moments(d):
     for j in range(d):
         assert abs((vals * pts[:, j]).sum()) <= tol
         assert abs((vals * pts[:, j] ** 2).sum()) <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_radial_rule_matches_adaptive_quadrature(d, k):
+    def integrand(r):
+        bump = math.exp(-1.0 / (1.0 - r * r)) if r < 1.0 else 0.0
+        return r ** (k + d - 1) * bump
+
+    ref, _ = quad(integrand, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+    value = mollify._radial_integral(d, k)
+    assert value == pytest.approx(mollify._sphere_area(d) * ref, rel=1e-13)
 
 
 def test_one_kernel_per_dimension():

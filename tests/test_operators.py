@@ -375,7 +375,9 @@ def test_counter_tables_match_doubling_reference(t0):
 
 def _full_count(op, energy):
     """Count on the whole matrix, as one block: (count, shifts)."""
-    return operators._count_blocks([(op.matrix, np.ones(op.size), 1)], energy)
+    blocks = [(op.matrix, np.ones(op.size), 1)]
+    return operators._count_blocks(
+        blocks, energy, operators._pivot_bound(op, energy, blocks))
 
 
 # symmetry blocks factored per count: D4 splits the square's four mirror
@@ -456,9 +458,9 @@ def test_tie_inside_one_block_shifts_every_block(n):
     # eigenvalue E, which the swap-even block mixes with the centre.
     # Every other node sits at E - SHIFT_STEP/2, in every block, so a
     # count that shifted the singular blocks alone would count those
-    # nodes elsewhere.  The reference is the dense spectrum: factored
-    # whole, the tie's tiny pivot makes the next one huge, and the
-    # near-zero pivot test then rejects the E - SHIFT_STEP/2 pivots.
+    # nodes elsewhere.  The reference is the dense spectrum.  Factored
+    # whole, the tie's tiny pivot makes the next one huge; judged against
+    # that pivot, every E - SHIFT_STEP/2 pivot looked singular at each shift.
     e, c = 2.0, 0.5
     diag = np.full((n, n), e - 0.5 * operators.SHIFT_STEP)
     couplings = np.zeros((n - 1, n))
@@ -478,6 +480,18 @@ def test_tie_inside_one_block_shifts_every_block(n):
     slc = count_below(op, e)
     assert slc.shifts_applied == 1
     assert slc.count == below
+    assert _full_count(op, e) == (below, 1)
+
+
+def test_pivot_bound_covers_every_block_norm():
+    m = make_model("separable_harmonic_2d")
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 63), variant="minus",
+                  strict_resolution=False)
+    blocks = operators._symmetry_blocks(op)
+    bound = operators._pivot_bound(op, 1.0, blocks)
+    norms = [abs(b - sp.diags(1.0 * w)).sum(axis=1).max()
+             for b, w, _ in blocks]
+    assert max(norms) <= bound <= 8.0 * max(norms)
 
 
 @pytest.mark.parametrize(
