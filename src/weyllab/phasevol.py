@@ -38,6 +38,7 @@ __all__ = [
     "SublevelLemmaReport",
     "ContainmentFault",
     "InvariantFault",
+    "DegenerateCriticalPoint",
     "ReducedSymbol",
     "weyl_volume",
     "remainder_functional",
@@ -52,6 +53,13 @@ BOUNDARY_MARGIN = 0.02
 CHUNK_NODES = 2**13
 N_BATCHES = 32
 NEWTON_TOL = 1e-12
+# near_critical_volume: the energy window |a0 - E| <= ENERGY_WINDOW of the
+# tube, its Monte Carlo points per centre box, its inner-cloud candidates
+# per centre, and the Philox key of its draws
+ENERGY_WINDOW = 0.25
+TUBE_BUDGET = 2**16
+CLOUD_SIZE = 2**14
+TUBE_SEED = 0
 
 
 class ContainmentFault(RuntimeError):
@@ -60,6 +68,11 @@ class ContainmentFault(RuntimeError):
 
 class InvariantFault(ValueError):
     """A sample's input or result breaks an invariant of its construction."""
+
+
+class DegenerateCriticalPoint(RuntimeError):
+    """A critical point's Hessian is rank deficient, so the near-critical
+    tube around it cannot be localized by its least singular value."""
 
 
 @dataclass(frozen=True)
@@ -306,24 +319,19 @@ def remainder_functional(
 
 
 def near_critical_volume(
-    model: SymbolModel,
-    h: float,
-    delta0: float,
-    cbar: float,
-    energy: float,
-    energy_window: float = 0.25,
-    budget: int = 2**16,
-    cloud_size: int = 2**14,
-    seed: int = 0,
+    model: SymbolModel, h: float, delta0: float, cbar: float, energy: float
 ) -> VolumeEstimate:
     """Volume of the h^delta0-thickening of {|grad a0| <= cbar h^delta0}
-    intersected with {|a0 - E| <= energy_window}.
+    intersected with {|a0 - E| <= ENERGY_WINDOW}.
 
-    The inner set concentrates around critical points of the symbol, so the
-    estimator localizes: it rejection-samples an inner point cloud in small
-    boxes around the located critical points, then Monte Carlo integrates the
-    thickened indicator (nearest-cloud distance < h^delta0) over slightly
-    enlarged boxes.
+    The inner set concentrates around the critical points that
+    `find_critical_points` locates, so the estimator localizes: it
+    rejection-samples CLOUD_SIZE candidates for the inner set in a box of
+    half-width 1.5 cbar h^delta0 / sigma_min around each centre, sigma_min
+    the least singular value of its Hessian, then Monte Carlo integrates
+    the thickened indicator (nearest-cloud distance < h^delta0) over
+    TUBE_BUDGET points of a slightly enlarged box.  Raises
+    DegenerateCriticalPoint at a centre whose Hessian is rank deficient.
     """
     # no CLI experiment calls this function: scipy.spatial loads here only
     from scipy.spatial import cKDTree
@@ -331,29 +339,32 @@ def near_critical_volume(
     if cbar <= 1.0:
         raise ValueError("cbar must exceed 1")
     eps = h**delta0
-    centers = find_critical_points(model, energy, energy_window)
+    centers = find_critical_points(model, energy, ENERGY_WINDOW)
     if len(centers) == 0:
         return VolumeEstimate(0.0, 0.0, "monte_carlo", 0)
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=TUBE_SEED))
     two_d = 2 * model.dimension
     boxes = []
     for report in centers:
         center = np.asarray(report.location, dtype=float)
-        sigma_min = float(
-            np.linalg.svd(report.hessian, compute_uv=False).min()
-        )
-        sigma_min = max(sigma_min, 1e-6)
+        # the Hessian is symmetric: its singular values are |eigenvalues|
+        sigma_min = float(np.abs(report.hessian_eigenvalues).min())
+        if report.hessian_rank < two_d:
+            raise DegenerateCriticalPoint(
+                f"critical point {center} has a rank-deficient Hessian "
+                f"(least singular value {sigma_min:.3e})"
+            )
         inner_r = 1.5 * cbar * eps / sigma_min
         boxes.append((center, inner_r, inner_r + 1.2 * eps))
 
     # inner cloud: accepted points of the near-critical set itself
     cloud = []
     for center, inner_r, _ in boxes:
-        cand = center + rng.uniform(-inner_r, inner_r, size=(cloud_size, two_d))
+        cand = center + rng.uniform(-inner_r, inner_r, size=(CLOUD_SIZE, two_d))
         gn = np.linalg.norm(model.gradient(cand), axis=1)
         ok = (gn <= cbar * eps) & (
-            np.abs(model.value(cand) - energy) <= energy_window
+            np.abs(model.value(cand) - energy) <= ENERGY_WINDOW
         )
         cloud.append(cand[ok])
     cloud = np.concatenate(cloud, axis=0)
@@ -361,7 +372,7 @@ def near_critical_volume(
         return VolumeEstimate(0.0, 0.0, "monte_carlo", 0)
     tree = cKDTree(cloud)
 
-    per = max(budget // N_BATCHES, 128)
+    per = max(TUBE_BUDGET // N_BATCHES, 128)
     total = per * N_BATCHES
     value, var = 0.0, 0.0
     for center, _, outer_r in boxes:

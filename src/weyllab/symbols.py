@@ -5,10 +5,17 @@ over multi-index pairs.  Coefficients carry their own derivatives, so
 gradients and Hessians of the symbol are exact up to rounding, except where
 a coefficient's own derivatives are approximate: holder_test_field
 differentiates its cutoff by central differences (steps 1e-6 and 1e-4).
+
+Critical points are found without random draws: Newton starts from the
+discrete local minima of |grad_x a0| over the fibre centres (x, xi*(x)) on
+a midpoint x grid of SEED_NODES nodes per axis and takes NEWTON_STEPS
+undamped steps, so two critical points within about two grid cells can
+share one seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +42,10 @@ RANK_RTOL = 1e-6
 DEDUP_RADIUS = 1e-6
 # Gradient norm required of a polished critical point.
 POLISH_TOL = 1e-8
+# Nodes per axis of the x grid that seeds the critical-point search.
+SEED_NODES = 64
+# Undamped Newton steps taken from each seed.
+NEWTON_STEPS = 50
 
 
 class EvaluationFault(RuntimeError):
@@ -312,54 +323,56 @@ def hessian_rank(eigs: np.ndarray) -> int:
     return int(np.sum(np.abs(eigs) > thresh))
 
 
+def _newton_step(model: SymbolModel, pts: np.ndarray, block: slice) -> None:
+    """One undamped Newton step on grad a0 in the coordinates ``block`` of
+    pts, in place.  The step is -pinv(H) g, which stays defined where the
+    Hessian is singular."""
+    g = model.gradient(pts)[:, block, None]
+    h = model.hessian(pts)[:, block, block]
+    pts[:, block] -= (np.linalg.pinv(h) @ g)[:, :, 0]
+
+
 def find_critical_points(
-    model: SymbolModel,
-    energy: float,
-    window: float,
-    n_seeds: int = 10_000,
-    seed: int = 0,
-    max_iter: int = 60,
+    model: SymbolModel, energy: float, window: float
 ) -> list[CriticalPointReport]:
     """Locate the numerical critical set {|a0 - E| + |grad a0| <= 2c}.
 
-    Multi-start damped Newton on the gradient from n_seeds uniform (Philox)
-    start points in the configured phase-space box; converged points are
-    deduplicated and sorted lexicographically so the result is deterministic.
+    a0 is quadratic in xi, so one Newton step in xi from xi = 0 lands on
+    the fibre centre xi*(x), and the critical points are the (x, xi*(x))
+    with grad_x a0(x, xi*(x)) = 0.  Newton is seeded at the discrete local
+    minima of |grad_x a0(x, xi*(x))| on the midpoint grid of SEED_NODES
+    nodes per axis over the x box; each seed takes NEWTON_STEPS undamped
+    steps on the whole gradient and is dropped if it leaves the box.
+    Converged points are deduplicated and sorted lexicographically.  No
+    random numbers are drawn.  Two critical points within about two grid
+    cells (4 box_x / SEED_NODES) of each other can share one seed, and then
+    only one of them is found.
     """
+    if model.order != 1:
+        raise NotImplementedError("fibre centres need a second-order symbol")
     if window <= 0:
         raise ValueError("window must be positive")
-    d = model.dimension
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = model.sample_box(n_seeds, rng)
+    d, k = model.dimension, SEED_NODES
+    axis = (np.arange(k) + 0.5) * (2.0 * model.box_x / k) - model.box_x
+    nodes = np.zeros((k**d, 2 * d))
+    grid = np.meshgrid(*[axis] * d, indexing="ij")
+    nodes[:, :d] = np.stack(grid, axis=-1).reshape(-1, d)
+    _newton_step(model, nodes, slice(d, 2 * d))
+    slope = np.linalg.norm(model.gradient(nodes)[:, :d], axis=1)
+    slope = slope.reshape((k,) * d)
 
-    # Batched damped Newton with a trust-radius cap; all seeds step together.
-    step_cap = 0.25 * min(model.box_x, model.box_xi)
-    for _ in range(max_iter):
-        g = model.gradient(pts)
-        gnorm = np.linalg.norm(g, axis=1)
-        active = gnorm > 1e-12
-        if not active.any():
-            break
-        h = model.hessian(pts[active])
-        reg = h + 1e-12 * np.eye(2 * d)
-        try:
-            step = -np.linalg.solve(reg, g[active][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # least-squares step, solved per seed
-            step = -(np.linalg.pinv(reg) @ g[active][:, :, None])[:, :, 0]
-        lengths = np.linalg.norm(step, axis=1)
-        too_big = lengths > step_cap
-        step[too_big] *= (step_cap / lengths[too_big])[:, None]
-        trial = pts[active] + step
-        # damp: halve the step where the gradient norm would blow up
-        gt = np.linalg.norm(model.gradient(trial), axis=1)
-        ok = gt <= gnorm[active] * 2.0 + 1e-14
-        pts[active] = np.where(ok[:, None], trial, pts[active] + 0.5 * step)
-
-    g = model.gradient(pts)
-    gnorm = np.linalg.norm(g, axis=1)
-    inside = model.in_box(pts) & (gnorm <= POLISH_TOL)
-    candidates = pts[inside]
+    # a node is a seed where no node of its 3^d neighbourhood has a smaller
+    # slope; +inf padding lets edge nodes compare with their inner side only
+    padded = np.pad(slope, 1, constant_values=np.inf)
+    is_seed = np.ones(slope.shape, dtype=bool)
+    for shift in itertools.product(range(3), repeat=d):
+        is_seed &= slope <= padded[tuple(slice(s, s + k) for s in shift)]
+    pts = nodes[is_seed.ravel()]
+    for _ in range(NEWTON_STEPS):
+        _newton_step(model, pts, slice(None))
+        pts = pts[model.in_box(pts)]
+    gnorm = np.linalg.norm(model.gradient(pts), axis=1)
+    candidates = pts[gnorm <= POLISH_TOL]
 
     # Deduplicate, then evaluate the report per surviving point.
     reports = []

@@ -12,6 +12,7 @@ from weyllab import phasevol
 from weyllab.operators import GridSpec, assemble
 from weyllab.phasevol import (
     ContainmentFault,
+    DegenerateCriticalPoint,
     ReducedSymbol,
     near_critical_volume,
     poly_sublevel_measure,
@@ -23,6 +24,8 @@ from weyllab.symbols import (
     MODEL_REGISTRY,
     PolynomialCoefficient,
     SymbolModel,
+    _schrodinger,
+    find_critical_points,
     make_model,
 )
 
@@ -237,6 +240,8 @@ def test_fourth_order_symbol_rejected():
         assemble(model, 0.05, 0.41, GridSpec(2.0, 80))
     with pytest.raises(NotImplementedError):
         ReducedSymbol(model)
+    with pytest.raises(NotImplementedError):
+        find_critical_points(model, 1.0, 0.25)
 
 
 def test_remainder_functional_floor_and_grid():
@@ -266,6 +271,15 @@ def test_near_critical_volume_shrinks_with_h():
     hi = near_critical_volume(m, 0.08, 0.4, cbar=1.5, energy=1.0).value
     lo = near_critical_volume(m, 0.02, 0.4, cbar=1.5, energy=1.0).value
     assert lo < hi
+
+
+@pytest.mark.parametrize("h", [0.08, 0.02])
+def test_near_critical_volume_rejects_degenerate_centre(h):
+    # V = x1^4 + x2^2: the Hessian at the origin has a null direction, so
+    # the inner box 1.5 cbar h^delta0 / sigma_min would be unbounded
+    m = _schrodinger("quartic", 2, {(4, 0): 1.0, (0, 2): 1.0}, 1.8, {})
+    with pytest.raises(DegenerateCriticalPoint, match="least singular value"):
+        near_critical_volume(m, h, 0.4, cbar=1.5, energy=0.0)
 
 
 def test_poly_sublevel_linear_exact():

@@ -14,6 +14,7 @@ from weyllab.symbols import (
     EvaluationFault,
     PolynomialCoefficient,
     SymbolModel,
+    _schrodinger,
     find_critical_points,
     make_model,
     smooth_cutoff,
@@ -80,10 +81,9 @@ def test_sample_box_inside():
     assert np.all(np.abs(pts[:, 2:]) <= m.box_xi)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_double_well_critical_point(seed):
+def test_double_well_critical_point():
     m = make_model("double_well_2d")
-    crits = find_critical_points(m, 1.0, window=0.25, seed=seed)
+    crits = find_critical_points(m, 1.0, window=0.25)
     assert len(crits) == 1
     rep = crits[0]
     np.testing.assert_allclose(rep.location, np.zeros(4), atol=1e-7)
@@ -93,16 +93,44 @@ def test_double_well_critical_point(seed):
     assert eigs[0] < 0 < eigs[1]  # saddle
 
 
-def test_newton_fallback_steps_each_seed(monkeypatch):
-    # a singular batch falls back to a least-squares step per seed
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+QUARTIC = {(4, 0): 1.0, (0, 2): 1.0}  # x1^4 + x2^2: degenerate in x1
+RING = {  # (|x|^2 - 1)^2
+    (4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0, (2, 0): -2.0, (0, 2): -2.0,
+    (0, 0): 1.0,
+}
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    crits = find_critical_points(make_model("double_well_2d"), 1.0, 0.25)
-    assert len(crits) == 1
-    np.testing.assert_allclose(crits[0].location, np.zeros(4), atol=1e-7)
-    assert crits[0].hessian_rank == 4
+
+@pytest.mark.parametrize(
+    "potential, energy, rank, negative",
+    [
+        # the origin is a degenerate minimum: one null Hessian direction
+        (QUARTIC, 0.0, 3, 0),
+        # the circle of minima lies at energy 0, outside the window, and
+        # the origin is a non-degenerate maximum of V: signature (2, 2)
+        (RING, 1.0, 4, 2),
+    ],
+    ids=["quartic", "ring"],
+)
+def test_degenerate_critical_sets(potential, energy, rank, negative):
+    model = _schrodinger("degenerate", 2, potential, 1.8, {})
+    crits = find_critical_points(model, energy, 0.25)
+    assert crits
+    for rep in crits:
+        assert np.abs(rep.location).max() < 1e-4
+        assert rep.hessian_rank == rank
+        assert np.sum(rep.hessian_eigenvalues < 0) == negative
+
+
+def test_critical_points_draw_no_random_numbers(monkeypatch):
+    models = [make_model(name) for name in MODEL_REGISTRY]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the critical-point search drew random numbers")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for model in models:
+        find_critical_points(model, 1.0, 0.25)
 
 
 def test_minima_excluded_by_energy_window():
@@ -110,12 +138,16 @@ def test_minima_excluded_by_energy_window():
     # the two well bottoms sit at energy 0, outside the window around E=1
     crits = find_critical_points(m, 1.0, window=0.25)
     assert all(abs(r.energy - 1.0) < 0.5 for r in crits)
+    wells = find_critical_points(m, 0.0, window=0.25)
+    assert len(wells) == 2
+    for rep, x1 in zip(wells, (-1.0, 1.0)):
+        np.testing.assert_allclose(rep.location, [x1, 0, 0, 0], atol=1e-7)
+        assert np.all(rep.hessian_eigenvalues > 0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_harmonic_has_no_critical_point_near_one(seed):
-    m = make_model("harmonic")
-    assert find_critical_points(m, 1.0, window=0.25, seed=seed) == []
+def test_harmonic_has_no_critical_point_near_one():
+    for name in ("harmonic", "separable_harmonic_2d"):
+        assert find_critical_points(make_model(name), 1.0, window=0.25) == []
 
 
 def test_hypothesis_report():
