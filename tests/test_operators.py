@@ -373,11 +373,42 @@ def test_counter_tables_match_doubling_reference(t0):
 # -- reflection blocks ---------------------------------------------------------
 
 
+def _whole_block(op):
+    """The whole grid as one block: (triplets, weights, 1, red nodes)."""
+    return operators._block(
+        op, operators._grid_map(op.grid.points_per_axis, op.dimension))
+
+
+def _block_csc(parts, size):
+    """B as a CSC matrix from its `_block_stencil` triplets."""
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
 def _full_count(op, energy):
     """Count on the whole matrix, as one block: (count, shifts)."""
-    blocks = [(op.matrix, np.ones(op.size), 1)]
+    blocks = [_whole_block(op)]
     return operators._count_blocks(
         blocks, energy, operators._pivot_bound(op, energy, blocks))
+
+
+def _unreduced_count(op, energy):
+    """(count, shifts) from a symmetric LU of each whole symmetry block
+    B - E' W, no red node eliminated, with the same shifted thresholds."""
+    blocks = operators._symmetry_blocks(op)
+    bound = operators._pivot_bound(op, energy, blocks)
+    for shifts in range(operators.MAX_SHIFTS + 1):
+        shifted = energy - shifts * operators.SHIFT_STEP
+        try:
+            return sum(
+                mult * operators._sparse_inertia(
+                    _block_csc(parts, w.size)
+                    - sp.diags(shifted * w, format="csc"), bound)
+                for parts, w, mult, _ in blocks
+            ), shifts
+        except operators.FactorizationFault:
+            continue
+    raise AssertionError("no threshold factored")
 
 
 # symmetry blocks factored per count: D4 splits the square's four mirror
@@ -402,8 +433,13 @@ def test_split_count_matches_full_count(name, n, h, variant):
     slc = count_below(op, 1.0)
     assert slc.blocks == BLOCKS[name]
     assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
-    for block, _, _ in operators._symmetry_blocks(op):
-        assert (block != block.T).nnz == 0
+    assert (slc.count, slc.shifts_applied) == _unreduced_count(op, 1.0)
+    blocks = operators._symmetry_blocks(op)
+    bound = operators._pivot_bound(op, 1.0, blocks)
+    for parts, w, _, red in blocks:
+        _, schur = operators._eliminate_red(parts, w, red, 1.0, bound)
+        assert schur.shape[0] == np.sum(~red)
+        assert (schur != schur.T).nnz == 0
 
 
 def _square_operator(diag, couplings=None) -> DiscreteOperator:
@@ -424,7 +460,7 @@ def _orbit(n, i, j):
 
 
 def _block_sizes(op):
-    return [(b.shape[0], mult) for b, _, mult in operators._symmetry_blocks(op)]
+    return [(w.size, mult) for _, w, mult, _ in operators._symmetry_blocks(op)]
 
 
 @pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
@@ -489,8 +525,8 @@ def test_pivot_bound_covers_every_block_norm():
                   strict_resolution=False)
     blocks = operators._symmetry_blocks(op)
     bound = operators._pivot_bound(op, 1.0, blocks)
-    norms = [abs(b - sp.diags(1.0 * w)).sum(axis=1).max()
-             for b, w, _ in blocks]
+    norms = [abs(_block_csc(b, w.size) - sp.diags(1.0 * w)).sum(axis=1).max()
+             for b, w, _, _ in blocks]
     assert max(norms) <= bound <= 8.0 * max(norms)
 
 
@@ -551,18 +587,12 @@ def test_swap_only_with_the_full_square_symmetry(potential, kinetic,
     assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
 
 
-def _count_matrix_builds(monkeypatch, forbid=False) -> list:
-    """Record (or forbid) every build of an operator's whole matrix."""
-    builds, build = [], DiscreteOperator.matrix.fget
+def _forbid_matrix_builds(monkeypatch):
+    """Make every build of an operator's whole matrix fail."""
+    def forbidden(op):
+        raise AssertionError("the whole matrix was built")
 
-    def recorded(op):
-        if forbid:
-            raise AssertionError("the whole matrix was built")
-        builds.append(op.size)
-        return build(op)
-
-    monkeypatch.setattr(DiscreteOperator, "matrix", property(recorded))
-    return builds
+    monkeypatch.setattr(DiscreteOperator, "matrix", property(forbidden))
 
 
 @pytest.mark.parametrize("n", [20, 21])
@@ -571,25 +601,27 @@ def test_mirrored_count_never_builds_the_matrix(name, n, monkeypatch):
     m = make_model(name)
     op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n), strict_resolution=False)
     full = _full_count(op, 1.0)
-    _count_matrix_builds(monkeypatch, forbid=True)
+    _forbid_matrix_builds(monkeypatch)
     slc = count_below(op, 1.0)
     assert slc.blocks == BLOCKS[name]
     assert (slc.count, slc.shifts_applied) == full
 
 
-def test_unsplit_counts_build_the_matrix(harmonic, monkeypatch):
+def test_unsplit_counts_never_build_the_matrix(harmonic, monkeypatch):
     # a 1-D operator, and a 2-D one odd under both reflections, are
-    # factored whole
+    # counted as one block, also taken from the stencil as triplets
     square = _square_model({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.3})
     ops = [
         assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 401)),
         assemble(square, 0.1, 0.41, GridSpec(square.box_x, 20),
                  strict_resolution=False),
     ]
-    builds = _count_matrix_builds(monkeypatch)
-    for op in ops:
-        assert count_below(op, 1.0).blocks == 1
-    assert builds == [401, 400]
+    fulls = [_full_count(op, 1.0) for op in ops]
+    _forbid_matrix_builds(monkeypatch)
+    for op, full in zip(ops, fulls):
+        slc = count_below(op, 1.0)
+        assert slc.blocks == 1
+        assert (slc.count, slc.shifts_applied) == full
 
 
 def test_one_dimensional_operator_factors_whole(harmonic):
@@ -640,3 +672,127 @@ def test_raw_count_matches_kronecker_oracle(name, axis_potentials, n, h):
     slc = count_below(op, 1.0)
     assert slc.blocks == BLOCKS[name]
     assert lo == hi == slc.count
+
+
+# -- red/black elimination -----------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["plus", "raw", "minus"])
+@pytest.mark.parametrize(
+    "name", ["harmonic", "separable_harmonic_2d", "double_well_2d"])
+@pytest.mark.parametrize("n", [20, 21])
+def test_count_matches_dense_spectrum(name, variant, n):
+    # an independent reference: the whole dense spectrum, no factorization
+    m = make_model(name)
+    grid = GridSpec(m.box_x, n * n if m.dimension == 1 else n)
+    op = assemble(m, 0.1, 0.41, grid, variant=variant,
+                  strict_resolution=False)
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    for energy in (0.3, 0.7, 1.0, 1.6, 2.5):
+        assert np.abs(lam - energy).min() > 1e-8  # no tie to resolve
+        slc = count_below(op, energy)
+        assert (slc.count, slc.shifts_applied) == (np.sum(lam < energy), 0)
+
+
+def test_tie_on_a_red_node_shifts_every_block():
+    # the corners sit at E = 2 on a diagonal 5 x 5 operator; a corner's
+    # orbit rank (0, 0) is red in its block, as node (0, 0) is in the
+    # whole matrix, so a red pivot is exactly zero at E and every block
+    # moves to the shifted threshold, where the orbit of (0, 1) at
+    # 2 - SHIFT_STEP/2 is not counted
+    diag = np.ones((5, 5))
+    diag[_orbit(5, 0, 1)] = 2.0 - 0.5 * operators.SHIFT_STEP
+    diag[_orbit(5, 0, 0)] = 2.0
+    op = _square_operator(diag)
+    blocks = operators._symmetry_blocks(op)
+    bound = operators._pivot_bound(op, 2.0, blocks)
+    b, w, _, red = blocks[0]
+    with pytest.raises(operators.FactorizationFault, match="red pivot"):
+        operators._eliminate_red(b, w, red, 2.0, bound)
+    slc = count_below(op, 2.0)
+    assert slc.shifts_applied == 1
+    assert slc.count == 25 - 4 - 8
+    assert _full_count(op, 2.0) == _unreduced_count(op, 2.0) == (
+        slc.count, 1)
+
+
+@pytest.mark.parametrize("entry, energy, count, shifts", [
+    (1.0, 2.0, 1, 0), (3.0, 2.0, 0, 0), (2.0, 2.0, 0, 1)])
+def test_single_node_operator(entry, energy, count, shifts):
+    # one red node and no black half: the count is the red pivot's sign
+    slc = count_below(_diagonal_operator([entry]), energy)
+    assert (slc.count, slc.shifts_applied, slc.blocks) == (count, shifts, 1)
+
+
+def test_blocks_without_black_nodes():
+    # on 3 x 3 nodes the swap-even odd-odd block holds the one orbit of
+    # rank (0, 0), the four corners: red, with no black half
+    rng = np.random.default_rng(3)
+    corner, edge, centre = rng.uniform(0.0, 2.0, 3)
+    diag = np.full((3, 3), edge)
+    diag[_orbit(3, 0, 0)] = corner
+    diag[1, 1] = centre
+    couplings = np.full((2, 3), -0.3)
+    op = _square_operator(diag, couplings)
+    blocks = operators._symmetry_blocks(op)
+    assert [np.sum(~red) for _, _, _, red in blocks] == [1, 1, 1, 0]
+    lam = np.linalg.eigvalsh(op.matrix.toarray())
+    for energy in (0.5, 1.0, 1.5, 2.5):
+        assert count_below(op, energy).count == np.sum(lam < energy)
+
+
+def test_red_red_coupling_is_a_programming_error(harmonic):
+    # a colouring that puts two coupled nodes in the red half breaks the
+    # invariant the elimination rests on: that raises, and no sweep may
+    # record it as a gap
+    from weyllab.harness import _SAMPLE_FAULTS
+
+    op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 41),
+                  strict_resolution=False)
+    block, w, mult, red = _whole_block(op)
+    blocks = [(block, w, mult, np.ones_like(red))]
+    with pytest.raises(ValueError, match="bipartite") as err:
+        operators._count_blocks(
+            blocks, 1.0, operators._pivot_bound(op, 1.0, blocks))
+    assert not isinstance(err.value, _SAMPLE_FAULTS)
+
+
+def test_small_red_pivot_stays_in_the_schur_complement():
+    # the 4-cycle of test_tie_inside_one_block_shifts_every_block, whole,
+    # at the first shifted threshold: its two red pivots are 1e-10 against
+    # couplings 0.5, and eliminating them would add -5e9 to each black
+    # node of the cycle and lose the sign of what is left; they stay in S,
+    # and every other red node goes
+    e, c = 2.0, 0.5
+    diag = np.full((4, 4), e - 0.5 * operators.SHIFT_STEP)
+    diag[_orbit(4, 1, 1)] = e
+    couplings = np.zeros((3, 4))
+    couplings[1, 1:3] = c
+    op = _square_operator(diag, couplings)
+    blocks = [_whole_block(op)]
+    bound = operators._pivot_bound(op, e, blocks)
+    block, w, _, red = blocks[0]
+    shifted = e - operators.SHIFT_STEP
+    negative, schur = operators._eliminate_red(block, w, red, shifted, bound)
+    assert negative == 0
+    assert schur.shape[0] == np.sum(~red) + 2
+    assert (schur != schur.T).nnz == 0
+    assert negative + operators._sparse_inertia(schur, bound) == 1
+
+
+def test_swap_check_reads_every_triplet_bit_for_bit():
+    m = make_model("separable_harmonic_2d")
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 21),
+                  strict_resolution=False)
+    eo_map, oe_map = (operators._block_map(21, p) for p in ((1, -1), (-1, 1)))
+    eo, oe = (operators._block_stencil(op, *bm) for bm in (eo_map, oe_map))
+    perm, _ = oe_map[0](eo_map[1][1], eo_map[1][0])
+    swapped = [oe[2], oe[3], oe[0], oe[1], oe[4]]
+    assert operators._swapped(eo, swapped, perm)
+    assert not operators._swapped(eo, oe, perm)
+    for part in range(5):
+        for entry in (0, 1):  # a column, then a value
+            bent = [tuple(x.copy() for x in p) for p in swapped]
+            row = bent[part][entry + 1]
+            row[3] = row[3] + 1 if entry == 0 else np.nextafter(row[3], 9.0)
+            assert not operators._swapped(eo, bent, perm)
