@@ -94,6 +94,11 @@ def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
         v.append("need 0 < h_min <= h_max")
     if cfg.h_points < 1:
         v.append("h_points must be >= 1")
+    for name in ("max_grid_points", "budget", "trials"):
+        if getattr(cfg, name) < 1:
+            v.append(f"{name} must be >= 1")
+    if cfg.seed < 0:
+        v.append("seed must be >= 0")
     if cfg.variant not in ("raw", "plus", "minus"):
         v.append(f"unknown variant {cfg.variant!r}")
     if experiment in ("weyl_sweep", "critical_sweep") and cfg.h_points < 4:

@@ -27,18 +27,22 @@ eighth of the unknowns four times and a quarter once (Bossavit, "Symmetry,
 groups, and boundary value problems", CMAME 56, 1986; Fassler and Stiefel,
 "Group Theoretical Methods and Their Applications", 1992).  A 1-D matrix,
 and one with no mirror symmetry, is counted as one block, the whole grid.
-Every block is read off the stencil as triplets; no count builds the whole
-matrix.
+Each block is built once from the stencil as a sparse matrix, its
+off-diagonal couplings in CSR form and its diagonal as a vector, and T is
+checked by comparing the even-odd block with the odd-even one permuted; no
+count builds the whole matrix.
 
 Every block, and a matrix counted whole, is a 5-point stencil, so its graph
 is bipartite under the red/black colouring by the parity of the node's
-coordinates (orbit ranks, in a block): red nodes couple to black ones only.
-The red-red part D_r of M = B - E W is then diagonal, and Haynsworth's
-inertia additivity, inertia(M) = inertia(D_r) + inertia(M_bb - M_br D_r^-1
-M_rb), counts the red half from the signs of D_r and factors only the black
-Schur complement, built in closed form: the one matrix packed into CSC form
-and factored.  This is the first step of odd-even reduction (Haynsworth,
-LAA 1, 1968; Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).
+coordinates (orbit ranks, in a block): red nodes couple to black ones only,
+which is checked when the block is built.  The red-red part D_r of M = B -
+E W is then diagonal, and Haynsworth's inertia additivity, inertia(M) =
+inertia(D_r) + inertia(S), counts the red half from the signs of D_r and
+factors only the black Schur complement S = M_bb - M_br D_r^-1 M_rb,
+formed by one sparse product as M_bb - X^T sgn(D_r) X with X = |D_r|^-1/2
+M_rb, so S is symmetric bit for bit.  This is the first step of odd-even
+reduction (Haynsworth, LAA 1, 1968; Buzbee, Golub and Nielson, SIAM J.
+Numer. Anal. 7, 1970).
 
 The smoothed counter replaces the sharp indicator of a window Z = [E1, E2] by
 f(lambda) = integral over Z of gamma_h(lambda - mu), where gamma_h is the
@@ -53,7 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -359,7 +363,8 @@ def _sparse_inertia(mat: sp.csc_matrix, bound: float) -> int:
     `lu.U` builds a copy of the whole U factor: it is scipy's only way to
     read the pivots.  The red elimination halves the copy's rows, one per
     black node, though not its entries: 7.02M over the five D4 blocks of
-    `separable_harmonic_2d` at 639^2, against 6.94M unreduced.
+    `separable_harmonic_2d` at 639^2, copied in 0.04-0.06 s, against 6.94M
+    unreduced.
 
     Panels of 4 columns, not SuperLU's default, factor the black Schur
     complements of that operator's D4 blocks about a fifth faster at 639^2
@@ -449,18 +454,33 @@ def _block_map(n: int, parity, half=None) -> tuple:
     return columns, (a, b), w0[a] * w1[b] * np.where(a == b, 1, 2)
 
 
-def _block_stencil(op: DiscreteOperator, columns, reps, weights) -> list:
-    """S^T A S of one block as triplets, by index arithmetic on the stencil.
+class _Block(NamedTuple):
+    """One symmetry block B = S^T A S, counted `mult` times."""
+
+    couplings: sp.csr_matrix  # the off-diagonal part of B
+    diagonal: np.ndarray
+    weights: np.ndarray  # W = diag(S^T S), the orbit sizes
+    mult: int
+    red: np.ndarray  # the red half of the red/black colouring
+
+
+def _block(op: DiscreteOperator, block_map, mult: int = 1) -> _Block:
+    """One block, by index arithmetic on the stencil.
 
     A S = S M when A commutes with the symmetry, and each representative
     row of S holds a single +1, so M is A S read on the representative
-    rows and S^T A S = W M with W = diag(S^T S).  One (rows, columns,
-    values) triple per axis and step, each row at most once, and the
-    diagonal last; entries that fall off the block are dropped.
+    rows and B = W M.  A coupling to a node's own orbit, at most one per
+    mirrored axis, adds to the diagonal: the couplings are summed first
+    and the stencil's diagonal added last, so the swap maps each sum onto
+    the same sum bit for bit.  A node's other neighbours lie in orbits of
+    ranks one step away, so red couples only to black; a block that
+    breaks this raises ValueError.
     """
-    n = op.grid.points_per_axis
-    rows = np.arange(weights.size)
-    parts = []
+    columns, reps, weights = block_map
+    n, size = op.grid.points_per_axis, weights.size
+    red = _red_nodes(*reps)
+    own = np.zeros(size)
+    entries = []
     for k, coupling in enumerate(op.couplings):
         for step in (1, -1):
             face = reps[k] - (step < 0)
@@ -469,13 +489,20 @@ def _block_stencil(op: DiscreteOperator, columns, reps, weights) -> list:
             nbr[k] = nbr[k] + step
             col, sign = columns(*nbr)
             on = col >= 0
-            row = row[on]
+            row, col = row[on], col[on]
             at = [x[row] for x in reps]
             at[k] = face[row]
-            vals = coupling[tuple(at)] * (sign[on] * weights[row])
-            parts.append((row, col[on], vals))
-    parts.append((rows, rows, op.diagonal[reps] * weights))
-    return parts
+            val = coupling[tuple(at)] * (sign[on] * weights[row])
+            mine = row == col
+            own[row[mine]] += val[mine]
+            entries.append((row[~mine], col[~mine], val[~mine]))
+    row, col, val = (np.concatenate(x) for x in zip(*entries))
+    if np.any(red[row] == red[col]):
+        raise ValueError("the stencil couples two nodes of one colour: "
+                         "it is not bipartite under the red/black colouring")
+    couplings = sp.csr_matrix((val, (row, col)), shape=(size, size))
+    return _Block(couplings, own + op.diagonal[reps] * weights, weights,
+                  mult, red)
 
 
 def _red_nodes(*coords) -> np.ndarray:
@@ -496,23 +523,18 @@ def _grid_map(n: int, d: int) -> tuple:
 
 
 def _symmetry_blocks(op: DiscreteOperator) -> list:
-    """[(triplets of S_i^T A S_i, diag(S_i^T S_i), multiplicity, red nodes)]
-    over the symmetry blocks of A.
+    """The `_block`s of A's symmetry blocks S_i^T A S_i.
 
     With the mirror group, S_i is the tensor product of an even or odd map
     on each mirrored axis and the identity on the others.  With D4, the
     even-even and odd-odd blocks split again into swap-even and swap-odd
     halves, and the swap T carries the even-odd block onto the odd-even
     one by a permutation congruence, so that block is factored once and
-    counted twice once T * OE * T == EO and their weights are checked bit
-    for bit.  S^T A S is block diagonal and S invertible, so by Sylvester's
-    law the inertia of A - E I is the sum over the blocks of multiplicity
-    times the inertia of S_i^T A S_i - E S_i^T S_i.  A 1-D matrix, and one
-    with no mirrored axis, is the one block A.
-
-    Each block is coloured by its columns' representatives: a node's
-    neighbours lie in orbits of ranks one step away, or in its own orbit,
-    which adds to the diagonal, so red couples only to black.
+    counted twice once T * OE * T == EO is checked bit for bit.  S^T A S
+    is block diagonal and S invertible, so by Sylvester's law the inertia
+    of A - E I is the sum over the blocks of multiplicity times the
+    inertia of S_i^T A S_i - E S_i^T S_i.  A 1-D matrix, and one with no
+    mirrored axis, is the one block A.
     """
     # a tridiagonal matrix factors without fill: its halves would cost
     # about as much as the whole, plus each block's fixed cost
@@ -532,61 +554,29 @@ def _symmetry_blocks(op: DiscreteOperator) -> list:
             continue
         for half in (1, -1) if swap else (None,):
             blocks.append(_block(op, _block_map(n, parity, half)))
-    return [b for b in blocks if b[1].size > 0]
-
-
-def _block(op: DiscreteOperator, block_map, mult: int = 1,
-           parts=None) -> tuple:
-    """(triplets of S^T A S, weights, mult, red) of one block map; `parts`
-    are the triplets when they are already built."""
-    _, reps, weights = block_map
-    if parts is None:
-        parts = _block_stencil(op, *block_map)
-    return parts, weights, mult, _red_nodes(*reps)
+    return [b for b in blocks if b.weights.size > 0]
 
 
 def _mixed_pair(op: DiscreteOperator, parity) -> list:
-    """The even-odd block with multiplicity 2 when T * OE * T == EO and
-    their weights agree bit for bit; else both blocks, each once.
-
-    The check reads the triplets: T carries EO's part along axis k onto
-    OE's along the other axis, row by row, and the diagonal onto the
-    diagonal, so each EO triplet (p, q, v) must be the OE triplet
-    (T p, T q, v) bit for bit.
-    """
+    """The even-odd block with multiplicity 2 when T * OE * T == EO bit
+    for bit, diagonal and weights included; else both blocks, each once.
+    T sends the representative (i, j) of EO's column p to node (j, i), in
+    OE's column perm[p], so EO must equal OE[perm][:, perm]."""
     n = op.grid.points_per_axis
     eo_map, oe_map = (_block_map(n, p) for p in (parity, parity[::-1]))
-    eo, oe = (_block_stencil(op, *m) for m in (eo_map, oe_map))
-    # T sends the representative (i, j) of an EO column to node (j, i)
+    eo, oe = _block(op, eo_map), _block(op, oe_map)
     i, j = eo_map[1]
     perm, _ = oe_map[0](j, i)
-    if np.array_equal(oe_map[2][perm], eo_map[2]) and _swapped(
-        eo, [oe[2], oe[3], oe[0], oe[1], oe[4]], perm
-    ):
-        return [_block(op, eo_map, 2, eo)]
-    return [_block(op, eo_map, 1, eo), _block(op, oe_map, 1, oe)]
-
-
-def _swapped(parts, t_parts, perm) -> bool:
-    """Whether each triplet (p, q, v) of `parts` is the triplet
-    (perm p, perm q, v) of the matching part of `t_parts`, and nothing
-    else is, bit for bit."""
-    at = np.full(perm.size, -1)
-    for (row, col, val), (t_row, t_col, t_val) in zip(parts, t_parts):
-        if row.size != t_row.size:
-            return False
-        at[t_row] = np.arange(t_row.size)
-        k = at[perm[row]]
-        if not (np.all(k >= 0) and np.array_equal(t_col[k], perm[col])
-                and np.array_equal(t_val[k], val)):
-            return False
-        at[t_row] = -1
-    return True
+    if np.array_equal(oe.diagonal[perm], eo.diagonal) \
+            and np.array_equal(oe.weights[perm], eo.weights) \
+            and (oe.couplings[perm][:, perm] != eo.couplings).nnz == 0:
+        return [eo._replace(mult=2)]
+    return [eo, oe]
 
 
 def _pivot_bound(op: DiscreteOperator, energy: float, blocks) -> float:
-    """A bound on the infinity norm of B - E W for every block (B, W, _, _) of
-    `op`: the largest weight times the largest Gershgorin row sum
+    """A bound on the infinity norm of B - E W for every `_block` of `op`:
+    the largest weight times the largest Gershgorin row sum
     |A_pp - E| + sum over q != p of |A_pq|, read from the stencil arrays.
 
     A row of B - E W is a row of (A - E I) S at a representative node,
@@ -599,91 +589,60 @@ def _pivot_bound(op: DiscreteOperator, energy: float, blocks) -> float:
         before = (slice(None),) * axis
         rows[before + (slice(0, -1),)] += np.abs(coupling)
         rows[before + (slice(1, None),)] += np.abs(coupling)
-    weight = max(float(w.max()) for _, w, _, _ in blocks)
+    weight = max(float(b.weights.max()) for b in blocks)
     return weight * float(rows.max())
 
 
-def _eliminate_red(parts, weights: np.ndarray, red: np.ndarray,
-                   energy: float, bound: float) -> tuple:
-    """(negative red pivots, Schur complement of the rest) of M = B - E W,
-    B given by its `_block_stencil` triplets.
+def _eliminate_red(block, energy: float, bound: float) -> tuple:
+    """(negative red pivots, Schur complement of the rest) of M = B - E W
+    for a `_block`.
 
-    The stencil couples red nodes to black ones only, so the red-red part
-    D_r of M is diagonal and inertia(M) = inertia(D_r) + inertia(S), with
-    S = M_bb - M_br D_r^-1 M_rb (Haynsworth).  A red pivot, an entry of
-    D_r, is judged against `bound` as every pivot is.  A red node k reaches
-    a black neighbour j_p along each arm p (axis and step) of the stencil;
-    it adds -c_kp^2 / d_k to S's diagonal at j_p and -c_kp c_kq / d_k to
-    S_(j_p, j_q) for each pair of arms p < q.  These pairs are summed into
-    S's upper triangle, which is mirrored, so S equals its transpose bit
-    for bit; two arms that reach one node (an orbit next to a centre line)
-    put their pair on the diagonal, where the mirror doubles it, as the
-    square (c_kp + c_kq)^2 has the cross term twice.
+    The block couples red nodes to black ones only, so the red-red part
+    D of M is diagonal and inertia(M) = inertia(D) + inertia(S) for the
+    kept nodes k and eliminated red nodes g, with S = M_kk - M_kg D^-1
+    M_gk (Haynsworth).  A red pivot, an entry of D, is judged against
+    `bound` as every pivot is.  S = M_kk - X^T sgn(D) X with X =
+    |D|^-1/2 M_gk, read off g's CSR rows, whose columns are all black and
+    so kept; the product sums each entry in the same order as its mirror
+    entry, so S equals its transpose bit for bit.
 
     A red node whose update is so large against its pivot that rounding
-    in it could pass PIVOT_TOL * bound, eps (sum_p |c_kp|)^2 / |d_k| >
-    PIVOT_TOL * bound, stays in S with its couplings, a black node as far
-    as the elimination goes; the stencils of `assemble` have none.
+    in it could pass PIVOT_TOL * bound, eps (sum_q |M_gq|)^2 / |d_g| >
+    PIVOT_TOL * bound, is kept: its couplings enter M_kk through the
+    selection J of its row in S, as K + K^T with K = J^T Y and Y its CSR
+    row; the stencils of `assemble` have none.
     """
-    *couplings, (_, _, diag) = parts
-    diag = diag.copy()
-    arms = []  # per arm: (red node, black neighbour, coupling)
-    for row, col, val in couplings:
-        own = row == col
-        if np.any((red[row] == red[col]) & ~own):
-            raise ValueError("the stencil couples two nodes of one colour: "
-                             "it is not bipartite under the red/black "
-                             "colouring")
-        # a node coupled to its own orbit adds the coupling to its diagonal
-        diag[row[own]] += val[own]
-        arm = red[row] & ~own
-        arms.append((row[arm], col[arm], val[arm]))
-    diag -= energy * weights
+    couplings, diagonal, weights, _, red = block
+    diag = diagonal - energy * weights
     if np.any(np.abs(diag[red]) < PIVOT_TOL * bound) or not diag[red].all():
         raise FactorizationFault("near-zero red pivot")
-    reach = sum(np.bincount(k, np.abs(c), minlength=weights.size)
-                for k, _, c in arms)
+    reach = abs(couplings) @ np.ones(weights.size)
     gone = red & (np.finfo(float).eps * reach**2
                   <= PIVOT_TOL * bound * np.abs(diag))
-    # each node's index among the eliminated nodes or among the others
-    local = np.where(gone, np.cumsum(gone), np.cumsum(~gone)) - 1
-    d = diag[gone]
-    size = weights.size - d.size
-    # each eliminated node's neighbour (-1 for none) and coupling per arm
-    nbr = np.full((len(arms), d.size), -1)
-    c = np.zeros((len(arms), d.size))
-    ii, jj, vals = [], [], []
-    for p, (k, j, ckj) in enumerate(arms):
-        out = gone[k]
-        nbr[p, local[k[out]]] = local[j[out]]
-        c[p, local[k[out]]] = ckj[out]
-        # a kept red node keeps its couplings, as upper-triangle entries
-        ends = local[j[~out]], local[k[~out]]
-        ii.append(np.minimum(*ends))
-        jj.append(np.maximum(*ends))
-        vals.append(ckj[~out])
-    has = nbr >= 0
-    pivots = diag[~gone] - np.bincount(nbr[has], (c * c / d)[has],
-                                       minlength=size)
-    for p, q in itertools.combinations(range(len(arms)), 2):
-        both = np.flatnonzero(has[p] & has[q])
-        ends = nbr[p, both], nbr[q, both]
-        ii.append(np.minimum(*ends))
-        jj.append(np.maximum(*ends))
-        vals.append(-(c[p, both] * c[q, both]) / d[both])
-    upper = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(ii), np.concatenate(jj))),
-        shape=(size, size),
-    )
-    schur = upper + upper.T + sp.diags(pivots, format="csc")
+    local = np.cumsum(~gone) - 1  # each kept node's index in S
+    size = weights.size - np.count_nonzero(gone)
+
+    def rows(nodes, scale):
+        """The CSR rows of `nodes`, times `scale`, on S's columns."""
+        part = couplings[nodes]
+        data = part.data * np.repeat(scale, np.diff(part.indptr))
+        return sp.csr_matrix((data, local[part.indices], part.indptr),
+                             shape=(nodes.size, size))
+
+    g, q = np.flatnonzero(gone), np.flatnonzero(red & ~gone)
+    d = diag[g]
+    x, sx = (rows(g, s * np.abs(d) ** -0.5) for s in (1.0, np.sign(d)))
+    j = sp.csr_matrix((np.ones(q.size), local[q], np.arange(q.size + 1)),
+                      shape=(q.size, size))
+    kept = j.T @ rows(q, np.ones(q.size))
+    schur = sp.diags(diag[~gone], format="csc") + kept + kept.T - x.T @ sx
     return int(np.sum(d < 0.0)), schur
 
 
-def _reduced_inertia(parts, weights: np.ndarray, red: np.ndarray,
-                     energy: float, bound: float) -> int:
+def _reduced_inertia(block, energy: float, bound: float) -> int:
     """Negative inertia of B - E W: the negative red pivots, and the
     factored black Schur complement's; an empty black half adds 0."""
-    negative, schur = _eliminate_red(parts, weights, red, energy, bound)
+    negative, schur = _eliminate_red(block, energy, bound)
     if schur.shape[0] == 0:
         return negative
     return negative + _sparse_inertia(schur, bound)
@@ -702,10 +661,8 @@ def _count_blocks(blocks, energy: float, bound: float):
     for shifts in range(MAX_SHIFTS + 1):
         shifted = energy - shifts * SHIFT_STEP
         try:
-            count = sum(
-                mult * _reduced_inertia(parts, w, red, shifted, bound)
-                for parts, w, mult, red in blocks
-            )
+            count = sum(b.mult * _reduced_inertia(b, shifted, bound)
+                        for b in blocks)
         except FactorizationFault as fault:
             pivot_log.append(str(fault))
             continue

@@ -214,6 +214,32 @@ def test_main_rejects_short_h_grid_override(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, flags, message",
+    [
+        ("trials=0", [], "trials must be >= 1"),
+        ("max_grid_points=0", [], "max_grid_points must be >= 1"),
+        ("budget=-4", [], "budget must be >= 1"),
+        ("seed=-1", [], "seed must be >= 0"),
+        ("seed=3", ["--seed", "-1"], "seed must be >= 0"),
+    ],
+    ids=["trials", "max_grid_points", "budget", "seed", "seed_override"],
+)
+def test_out_of_range_counts_exit_2(tmp_path, capsys, line, flags, message):
+    # each value would otherwise pass with nothing checked (trials = 0) or
+    # fail deep inside numpy with exit 1
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"model=harmonic\nenergy=1.0\n{line}\n")
+    out = tmp_path / "out"
+    code = main([
+        "--config", str(cfgfile), "--experiment", "sublevel_lemma",
+        "--out", str(out), *flags,
+    ])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_bounds_unreachable_threshold_exit_1(tmp_path):
     # c_lower h^delta0 = 100 * 0.05^0.41 = 29.3, above every |grad p| of
     # double_well_2d on its box: the run must fail, not sample forever

@@ -374,15 +374,15 @@ def test_counter_tables_match_doubling_reference(t0):
 
 
 def _whole_block(op):
-    """The whole grid as one block: (triplets, weights, 1, red nodes)."""
+    """The whole grid as one `_block`."""
     return operators._block(
         op, operators._grid_map(op.grid.points_per_axis, op.dimension))
 
 
-def _block_csc(parts, size):
-    """B as a CSC matrix from its `_block_stencil` triplets."""
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+def _shifted_block(block, energy):
+    """M = B - E W of a `_block`, as one CSC matrix."""
+    couplings, diagonal, weights, _, _ = block
+    return (couplings + sp.diags(diagonal - energy * weights)).tocsc()
 
 
 def _full_count(op, energy):
@@ -401,10 +401,9 @@ def _unreduced_count(op, energy):
         shifted = energy - shifts * operators.SHIFT_STEP
         try:
             return sum(
-                mult * operators._sparse_inertia(
-                    _block_csc(parts, w.size)
-                    - sp.diags(shifted * w, format="csc"), bound)
-                for parts, w, mult, _ in blocks
+                b.mult * operators._sparse_inertia(_shifted_block(b, shifted),
+                                                 bound)
+                for b in blocks
             ), shifts
         except operators.FactorizationFault:
             continue
@@ -422,6 +421,7 @@ BLOCKS = {"separable_harmonic_2d": 5, "double_well_2d": 4}
     [
         ("separable_harmonic_2d", 159, 0.1),
         ("separable_harmonic_2d", 160, 0.1),
+        ("separable_harmonic_2d", 300, 0.1),
         ("double_well_2d", 300, 0.07),
         ("double_well_2d", 301, 0.07),
     ],
@@ -436,9 +436,9 @@ def test_split_count_matches_full_count(name, n, h, variant):
     assert (slc.count, slc.shifts_applied) == _unreduced_count(op, 1.0)
     blocks = operators._symmetry_blocks(op)
     bound = operators._pivot_bound(op, 1.0, blocks)
-    for parts, w, _, red in blocks:
-        _, schur = operators._eliminate_red(parts, w, red, 1.0, bound)
-        assert schur.shape[0] == np.sum(~red)
+    for block in blocks:
+        _, schur = operators._eliminate_red(block, 1.0, bound)
+        assert schur.shape[0] == np.sum(~block.red)
         assert (schur != schur.T).nnz == 0
 
 
@@ -460,7 +460,7 @@ def _orbit(n, i, j):
 
 
 def _block_sizes(op):
-    return [(w.size, mult) for _, w, mult, _ in operators._symmetry_blocks(op)]
+    return [(b.weights.size, b.mult) for b in operators._symmetry_blocks(op)]
 
 
 @pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
@@ -525,8 +525,7 @@ def test_pivot_bound_covers_every_block_norm():
                   strict_resolution=False)
     blocks = operators._symmetry_blocks(op)
     bound = operators._pivot_bound(op, 1.0, blocks)
-    norms = [abs(_block_csc(b, w.size) - sp.diags(1.0 * w)).sum(axis=1).max()
-             for b, w, _, _ in blocks]
+    norms = [abs(_shifted_block(b, 1.0)).sum(axis=1).max() for b in blocks]
     assert max(norms) <= bound <= 8.0 * max(norms)
 
 
@@ -609,7 +608,7 @@ def test_mirrored_count_never_builds_the_matrix(name, n, monkeypatch):
 
 def test_unsplit_counts_never_build_the_matrix(harmonic, monkeypatch):
     # a 1-D operator, and a 2-D one odd under both reflections, are
-    # counted as one block, also taken from the stencil as triplets
+    # counted as one block, also built from the stencil
     square = _square_model({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.3})
     ops = [
         assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 401)),
@@ -694,6 +693,30 @@ def test_count_matches_dense_spectrum(name, variant, n):
         assert (slc.count, slc.shifts_applied) == (np.sum(lam < energy), 0)
 
 
+@pytest.mark.parametrize("variant", ["plus", "raw", "minus"])
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+@pytest.mark.parametrize("n", [20, 21])
+def test_schur_complement_matches_dense_reference(name, variant, n):
+    # an independent reference for every block: the dense Schur complement
+    # M_bb - M_br D_r^-1 M_rb of M = B - E W, its red-red part diagonal
+    m = make_model(name)
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n), variant=variant,
+                  strict_resolution=False)
+    blocks = operators._symmetry_blocks(op)
+    bound = operators._pivot_bound(op, 1.0, blocks)
+    for block in blocks:
+        red, black = block.red, ~block.red
+        dense = _shifted_block(block, 1.0).toarray()
+        d = np.diag(dense)[red]
+        assert np.array_equal(dense[np.ix_(red, red)], np.diag(d))
+        ref = dense[np.ix_(black, black)] - dense[np.ix_(black, red)] @ (
+            dense[np.ix_(red, black)] / d[:, None])
+        negative, schur = operators._eliminate_red(block, 1.0, bound)
+        assert negative == np.sum(d < 0.0)
+        assert np.abs(schur.toarray() - ref).max() <= 1e-12 * bound
+        assert (schur != schur.T).nnz == 0
+
+
 def test_tie_on_a_red_node_shifts_every_block():
     # the corners sit at E = 2 on a diagonal 5 x 5 operator; a corner's
     # orbit rank (0, 0) is red in its block, as node (0, 0) is in the
@@ -706,9 +729,8 @@ def test_tie_on_a_red_node_shifts_every_block():
     op = _square_operator(diag)
     blocks = operators._symmetry_blocks(op)
     bound = operators._pivot_bound(op, 2.0, blocks)
-    b, w, _, red = blocks[0]
     with pytest.raises(operators.FactorizationFault, match="red pivot"):
-        operators._eliminate_red(b, w, red, 2.0, bound)
+        operators._eliminate_red(blocks[0], 2.0, bound)
     slc = count_below(op, 2.0)
     assert slc.shifts_applied == 1
     assert slc.count == 25 - 4 - 8
@@ -735,26 +757,26 @@ def test_blocks_without_black_nodes():
     couplings = np.full((2, 3), -0.3)
     op = _square_operator(diag, couplings)
     blocks = operators._symmetry_blocks(op)
-    assert [np.sum(~red) for _, _, _, red in blocks] == [1, 1, 1, 0]
+    assert [np.sum(~b.red) for b in blocks] == [1, 1, 1, 0]
     lam = np.linalg.eigvalsh(op.matrix.toarray())
     for energy in (0.5, 1.0, 1.5, 2.5):
         assert count_below(op, energy).count == np.sum(lam < energy)
 
 
-def test_red_red_coupling_is_a_programming_error(harmonic):
+def test_red_red_coupling_is_a_programming_error(harmonic, monkeypatch):
     # a colouring that puts two coupled nodes in the red half breaks the
-    # invariant the elimination rests on: that raises, and no sweep may
-    # record it as a gap
+    # invariant the elimination rests on: building the block raises, and
+    # no sweep may record it as a gap
     from weyllab.harness import _SAMPLE_FAULTS
 
-    op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 41),
-                  strict_resolution=False)
-    block, w, mult, red = _whole_block(op)
-    blocks = [(block, w, mult, np.ones_like(red))]
-    with pytest.raises(ValueError, match="bipartite") as err:
-        operators._count_blocks(
-            blocks, 1.0, operators._pivot_bound(op, 1.0, blocks))
-    assert not isinstance(err.value, _SAMPLE_FAULTS)
+    monkeypatch.setattr(operators, "_red_nodes",
+                        lambda *coords: np.ones(coords[0].shape, bool))
+    for m, n in ((harmonic, 41), (make_model("separable_harmonic_2d"), 20)):
+        op = assemble(m, 0.05, 0.41, GridSpec(m.box_x, n),
+                      strict_resolution=False)
+        with pytest.raises(ValueError, match="bipartite") as err:
+            count_below(op, 1.0)
+        assert not isinstance(err.value, _SAMPLE_FAULTS)
 
 
 def test_small_red_pivot_stays_in_the_schur_complement():
@@ -771,28 +793,54 @@ def test_small_red_pivot_stays_in_the_schur_complement():
     op = _square_operator(diag, couplings)
     blocks = [_whole_block(op)]
     bound = operators._pivot_bound(op, e, blocks)
-    block, w, _, red = blocks[0]
     shifted = e - operators.SHIFT_STEP
-    negative, schur = operators._eliminate_red(block, w, red, shifted, bound)
+    negative, schur = operators._eliminate_red(blocks[0], shifted, bound)
     assert negative == 0
-    assert schur.shape[0] == np.sum(~red) + 2
+    assert schur.shape[0] == np.sum(~blocks[0].red) + 2
     assert (schur != schur.T).nnz == 0
     assert negative + operators._sparse_inertia(schur, bound) == 1
 
 
-def test_swap_check_reads_every_triplet_bit_for_bit():
+def test_swap_check_compares_the_blocks_bit_for_bit(monkeypatch):
+    # the even-odd block is counted twice only when T * OE * T == EO:
+    # moving one coupling to another column, or changing one coupling or
+    # diagonal entry by one ulp, in the first block built must split the
+    # pair again, and so must one ulp on the stencil
+    build = operators._block
+
+    def bent(kind):
+        def block(*args):
+            b = build(*args)
+            monkeypatch.setattr(operators, "_block", build)
+            c = b.couplings
+            data, cols, diagonal = c.data.copy(), c.indices.copy(), \
+                b.diagonal.copy()
+            first = c.indptr[7]  # row 7's first entry
+            if kind == "column":
+                row = cols[first:c.indptr[8]]
+                cols[first] = min(set(range(row.max() + 2)) - set(row))
+            elif kind == "value":
+                data[first] = np.nextafter(data[first], np.inf)
+            else:
+                diagonal[7] = np.nextafter(diagonal[7], np.inf)
+            return b._replace(diagonal=diagonal, couplings=sp.csr_matrix(
+                (data, cols, c.indptr), shape=c.shape))
+        return block
+
     m = make_model("separable_harmonic_2d")
-    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 21),
-                  strict_resolution=False)
-    eo_map, oe_map = (operators._block_map(21, p) for p in ((1, -1), (-1, 1)))
-    eo, oe = (operators._block_stencil(op, *bm) for bm in (eo_map, oe_map))
-    perm, _ = oe_map[0](eo_map[1][1], eo_map[1][0])
-    swapped = [oe[2], oe[3], oe[0], oe[1], oe[4]]
-    assert operators._swapped(eo, swapped, perm)
-    assert not operators._swapped(eo, oe, perm)
-    for part in range(5):
-        for entry in (0, 1):  # a column, then a value
-            bent = [tuple(x.copy() for x in p) for p in swapped]
-            row = bent[part][entry + 1]
-            row[3] = row[3] + 1 if entry == 0 else np.nextafter(row[3], 9.0)
-            assert not operators._swapped(eo, bent, perm)
+    for n in (20, 21):
+        op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n),
+                      strict_resolution=False)
+        assert [b.mult for b in operators._mixed_pair(op, (1, -1))] == [2]
+        for kind in ("column", "value", "diagonal"):
+            monkeypatch.setattr(operators, "_block", bent(kind))
+            pair = operators._mixed_pair(op, (1, -1))
+            assert [b.mult for b in pair] == [1, 1]
+        # one ulp on one axis-0 coupling and its mirror images, not on
+        # the axis-1 coupling the swap maps it onto
+        c0 = op.couplings[0].copy()
+        for i, j in ((2, 3), (n - 4, 3), (2, n - 4), (n - 4, n - 4)):
+            c0[i, j] = np.nextafter(c0[i, j], np.inf)
+        op.couplings = (c0, op.couplings[1])
+        assert operators._symmetries(op) == ([True, True], False)
+        assert [b.mult for b in operators._mixed_pair(op, (1, -1))] == [1, 1]
