@@ -9,6 +9,8 @@ import numpy as np
 
 __all__ = ["ExponentFit", "fit_loglog"]
 
+MIN_POINTS = 4
+
 
 def _t_central(t: float, nu: int) -> float:
     """P(|T| < t) for Student's t with integer nu >= 1 degrees of freedom,
@@ -57,18 +59,20 @@ class ExponentFit:
     excluded: int = 0
 
 
-def fit_loglog(xs, ys, min_points: int = 4) -> ExponentFit:
+def fit_loglog(xs, ys) -> ExponentFit:
     """OLS slope of log(y) vs log(x).
 
-    Nonpositive y values are excluded (and counted).  The sums of the normal
-    equations are correctly rounded (math.fsum), so two runs on the same data
-    give bit-identical slopes regardless of summation order.
+    Points with a nonpositive x or y are excluded (and counted); a fit
+    needs MIN_POINTS others.  The sums of the normal equations are correctly
+    rounded (math.fsum), so two runs on the same data give bit-identical
+    slopes regardless of summation order.
     """
+    xs, ys = list(xs), list(ys)
     pairs = [(x, y) for x, y in zip(xs, ys) if y > 0 and x > 0]
-    excluded = len(list(xs)) - len(pairs)
+    excluded = len(xs) - len(pairs)
     n = len(pairs)
-    if n < min_points:
-        raise ValueError(f"need at least {min_points} positive points, got {n}")
+    if n < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} positive points, got {n}")
     lx = [math.log(x) for x, _ in pairs]
     ly = [math.log(y) for _, y in pairs]
     if min(lx) == max(lx):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import traceback
@@ -73,7 +74,8 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
-    v = []
+    v = [f"{k} = {getattr(cfg, k)} is not finite" for k, f in _FIELDS.items()
+         if f.type == "float" and not math.isfinite(getattr(cfg, k))]
     if cfg.model not in MODEL_REGISTRY:
         v.append(
             f"unknown model {cfg.model!r}; known: {sorted(MODEL_REGISTRY)}"
@@ -342,11 +344,11 @@ def _exp_smoothed_counting(cfg: ExperimentConfig, out):
     window = (0.2, 0.8)
     rows, ok = [], True
     for h in (0.05, 0.035, 0.025):
-        counter = operators.build_mollified_counter(1.0, h, window)
+        counter = operators.MollifiedCounter(1.0, h, window)
         grid = operators.GridSpec(model.box_x, 1200)
         op = operators.assemble(model, h, cfg.delta0, grid)
         level = counter.coverage_level()
-        slc = operators.eigenvalues_below(op, level, 0.0)
+        slc = operators.eigenvalues_below(op, level)
         lam = slc.eigenvalues
         sharp = int(np.sum((lam >= window[0]) & (lam <= window[1])))
         smoothed = operators.smoothed_count(slc, counter)
@@ -378,14 +380,17 @@ def _exp_smoothed_counting(cfg: ExperimentConfig, out):
     ]
 
 
-def _edge_zone_halfwidth(counter, deviation: float = 0.01) -> float:
+EDGE_DEVIATION = 0.01
+
+
+def _edge_zone_halfwidth(counter) -> float:
     """Calibrated O(h) halfwidth: outside it the smoothed window function is
-    within `deviation` of the sharp indicator."""
+    within EDGE_DEVIATION of the sharp indicator."""
     e1, e2 = counter.window
     lam = np.linspace(e1 - 40 * counter.h, e2 + 40 * counter.h, 40001)
     ind = ((lam >= e1) & (lam <= e2)).astype(float)
     dev = np.abs(counter.f_tilde(lam) - ind)
-    bad = lam[dev > deviation]
+    bad = lam[dev > EDGE_DEVIATION]
     if len(bad) == 0:
         return counter.h
     return float(np.max(np.minimum(np.abs(bad - e1), np.abs(bad - e2))))

@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from ._fitting import ExponentFit, fit_loglog
-from .symbols import SymbolModel, _cutoff_band, _monomial
+from .symbols import SymbolModel, _cutoff_band, _poly_eval
 
 __all__ = [
     "FlowTrajectory",
@@ -383,7 +383,6 @@ class OscillatoryResult:
     h: float
     value: complex
     quadrature_error: float
-    amplitude_support: str
     reliable: bool = True
 
 
@@ -446,9 +445,9 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
         if not any(mu):
             row += a
         elif np.all(a == a[0]):
-            col += a[0] * _monomial(mu, xi_pts)
+            col += a[0] * _poly_eval({mu: 1.0}, xi_pts)
         else:
-            mixed.append((a, _monomial(mu, xi_pts)))
+            mixed.append((a, _poly_eval({mu: 1.0}, xi_pts)))
 
     # fold each axis on which rule, phase and amplitude are mirror-symmetric
     # bit for bit: the integrand is even there, so its upper half with
@@ -571,7 +570,6 @@ def oscillatory_integral(
         h=float(h),
         value=prefac * fine,
         quadrature_error=prefac * abs(fine - coarse),
-        amplitude_support=str(support_box),
         reliable=reliable,
     )
 

@@ -124,8 +124,6 @@ def check_hypotheses(
     Hess a0 has at least d positive eigenvalues wherever G is positive
     definite, and rank >= 2 in d >= 2.
     """
-    if model.order != 1:
-        return ["matrix assembly requires a second-order symbol"]
     if reduced is None:
         reduced = ReducedSymbol(model)
     problems = []

@@ -53,6 +53,10 @@ __all__ = [
 
 MOMENT_TOL = 1e-10
 RADIAL_NODES = 128
+CONVOLVE_CHUNK = 4096  # evaluation points per block of a convolution
+# fit_smoothing_exponents: the Philox key of its points and their window
+SAMPLE_SEED = 7
+SAMPLE_DOMAIN = (-0.6, 0.6)
 
 
 class MollifierConstructionFault(RuntimeError):
@@ -264,7 +268,7 @@ class RegularizedCoefficient:
     scale: float
     kernel: MollifierKernel
 
-    def _convolve(self, fn, x, weights, chunk: int = 4096) -> np.ndarray:
+    def _convolve(self, fn, x, weights) -> np.ndarray:
         """sum_i weights_i fn(x - s z_i) over the kernel's nodes z_i."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, d = x.shape
@@ -272,8 +276,8 @@ class RegularizedCoefficient:
         first = fn(x[:1] - self.scale * nodes[:1])
         out_shape = (n,) + np.shape(first)[1:]
         out = np.empty(out_shape)
-        for lo in range(0, n, chunk):
-            blk = x[lo : lo + chunk]
+        for lo in range(0, n, CONVOLVE_CHUNK):
+            blk = x[lo : lo + CONVOLVE_CHUNK]
             shifted = blk[:, None, :] - self.scale * nodes[None, :, :]
             vals = fn(shifted.reshape(-1, d)).reshape(
                 (blk.shape[0], nodes.shape[0]) + out_shape[1:]
@@ -350,8 +354,8 @@ def regularize(
     return RegularizedCoefficient(a, h**delta0, kernel)
 
 
-def _sample_points(n: int, lo: float, hi: float, seed: int = 7) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _sample_points(n: int, lo: float, hi: float) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=SAMPLE_SEED))
     pts = lo + (hi - lo) * rng.random((n, 1))
     pts[0, 0] = 0.0  # the Hoelder singularity dominates the sup norms
     return pts
@@ -367,7 +371,6 @@ def fit_smoothing_exponents(
     delta0: float,
     r0: Optional[float] = None,
     n_samples: int = 1000,
-    domain: tuple = (-0.6, 0.6),
 ):
     """Measured decay/growth exponent of the regularization error.
 
@@ -375,11 +378,11 @@ def fit_smoothing_exponents(
     fits sup|d^alpha a_h|.  Returns (ExponentFit, sup_norms) or the string
     marker for exact annihilation (e.g. polynomial inputs).
 
-    The default sampling window sits inside the plateau of the test-field
-    cutoff: there the error is governed by the Hoelder seminorm alone.  Over
-    the full support the transition band of the cutoff adds a smooth-error
-    term with a large constant that masks the asymptotic rate until h is
-    impractically small.
+    The sampling window SAMPLE_DOMAIN sits inside the plateau of the
+    test-field cutoff: there the error is governed by the Hoelder seminorm
+    alone.  Over the full support the transition band of the cutoff adds a
+    smooth-error term with a large constant that masks the asymptotic rate
+    until h is impractically small.
     """
     if derivative_order > 4:
         raise ValueError("derivative orders above 4 are unsupported")
@@ -387,7 +390,7 @@ def fit_smoothing_exponents(
     if len(h_grid) < 4:
         raise ValueError("need at least 4 h values")
     kernel = build_mollifier(1)
-    pts = _sample_points(n_samples, *domain)
+    pts = _sample_points(n_samples, *SAMPLE_DOMAIN)
 
     exact = None
     if derivative_order <= 2:

@@ -76,7 +76,6 @@ __all__ = [
     "assemble",
     "count_below",
     "eigenvalues_below",
-    "build_mollified_counter",
     "smoothed_count",
     "ResolutionFault",
     "ConfinementFault",
@@ -144,9 +143,6 @@ class DiscreteOperator:
     grid: GridSpec
     diagonal: np.ndarray
     couplings: tuple
-    variant: str  # raw | plus | minus
-    dimension: int
-    resolution_ok: bool = True
 
     def __post_init__(self):
         shape = (self.grid.points_per_axis,) * self.dimension
@@ -158,6 +154,15 @@ class DiscreteOperator:
                 f"a stencil on a {shape} grid needs a diagonal of that "
                 f"shape and couplings of shapes {shapes}"
             )
+
+    @property
+    def dimension(self) -> int:
+        return np.ndim(self.diagonal)
+
+    @property
+    def resolution_ok(self) -> bool:
+        """The invariant grid spacing <= h/4."""
+        return _resolves(self.grid, self.h)
 
     @property
     def size(self) -> int:
@@ -189,7 +194,6 @@ class SpectrumSlice:
     count: int  # #{eigenvalues < threshold}
     method: str  # inertia | banded
     eigenvalues: Optional[np.ndarray] = None
-    complete_to: Optional[float] = None
     shifts_applied: int = 0
     blocks: int = 1  # symmetry blocks factored at the final threshold
 
@@ -200,6 +204,10 @@ class SpectrumSlice:
             below = int(np.sum(self.eigenvalues < self.threshold))
             if below != self.count:
                 raise ValueError("eigenvalue list inconsistent with count")
+
+
+def _resolves(grid: GridSpec, h: float) -> bool:
+    return grid.spacing <= h / 4.0 + 1e-15
 
 
 def _axis_term(coef_mid: np.ndarray, axis: int, scale: float):
@@ -253,14 +261,9 @@ def assemble(
         raise NotImplementedError(
             f"matrix assembly supports d <= 2; got d = {model.dimension}"
         )
-    if model.order != 1:
-        raise NotImplementedError(
-            "matrix assembly supports second-order symbols only"
-        )
     d = model.dimension
     dx = grid.spacing
-    resolution_ok = dx <= h / 4.0 + 1e-15
-    if not resolution_ok and strict_resolution:
+    if strict_resolution and not _resolves(grid, h):
         needed = int(math.ceil(8.0 * grid.halfwidth / h)) - 1
         raise ResolutionFault(
             f"grid spacing {dx:.4g} exceeds h/4 = {h/4:.4g}; "
@@ -347,9 +350,6 @@ def assemble(
         grid=grid,
         diagonal=reduce(np.add, diag_terms + [diag]).reshape(shape),
         couplings=tuple(couplings),
-        variant=variant,
-        dimension=d,
-        resolution_ok=resolution_ok,
     )
 
 
@@ -711,31 +711,24 @@ def _banded_eigenvalues(op: DiscreteOperator, hi: float) -> np.ndarray:
     return vals[vals < hi]  # the selected range (lo, hi] includes hi
 
 
-def eigenvalues_below(
-    op: DiscreteOperator, energy: float, margin: float
-) -> SpectrumSlice:
-    """All eigenvalues below energy + margin of a 1-D (tridiagonal)
-    operator, cross-checked against the inertia count there; like
-    `count_below`, every count is strict."""
+def eigenvalues_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
+    """All eigenvalues below energy of a 1-D (tridiagonal) operator,
+    cross-checked against the inertia count there; like `count_below`,
+    every count is strict."""
     if op.dimension != 1:
         raise NotImplementedError(
             f"eigenvalue lists support d = 1 only; got d = {op.dimension}"
         )
-    hi = energy + margin
-    expected = count_below(op, hi).count
+    expected = count_below(op, energy).count
     if expected > 5 * 10**4:
         raise IncompletenessFault(f"{expected} eigenvalues exceed the cap")
-    eigs = _banded_eigenvalues(op, hi)
+    eigs = _banded_eigenvalues(op, energy)
     if len(eigs) != expected:
         raise IncompletenessFault(
             f"found {len(eigs)} eigenvalues, inertia says {expected}"
         )
     return SpectrumSlice(
-        threshold=energy,
-        count=int(np.sum(eigs < energy)),
-        method="banded",
-        eigenvalues=eigs,
-        complete_to=hi,
+        threshold=energy, count=expected, method="banded", eigenvalues=eigs
     )
 
 
@@ -791,6 +784,7 @@ class MollifiedCounter:
     mass_defect: float = field(init=False)
 
     def __post_init__(self):
+        self.window = (float(self.window[0]), float(self.window[1]))
         e1, e2 = self.window
         if e2 < e1:
             raise ValueError("window must be ordered")
@@ -820,27 +814,13 @@ class MollifiedCounter:
         e1, e2 = self.window
         return self._psi((lam - e1) / self.h) - self._psi((lam - e2) / self.h)
 
-    def coverage_level(self, cutoff: float = TAIL_CUTOFF) -> float:
-        """Smallest level above E2 beyond which f_tilde stays below cutoff."""
+    def coverage_level(self) -> float:
+        """Smallest level above E2 beyond which f_tilde < TAIL_CUTOFF."""
         grid, _, psi_half, total = _counter_tables(self.t0)
         tail = total / 2.0 - psi_half  # Psi(+inf) - Psi(zeta) for zeta >= 0
-        above = np.nonzero(tail < cutoff)[0]
+        above = np.nonzero(tail < TAIL_CUTOFF)[0]
         zeta_star = grid[above[0]] if len(above) else grid[-1]
         return self.window[1] + self.h * float(zeta_star)
-
-
-def build_mollified_counter(
-    t0: float,
-    h: float,
-    window,
-    energy: Optional[float] = None,
-    c: Optional[float] = None,
-) -> MollifiedCounter:
-    e1, e2 = float(window[0]), float(window[1])
-    if energy is not None and c is not None:
-        if e1 < energy - c - 1e-12 or e2 > energy + c + 1e-12:
-            raise ValueError("window escapes [E - c, E + c]")
-    return MollifiedCounter(t0=t0, h=h, window=(e1, e2))
 
 
 def smoothed_count(slice_: SpectrumSlice, counter: MollifiedCounter) -> float:
@@ -848,9 +828,9 @@ def smoothed_count(slice_: SpectrumSlice, counter: MollifiedCounter) -> float:
     if slice_.eigenvalues is None:
         raise ValueError("smoothed_count needs an explicit eigenvalue list")
     needed = counter.coverage_level()
-    if slice_.complete_to is None or slice_.complete_to < needed:
+    if slice_.threshold < needed:
         raise IncompletenessFault(
-            f"eigenvalue list complete to {slice_.complete_to}, "
+            f"eigenvalue list complete to {slice_.threshold}, "
             f"but the smoother needs coverage up to {needed:.6g}"
         )
     if len(slice_.eigenvalues) == 0:

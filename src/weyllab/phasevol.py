@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import SymbolModel, find_critical_points
+from .symbols import (
+    SymbolModel,
+    _ellipsoids,
+    _midpoint_axis,
+    _quadratic_parts,
+    find_critical_points,
+)
 
 __all__ = [
     "VolumeEstimate",
@@ -60,6 +66,8 @@ ENERGY_WINDOW = 0.25
 TUBE_BUDGET = 2**16
 CLOUD_SIZE = 2**14
 TUBE_SEED = 0
+# verify_sublevel_lemma: the highest degree of its random polynomials
+LEMMA_MAX_DEGREE = 5
 
 
 class ContainmentFault(RuntimeError):
@@ -109,61 +117,9 @@ class PolySublevelQuery:
     coefficients: tuple
     threshold: float
     measure: float
-    intervals: tuple
 
 
 # -- momentum ellipsoids on an x grid -------------------------------------------
-
-
-def _quadratic_parts(model: SymbolModel, x: np.ndarray):
-    """G, b and c of a0(x, xi) = xi.G(x) xi + b(x).xi + c(x) on x nodes of
-    shape (n, d), as nested lists of (n,) arrays.
-
-    Each term a(x) xi^mu of the term table adds to the part keyed by the
-    sorted axes of its monomial: () is c, (j,) is b_j, (j, j) is G_jj and
-    (j, k) with j < k is G_jk + G_kj = 2 G_jk.  A second-order symbol has
-    |mu| <= 2 by construction.
-    """
-    if model.order != 1:
-        raise NotImplementedError(
-            "momentum ellipsoids need a second-order symbol"
-        )
-    d = model.dimension
-    zero = np.zeros(x.shape[0])
-    parts = {}
-    for mu, a in model.terms_at(x):
-        key = tuple(j for j in range(d) for _ in range(mu[j]))
-        parts[key] = parts.get(key, zero) + a
-    G = [
-        [parts.get((min(j, k), max(j, k)), zero) * (1.0 if j == k else 0.5)
-         for k in range(d)]
-        for j in range(d)
-    ]
-    b = [parts.get((j,), zero) for j in range(d)]
-    return G, b, parts.get((), zero)
-
-
-def _ellipsoids(G, b, c):
-    """(det G, least eigenvalue of G, diagonal of G^-1, centre xi*, minimum
-    m) elementwise, in closed form for d <= 2.
-
-    Raises ValueError where G is not positive definite: there the sublevel
-    fibers are not ellipsoids, which contradicts ellipticity."""
-    d = len(G)
-    if d == 1:
-        det = least = G[0][0]
-    else:
-        (p, q), (_, r) = G
-        det = p * r - q * q
-        least = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
-    if least.min() <= 0:
-        raise ValueError(
-            "G(x) is not positive definite, which contradicts ellipticity"
-        )
-    inv = [[1.0 / det]] if d == 1 else [[r / det, -q / det], [-q / det, p / det]]
-    centre = [-0.5 * sum(inv[j][k] * b[k] for k in range(d)) for j in range(d)]
-    minimum = c + 0.5 * sum(b[j] * centre[j] for j in range(d))
-    return det, least, [inv[j][j] for j in range(d)], centre, minimum
 
 
 def _reduce(model: SymbolModel, k: int):
@@ -179,10 +135,8 @@ def _reduce(model: SymbolModel, k: int):
     the outermost node of each axis.
     """
     d = model.dimension
-    if d > 2:
-        raise NotImplementedError(f"momentum ellipsoids support d <= 2; got {d}")
     spacing = 2.0 * model.box_x / k
-    axis = (np.arange(k) + 0.5) * spacing - model.box_x
+    axis = _midpoint_axis(k, model.box_x)
     band = np.abs(axis) > min(
         (1.0 - BOUNDARY_MARGIN) * model.box_x, model.box_x - spacing
     )
@@ -447,21 +401,12 @@ def poly_sublevel_measure(coeffs, tau: float, interval) -> PolySublevelQuery:
     grid = sorted({lo, hi} | cuts)
     desc = np.array(coeffs[::-1])
 
-    intervals, measure = [], 0.0
+    measure = 0.0
     for a, b in zip(grid, grid[1:]):
-        if b - a <= 0:
-            continue
         if abs(float(np.polyval(desc, 0.5 * (a + b)))) < tau:
             measure += b - a
-            if intervals and abs(intervals[-1][1] - a) < 1e-11:
-                intervals[-1] = (intervals[-1][0], b)
-            else:
-                intervals.append((a, b))
     return PolySublevelQuery(
-        coefficients=tuple(coeffs),
-        threshold=tau,
-        measure=measure,
-        intervals=tuple(intervals),
+        coefficients=tuple(coeffs), threshold=tau, measure=measure
     )
 
 
@@ -480,26 +425,25 @@ class SublevelLemmaReport:
 def verify_sublevel_lemma(
     random_seed: int = 0,
     trials: int = 200,
-    m_max: int = 5,
     delta0: float = 0.4,
     h_grid=(1e-1, 1e-2, 1e-3, 1e-4),
-    interval=None,
 ) -> SublevelLemmaReport:
     """Property check: measure{|F| < h^delta0} <= C_m h^(delta0/m) for every
-    polynomial normalized so its top derivative at 0 is at least 1.
+    polynomial of degree m <= LEMMA_MAX_DEGREE normalized so its top
+    derivative at 0 is at least 1.
 
     C_m is calibrated per degree at the largest h over all trials and must
     then dominate every smaller h; any excess is reported as a violation.
-    The bound is a whole-line statement, so by default each polynomial is
-    measured on its own Cauchy root bound interval (a fixed interval would
-    clip the sublevel set at large h and deflate the calibration).
+    The bound is a whole-line statement, so each polynomial is measured on
+    its own Cauchy root bound interval (a fixed interval would clip the
+    sublevel set at large h and deflate the calibration).
     """
     rng = np.random.Generator(np.random.Philox(key=random_seed))
     h_grid = sorted(float(h) for h in h_grid)
     h_max = h_grid[-1]
     polys = []
     for _ in range(trials):
-        m = int(rng.integers(1, m_max + 1))
+        m = int(rng.integers(1, LEMMA_MAX_DEGREE + 1))
         c = rng.uniform(-1.0, 1.0, size=m + 1)
         # enforce |F^(m)(0)| = |m! c_m| >= 1
         lead = c[m] * math.factorial(m)
@@ -508,8 +452,6 @@ def verify_sublevel_lemma(
         polys.append((m, c))
 
     def trial_interval(c):
-        if interval is not None:
-            return interval
         # Cauchy bound for F +- tau with tau <= 1: no sublevel set is clipped
         radius = 2.0 + (float(np.abs(c[:-1]).max()) + 1.0) / abs(c[-1])
         return (-radius, radius)
@@ -532,7 +474,7 @@ def verify_sublevel_lemma(
 
     constants = {}
     tau_max = h_max**delta0
-    for m in range(1, m_max + 1):
+    for m in range(1, LEMMA_MAX_DEGREE + 1):
         ext = extremal(m, tau_max)
         vals = [
             poly_sublevel_measure(ext, tau_max, trial_interval(ext)).measure

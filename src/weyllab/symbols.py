@@ -1,16 +1,17 @@
 """Principal symbols on phase space: evaluation, derivatives, critical sets.
 
-A symbol is a finite sum  sum_{|nu|,|nubar| <= m0} a_{nu,nubar}(x) xi^(nu+nubar)
+A symbol is a finite sum  sum_{|nu|,|nubar| <= 1} a_{nu,nubar}(x) xi^(nu+nubar)
 over multi-index pairs.  Coefficients carry their own derivatives, so
 gradients and Hessians of the symbol are exact up to rounding, except where
 a coefficient's own derivatives are approximate: holder_test_field
 differentiates its cutoff by central differences (steps 1e-6 and 1e-4).
 
-Critical points are found without random draws: Newton starts from the
-discrete local minima of |grad_x a0| over the fibre centres (x, xi*(x)) on
-a midpoint x grid of SEED_NODES nodes per axis and takes NEWTON_STEPS
-undamped steps, so two critical points within about two grid cells can
-share one seed.
+Every symbol is second order, so its momentum fibres are ellipsoids whose
+centres xi*(x) have a closed form.  Critical points are found without
+random draws: Newton starts from the discrete local minima of |grad_x a0|
+over the fibre centres (x, xi*(x)) on a midpoint x grid of SEED_NODES nodes
+per axis and takes NEWTON_STEPS undamped steps, so two critical points
+within about two grid cells can share one seed.
 """
 
 from __future__ import annotations
@@ -167,25 +168,16 @@ class PolynomialCoefficient(Coefficient):
         return _poly_eval(_poly_derivative(self.terms, (order,)), x)
 
 
-def _monomial(mu: tuple, xi: np.ndarray) -> np.ndarray:
-    out = np.ones(xi.shape[0])
-    for j, e in enumerate(mu):
-        if e:
-            out = out * xi[:, j] ** e
-    return out
-
-
 @dataclass
 class SymbolModel:
     """Principal symbol with exact derivatives on R^{2d}.
 
-    ``coefficients`` maps ordered multi-index pairs (nu, nubar) to
-    Coefficient objects; symmetry coefficient(nu, nubar) == coefficient(nubar,
-    nu) is validated at construction on random sample points.
+    ``coefficients`` maps ordered multi-index pairs (nu, nubar), |nu|,
+    |nubar| <= 1, to Coefficient objects; symmetry coefficient(nu, nubar) ==
+    coefficient(nubar, nu) is validated at construction on random points.
     """
 
     dimension: int
-    order: int
     coefficients: dict[tuple, Coefficient]
     ellipticity_constant: float
     holder_exponent: float
@@ -197,9 +189,9 @@ class SymbolModel:
     _terms: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        d, m0 = self.dimension, self.order
-        if d < 1 or m0 < 1:
-            raise ValueError("dimension and order must be positive")
+        d = self.dimension
+        if d < 1:
+            raise ValueError("dimension must be positive")
         if not (0.0 < self.holder_exponent < 1.0):
             raise ValueError("holder_exponent must lie in (0, 1)")
         norm = {}
@@ -207,8 +199,8 @@ class SymbolModel:
             nu, nubar = tuple(nu), tuple(nubar)
             if len(nu) != d or len(nubar) != d:
                 raise ValueError("multi-index length must equal dimension")
-            if sum(nu) > m0 or sum(nubar) > m0:
-                raise ValueError("multi-index order exceeds m0")
+            if sum(nu) > 1 or sum(nubar) > 1:
+                raise NotImplementedError("second-order symbols only")
             norm[(nu, nubar)] = coef
         self.coefficients = norm
         self._validate_symmetry()
@@ -260,7 +252,7 @@ class SymbolModel:
         xi = pts[:, d:]
         out = np.zeros(pts.shape[0])
         for mu, a in self.terms_at(pts[:, :d]):
-            out += a * _monomial(mu, xi)
+            out += a * _poly_eval({mu: 1.0}, xi)
         return float(out[0]) if single else out
 
     def gradient(self, v) -> np.ndarray:
@@ -270,7 +262,7 @@ class SymbolModel:
         gx = np.zeros((pts.shape[0], d))
         gxi = np.zeros((pts.shape[0], d))
         for mu, coef, xi_mu in self._terms:
-            mono = _monomial(mu, xi)
+            mono = xi_mu.value(xi)
             gx += coef.grad(x) * mono[:, None]
             gxi += coef.value(x)[:, None] * xi_mu.grad(xi)
         g = np.concatenate([gx, gxi], axis=1)
@@ -285,7 +277,7 @@ class SymbolModel:
         for mu, coef, xi_mu in self._terms:
             a = coef.value(x)
             ga = coef.grad(x)
-            mono = _monomial(mu, xi)
+            mono = xi_mu.value(xi)
             gmono = xi_mu.grad(xi)
             h[:, :d, :d] += coef.hess(x) * mono[:, None, None]
             cross = ga[:, :, None] * gmono[:, None, :]
@@ -323,13 +315,65 @@ def hessian_rank(eigs: np.ndarray) -> int:
     return int(np.sum(np.abs(eigs) > thresh))
 
 
-def _newton_step(model: SymbolModel, pts: np.ndarray, block: slice) -> None:
-    """One undamped Newton step on grad a0 in the coordinates ``block`` of
-    pts, in place.  The step is -pinv(H) g, which stays defined where the
-    Hessian is singular."""
-    g = model.gradient(pts)[:, block, None]
-    h = model.hessian(pts)[:, block, block]
-    pts[:, block] -= (np.linalg.pinv(h) @ g)[:, :, 0]
+def _midpoint_axis(k: int, half: float) -> np.ndarray:
+    """The midpoints of k equal cells across [-half, half]."""
+    return (np.arange(k) + 0.5) * (2.0 * half / k) - half
+
+
+def _quadratic_parts(model: SymbolModel, x: np.ndarray):
+    """G, b and c of a0(x, xi) = xi.G(x) xi + b(x).xi + c(x) on x nodes of
+    shape (n, d), as nested lists of (n,) arrays.
+
+    Each term a(x) xi^mu of the term table adds to the part keyed by the
+    sorted axes of its monomial: () is c, (j,) is b_j, (j, j) is G_jj and
+    (j, k) with j < k is G_jk + G_kj = 2 G_jk.  A second-order symbol has
+    |mu| <= 2 by construction.
+    """
+    d = model.dimension
+    zero = np.zeros(x.shape[0])
+    parts = {}
+    for mu, a in model.terms_at(x):
+        key = tuple(j for j in range(d) for _ in range(mu[j]))
+        parts[key] = parts.get(key, zero) + a
+    G = [
+        [parts.get((min(j, k), max(j, k)), zero) * (1.0 if j == k else 0.5)
+         for k in range(d)]
+        for j in range(d)
+    ]
+    b = [parts.get((j,), zero) for j in range(d)]
+    return G, b, parts.get((), zero)
+
+
+def _ellipsoids(G, b, c):
+    """(det G, least eigenvalue of G, diagonal of G^-1, centre xi*, minimum
+    m) elementwise, in closed form for d <= 2.
+
+    Raises ValueError where G is not positive definite: there the sublevel
+    fibers are not ellipsoids, which contradicts ellipticity."""
+    d = len(G)
+    if d > 2:
+        raise NotImplementedError(f"momentum ellipsoids support d <= 2; got {d}")
+    if d == 1:
+        det = least = G[0][0]
+    else:
+        (p, q), (_, r) = G
+        det = p * r - q * q
+        least = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
+    if least.min() <= 0:
+        raise ValueError(
+            "G(x) is not positive definite, which contradicts ellipticity"
+        )
+    inv = [[1.0 / det]] if d == 1 else [[r / det, -q / det], [-q / det, p / det]]
+    centre = [-0.5 * sum(inv[j][k] * b[k] for k in range(d)) for j in range(d)]
+    minimum = c + 0.5 * sum(b[j] * centre[j] for j in range(d))
+    return det, least, [inv[j][j] for j in range(d)], centre, minimum
+
+
+def _newton_step(model: SymbolModel, pts: np.ndarray) -> None:
+    """One undamped Newton step on grad a0 at pts, in place.  The step is
+    -pinv(H) g, which stays defined where the Hessian is singular."""
+    g = model.gradient(pts)[:, :, None]
+    pts -= (np.linalg.pinv(model.hessian(pts)) @ g)[:, :, 0]
 
 
 def find_critical_points(
@@ -337,27 +381,24 @@ def find_critical_points(
 ) -> list[CriticalPointReport]:
     """Locate the numerical critical set {|a0 - E| + |grad a0| <= 2c}.
 
-    a0 is quadratic in xi, so one Newton step in xi from xi = 0 lands on
-    the fibre centre xi*(x), and the critical points are the (x, xi*(x))
-    with grad_x a0(x, xi*(x)) = 0.  Newton is seeded at the discrete local
-    minima of |grad_x a0(x, xi*(x))| on the midpoint grid of SEED_NODES
-    nodes per axis over the x box; each seed takes NEWTON_STEPS undamped
-    steps on the whole gradient and is dropped if it leaves the box.
+    a0 is quadratic in xi, so the critical points are the (x, xi*(x)) with
+    grad_x a0(x, xi*(x)) = 0, xi*(x) the fibre centre of `_ellipsoids`.
+    Newton is seeded at the discrete local minima of |grad_x a0(x, xi*(x))|
+    on the midpoint grid of SEED_NODES nodes per axis over the x box; each
+    seed takes NEWTON_STEPS undamped steps on the whole gradient and is
+    dropped if it leaves the box.
     Converged points are deduplicated and sorted lexicographically.  No
     random numbers are drawn.  Two critical points within about two grid
     cells (4 box_x / SEED_NODES) of each other can share one seed, and then
     only one of them is found.
     """
-    if model.order != 1:
-        raise NotImplementedError("fibre centres need a second-order symbol")
     if window <= 0:
         raise ValueError("window must be positive")
     d, k = model.dimension, SEED_NODES
-    axis = (np.arange(k) + 0.5) * (2.0 * model.box_x / k) - model.box_x
-    nodes = np.zeros((k**d, 2 * d))
-    grid = np.meshgrid(*[axis] * d, indexing="ij")
-    nodes[:, :d] = np.stack(grid, axis=-1).reshape(-1, d)
-    _newton_step(model, nodes, slice(d, 2 * d))
+    grid = np.meshgrid(*[_midpoint_axis(k, model.box_x)] * d, indexing="ij")
+    x = np.stack(grid, axis=-1).reshape(-1, d)
+    centre = _ellipsoids(*_quadratic_parts(model, x))[3]
+    nodes = np.concatenate([x, np.stack(centre, axis=1)], axis=1)
     slope = np.linalg.norm(model.gradient(nodes)[:, :d], axis=1)
     slope = slope.reshape((k,) * d)
 
@@ -369,7 +410,7 @@ def find_critical_points(
         is_seed &= slope <= padded[tuple(slice(s, s + k) for s in shift)]
     pts = nodes[is_seed.ravel()]
     for _ in range(NEWTON_STEPS):
-        _newton_step(model, pts, slice(None))
+        _newton_step(model, pts)
         pts = pts[model.in_box(pts)]
     gnorm = np.linalg.norm(model.gradient(pts), axis=1)
     candidates = pts[gnorm <= POLISH_TOL]
@@ -502,7 +543,6 @@ def _schrodinger(name, d, potential, box, overrides) -> SymbolModel:
     coeffs[(zero, zero)] = potential
     args = dict(
         dimension=d,
-        order=1,
         coefficients=coeffs,
         ellipticity_constant=1.0,
         holder_exponent=0.5,

@@ -34,8 +34,8 @@ from weyllab.mollify import (
 )
 from weyllab.operators import (
     GridSpec,
+    MollifiedCounter,
     assemble,
-    build_mollified_counter,
     eigenvalues_below,
     smoothed_count,
 )
@@ -171,7 +171,7 @@ def test_criterion_5_near_critical_volume():
 
 def test_criterion_6_polynomial_sublevel():
     rep = verify_sublevel_lemma(
-        random_seed=0, trials=200, m_max=5,
+        random_seed=0, trials=200,
         h_grid=(1e-1, 1e-2, 1e-3, 1e-4), delta0=0.4,
     )
     ok = _report(
@@ -245,12 +245,12 @@ def test_criterion_9_smoothed_counting():
     window = (0.2, 0.8)
     rows, all_ok = [], True
     for h in (0.05, 0.035, 0.025):
-        counter = build_mollified_counter(1.0, h, window)
+        counter = MollifiedCounter(1.0, h, window)
         lam_probe = np.linspace(-1.5, 1.5, 20001)
         positive = bool(np.all(counter.gamma_tilde(lam_probe) >= 0))
         mass_ok = counter.mass_defect <= 1e-8
         op = assemble(model, h, 0.41, GridSpec(2.0, 1200))
-        slc = eigenvalues_below(op, counter.coverage_level(), 0.0)
+        slc = eigenvalues_below(op, counter.coverage_level())
         lam = slc.eigenvalues
         sharp = int(np.sum((lam >= window[0]) & (lam <= window[1])))
         smooth = smoothed_count(slc, counter)

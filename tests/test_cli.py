@@ -240,6 +240,32 @@ def test_out_of_range_counts_exit_2(tmp_path, capsys, line, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, flags, key",
+    [
+        ("energy=nan", [], "energy"),
+        ("energy=1.0\nt0=inf", [], "t0"),
+        ("energy=1.0\nc_lower=nan", [], "c_lower"),
+        ("energy=1.0\nmu=-inf", [], "mu"),
+        ("energy=1.0", ["--h-max", "inf"], "h_max"),
+    ],
+    ids=["energy", "t0", "c_lower", "mu", "h_max_override"],
+)
+def test_non_finite_values_exit_2(tmp_path, capsys, lines, flags, key):
+    # energy = nan once ran the sweep, wrote a header-only CSV and exited 1
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"model=harmonic\n{lines}\n")
+    out = tmp_path / "out"
+    code = main([
+        "--config", str(cfgfile), "--experiment", "weyl_sweep",
+        "--out", str(out), *flags,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} = " in err and "is not finite" in err
+    assert not out.exists()
+
+
 def test_flow_bounds_unreachable_threshold_exit_1(tmp_path):
     # c_lower h^delta0 = 100 * 0.05^0.41 = 29.3, above every |grad p| of
     # double_well_2d on its box: the run must fail, not sample forever

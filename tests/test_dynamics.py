@@ -101,7 +101,7 @@ def _blowup_model():
         ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, 1),
         ((0,), (0,)): PolynomialCoefficient({(4,): -1.0}, 1),
     }
-    return SymbolModel(dimension=1, order=1, coefficients=coeffs,
+    return SymbolModel(dimension=1, coefficients=coeffs,
                        ellipticity_constant=1.0, holder_exponent=0.5,
                        name="blowup")
 
@@ -373,7 +373,7 @@ def _mixed_model():
         ((1,), (1,)): PolynomialCoefficient({(0,): 1.0, (2,): 0.25}, 1),
         ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
     }
-    return SymbolModel(dimension=1, order=1, coefficients=coeffs,
+    return SymbolModel(dimension=1, coefficients=coeffs,
                        ellipticity_constant=1.0, holder_exponent=0.5,
                        name="mixed_kinetic")
 
@@ -470,7 +470,7 @@ def _one_dimensional_model(potential, momentum=0.0):
     if momentum:
         for pair in (((1,), (0,)), ((0,), (1,))):
             coeffs[pair] = PolynomialCoefficient({(0,): momentum}, 1)
-    return SymbolModel(dimension=1, order=1, coefficients=coeffs,
+    return SymbolModel(dimension=1, coefficients=coeffs,
                        ellipticity_constant=1.0, holder_exponent=0.5,
                        name="one_dimensional")
 

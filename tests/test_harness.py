@@ -81,6 +81,16 @@ def test_fit_loglog_excludes_nonpositive():
     assert fit.n_points == 4
 
 
+def test_fit_loglog_accepts_iterators():
+    # the exclusions were once counted from an iterator that zip had
+    # already consumed, which gave excluded = -4 here
+    xs = [0.1, 0.05, 0.025, 0.0125, 0.00625]
+    ys = [0.1, 0.05, 0.0, 0.0125, 0.00625]
+    fit = fit_loglog(iter(xs), iter(ys))
+    assert fit.excluded == 1
+    assert fit == fit_loglog(xs, ys)
+
+
 def test_fit_loglog_deterministic_permutation():
     hs = [0.1, 0.07, 0.05, 0.035, 0.025]
     ys = [1.1, 0.8, 0.53, 0.36, 0.27]
@@ -167,7 +177,7 @@ def _break_potential_in_assembly(monkeypatch, broken_value):
     coeffs = dict(m.coefficients)
     coeffs[pot_key] = Coefficient(value, pot.grad, pot.hess)
     broken = SymbolModel(
-        m.dimension, m.order, coeffs, m.ellipticity_constant,
+        m.dimension, coeffs, m.ellipticity_constant,
         m.holder_exponent, m.box_x, m.box_xi, m.name,
     )
 
@@ -236,7 +246,6 @@ def test_check_hypotheses_enforces_ellipticity():
     def model(constant):
         return SymbolModel(
             dimension=2,
-            order=1,
             coefficients={
                 ((1, 0), (1, 0)): poly({(0, 0): 0.5}),
                 ((0, 1), (0, 1)): poly({(0, 0): 0.5}),

@@ -12,9 +12,9 @@ from weyllab.operators import (
     ConfinementFault,
     DiscreteOperator,
     GridSpec,
+    MollifiedCounter,
     ResolutionFault,
     assemble,
-    build_mollified_counter,
     count_below,
     eigenvalues_below,
     smoothed_count,
@@ -203,7 +203,7 @@ def test_bracketing_single_h():
 
 def test_eigenvalues_below_matches_count(harmonic):
     op = assemble(harmonic, 0.05, 0.41, GridSpec(2.0, 400))
-    slc = eigenvalues_below(op, 1.0, 0.0)
+    slc = eigenvalues_below(op, 1.0)
     assert slc.count == count_below(op, 1.0).count
     assert len(slc.eigenvalues) == slc.count
     assert np.all(np.diff(slc.eigenvalues) >= 0)
@@ -215,15 +215,13 @@ def _diagonal_operator(entries) -> DiscreteOperator:
         grid=GridSpec(1.0, len(entries)),
         diagonal=np.asarray(entries, dtype=float),
         couplings=(np.zeros(len(entries) - 1),),
-        variant="raw",
-        dimension=1,
     )
 
 
 @pytest.mark.parametrize(
     "n, diagonal, couplings",
     [
-        (4, np.ones(4), (np.zeros(3),)),  # a 1-D stencil, declared 2-D
+        (4, np.ones(4), (np.zeros(3), np.zeros(3))),  # 1-D, two axes
         (4, np.ones((4, 3)), (np.zeros((3, 4)), np.zeros((4, 3)))),
         (4, np.ones((4, 4)), (np.zeros((3, 4)), np.zeros((4, 4)))),
         (4, np.ones((4, 4)), (np.zeros((3, 4)), np.zeros((3, 4)))),
@@ -234,7 +232,7 @@ def _diagonal_operator(entries) -> DiscreteOperator:
 def test_stencil_shapes_must_match_the_grid(n, diagonal, couplings):
     with pytest.raises(ValueError, match="stencil"):
         DiscreteOperator(h=0.1, grid=GridSpec(1.0, n), diagonal=diagonal,
-                         couplings=couplings, variant="raw", dimension=2)
+                         couplings=couplings)
 
 
 def test_counts_are_strict_at_an_eigenvalue():
@@ -242,12 +240,9 @@ def test_counts_are_strict_at_an_eigenvalue():
     # eigenvalue slice must count the same way as the inertia count
     op = _diagonal_operator([1.0, 2.0, 3.0])
     assert count_below(op, 2.0).count == 1
-    slc = eigenvalues_below(op, 2.0, 0.5)
+    slc = eigenvalues_below(op, 2.0)
     assert slc.count == 1
-    np.testing.assert_array_equal(slc.eigenvalues, [1.0, 2.0])
-    exact = eigenvalues_below(op, 2.0, 0.0)
-    assert exact.count == 1
-    np.testing.assert_array_equal(exact.eigenvalues, [1.0])
+    np.testing.assert_array_equal(slc.eigenvalues, [1.0])
 
 
 @pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
@@ -266,14 +261,14 @@ def test_count_strict_at_a_singular_pivot(tie):
 def test_smoothed_counting_operators_match_dense_reference(harmonic, h):
     # the 1200-point operators of the smoothed_counting experiment against a
     # full dense eigendecomposition
-    counter = build_mollified_counter(1.0, h, (0.2, 0.8))
+    counter = MollifiedCounter(1.0, h, (0.2, 0.8))
     op = assemble(harmonic, h, 0.41, GridSpec(harmonic.box_x, 1200),
                   strict_resolution=False)
     ref = np.linalg.eigvalsh(op.matrix.toarray())
     level = counter.coverage_level()
     for energy in (level, 0.5):
         assert count_below(op, energy).count == int(np.sum(ref < energy))
-    slc = eigenvalues_below(op, level, 0.0)
+    slc = eigenvalues_below(op, level)
     np.testing.assert_allclose(slc.eigenvalues, ref[ref < level],
                                rtol=0.0, atol=1e-12)
 
@@ -283,7 +278,7 @@ def test_eigenvalues_below_rejects_two_dimensions():
     op = assemble(m, 0.05, 0.41, GridSpec(2.0, 20),
                   strict_resolution=False)
     with pytest.raises(NotImplementedError, match="d = 2"):
-        eigenvalues_below(op, 1.0, 0.0)
+        eigenvalues_below(op, 1.0)
 
 
 def test_assemble_rejects_three_dimensions():
@@ -295,7 +290,6 @@ def test_assemble_rejects_three_dimensions():
     )
     model = SymbolModel(
         dimension=d,
-        order=1,
         coefficients=coeffs,
         ellipticity_constant=1.0,
         holder_exponent=0.5,
@@ -309,7 +303,7 @@ def test_assemble_rejects_three_dimensions():
 
 
 def test_mollified_counter_positive_unit_mass():
-    counter = build_mollified_counter(1.0, 0.05, (0.2, 0.8))
+    counter = MollifiedCounter(1.0, 0.05, (0.2, 0.8))
     lam = np.linspace(-2, 3, 2001)
     g = counter.gamma_tilde(lam)
     assert np.all(g >= 0)  # squared-profile construction
@@ -319,7 +313,7 @@ def test_mollified_counter_positive_unit_mass():
 
 
 def test_window_function_plateau():
-    counter = build_mollified_counter(1.0, 0.02, (0.2, 0.8))
+    counter = MollifiedCounter(1.0, 0.02, (0.2, 0.8))
     assert counter.f_tilde(np.array([0.5]))[0] == pytest.approx(1.0, abs=0.1)
     assert counter.f_tilde(np.array([-0.5]))[0] == pytest.approx(0.0, abs=1e-3)
     assert counter.f_tilde(np.array([1.5]))[0] == pytest.approx(0.0, abs=1e-3)
@@ -328,9 +322,9 @@ def test_window_function_plateau():
 def test_smoothed_count_close_to_sharp(harmonic):
     h = 0.05
     window = (0.2, 0.8)
-    counter = build_mollified_counter(1.0, h, window)
+    counter = MollifiedCounter(1.0, h, window)
     op = assemble(harmonic, h, 0.41, GridSpec(2.0, 400))
-    slc = eigenvalues_below(op, counter.coverage_level(), 0.0)
+    slc = eigenvalues_below(op, counter.coverage_level())
     sharp = int(np.sum((slc.eigenvalues >= window[0])
                        & (slc.eigenvalues <= window[1])))
     smooth = smoothed_count(slc, counter)
@@ -449,7 +443,7 @@ def _square_operator(diag, couplings=None) -> DiscreteOperator:
     n = diag.shape[0]
     c0 = np.zeros((n - 1, n)) if couplings is None else couplings
     return DiscreteOperator(h=0.1, grid=GridSpec(1.0, n), diagonal=diag,
-                            couplings=(c0, c0.T), variant="raw", dimension=2)
+                            couplings=(c0, c0.T))
 
 
 def _orbit(n, i, j):
@@ -559,7 +553,7 @@ def _square_model(potential_terms, kinetic=(1.0, 1.0)) -> SymbolModel:
     }
     coeffs[((0, 0), (0, 0))] = PolynomialCoefficient(potential_terms, 2)
     return SymbolModel(
-        base.dimension, base.order, coeffs, base.ellipticity_constant,
+        base.dimension, coeffs, base.ellipticity_constant,
         base.holder_exponent, base.box_x, base.box_xi, "square_variant",
     )
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weyllab import phasevol
-from weyllab.operators import GridSpec, assemble
 from weyllab.phasevol import (
     ContainmentFault,
     DegenerateCriticalPoint,
@@ -25,7 +24,6 @@ from weyllab.symbols import (
     PolynomialCoefficient,
     SymbolModel,
     _schrodinger,
-    find_critical_points,
     make_model,
 )
 
@@ -123,7 +121,6 @@ def _shifted_harmonic(shift, potential, **box):
 
     return SymbolModel(
         dimension=1,
-        order=1,
         coefficients={
             ((1,), (1,)): poly({(0,): 1.0}),
             ((1,), (0,)): poly(shift),
@@ -225,23 +222,18 @@ def test_fiber_coefficients_match_symbol_values(name):
 
 
 def test_fourth_order_symbol_rejected():
-    # xi^4 + x^2 has quartic momentum fibers; assemble rejects it too
-    model = SymbolModel(
-        dimension=1,
-        order=2,
-        coefficients={
-            ((2,), (2,)): PolynomialCoefficient({(0,): 1.0}, 1),
-            ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
-        },
-        ellipticity_constant=1.0,
-        holder_exponent=0.5,
-    )
-    with pytest.raises(NotImplementedError):
-        assemble(model, 0.05, 0.41, GridSpec(2.0, 80))
-    with pytest.raises(NotImplementedError):
-        ReducedSymbol(model)
-    with pytest.raises(NotImplementedError):
-        find_critical_points(model, 1.0, 0.25)
+    # xi^4 + x^2 has quartic momentum fibers: no module could treat it, so
+    # the model itself is refused
+    with pytest.raises(NotImplementedError, match="second-order"):
+        SymbolModel(
+            dimension=1,
+            coefficients={
+                ((2,), (2,)): PolynomialCoefficient({(0,): 1.0}, 1),
+                ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
+            },
+            ellipticity_constant=1.0,
+            holder_exponent=0.5,
+        )
 
 
 def test_remainder_functional_floor_and_grid():

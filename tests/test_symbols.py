@@ -28,7 +28,6 @@ def test_registry_models_build():
     for name in MODEL_REGISTRY:
         model = make_model(name)
         assert model.dimension in (1, 2)
-        assert model.order == 1
 
 
 def test_harmonic_values_and_derivatives():
@@ -215,7 +214,6 @@ def test_non_finite_coefficient_faults_at_its_x_node():
     )
     model = SymbolModel(
         dimension=1,
-        order=1,
         coefficients={
             ((1,), (1,)): PolynomialCoefficient({(0,): 1.0}, 1),
             ((0,), (0,)): potential,
