@@ -70,6 +70,8 @@ class ExperimentConfig:
 
 
 _REQUIRED = ("model", "energy")
+# the oscillatory_decay experiment's smoothing exponent, which bounds mu
+_DECAY_DELTA0 = 0.25
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -107,6 +109,14 @@ def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
         v.append(
             f"h_points = {cfg.h_points}: the {experiment} exponent fit "
             "needs at least 4 h values"
+        )
+    if experiment == "oscillatory_decay" and not (
+        _DECAY_DELTA0 + 0.5 < cfg.mu < 1.0
+    ):
+        v.append(
+            f"mu = {cfg.mu} outside the open interval (delta0 + 1/2, 1) = "
+            f"({_DECAY_DELTA0 + 0.5}, 1) of the decay check (delta0 = "
+            f"{_DECAY_DELTA0})"
         )
     if experiment == "critical_sweep":
         # second-order fibers: the sharp-remainder sweep additionally needs
@@ -314,7 +324,7 @@ def _exp_oscillatory_decay(cfg: ExperimentConfig, out):
         mu=cfg.mu,
         n_max=3,
         h_grid=hs,
-        delta0=0.25,
+        delta0=_DECAY_DELTA0,
         support_box=box,
     )
     control = dynamics.nonstationary_decay_check(
@@ -323,7 +333,7 @@ def _exp_oscillatory_decay(cfg: ExperimentConfig, out):
         mu=cfg.mu,
         n_max=3,
         h_grid=hs,
-        delta0=0.25,
+        delta0=_DECAY_DELTA0,
         support_box=[(-0.9, 0.9), (-0.9, 0.9)],
     )
     ok = decay.all_orders_ok and not control.satisfied[1]

@@ -18,7 +18,10 @@ form of non-stationary phase.  The tensor rule is split into its x nodes X
 from the term table a(X) xi^mu of `SymbolModel.terms_at`: terms free of xi
 give a row factor u = w_X exp(i t p_X/h), terms whose coefficient is
 constant on X a column factor v = w_Xi exp(i t p_Xi/h), and any other term
-multiplies the amplitude matrix b(X x Xi) by its own exponential.  The
+multiplies the amplitude matrix b(X x Xi) by its own exponential.  A
+coefficient is constant on X when the term table gives it as a number (one
+that cannot depend on x), or as an array whose entries are all equal; a
+number is mirrored on every x axis.  The
 integral is then the sum over chunks of X rows of
 u_rows . (b(rows x Xi) v), each chunk about CHUNK_POINTS nodes, evaluated on
 a small thread pool, one thread per available core up to four.  The
@@ -412,7 +415,9 @@ def _product_rule(rules):
 
 def _mirrored(a, shape, axis) -> bool:
     """Whether the tensor-grid values ``a`` equal their mirror on ``axis``,
-    bit for bit."""
+    bit for bit.  A number is the same at every node, so it is mirrored."""
+    if np.ndim(a) == 0:
+        return True
     a = a.reshape(shape)
     return np.array_equal(a, np.flip(a, axis))
 
@@ -438,14 +443,16 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
     s = t / h
 
     # p = sum a(x) xi^mu splits into a row phase (mu = 0), a column phase
-    # (a constant on the x nodes) and mixed terms a(x) (x) xi^mu
+    # (a is a number, or an array equal on every x node) and mixed terms
+    # a(x) (x) xi^mu
     terms = model.terms_at(x_pts)
     row, col, mixed = np.zeros(len(x_pts)), np.zeros(len(xi_pts)), []
     for mu, a in terms:
+        first = np.ravel(a)[0]
         if not any(mu):
             row += a
-        elif np.all(a == a[0]):
-            col += a[0] * _poly_eval({mu: 1.0}, xi_pts)
+        elif np.all(a == first):
+            col += first * _poly_eval({mu: 1.0}, xi_pts)
         else:
             mixed.append((a, _poly_eval({mu: 1.0}, xi_pts)))
 

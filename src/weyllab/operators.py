@@ -66,7 +66,7 @@ from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
 from .mollify import build_mollifier, regularize
-from .symbols import SymbolModel
+from .symbols import SymbolModel, _constant
 
 __all__ = [
     "GridSpec",
@@ -289,6 +289,10 @@ def assemble(
     couplings = [np.zeros(s) for s in _coupling_shapes(*shape)]
     diag = np.zeros(n_total)
 
+    def face_shape(axis):
+        # a coefficient per cell face: one more than the nodes along `axis`
+        return tuple(s + (j == axis) for j, s in enumerate(shape))
+
     def add_axis_term(coef_mid, axis, scale):
         term, off = _axis_term(coef_mid, axis, scale)
         diag_terms.append(term.ravel())
@@ -304,8 +308,13 @@ def assemble(
                 raise NotImplementedError(
                     "mixed-axis second-order terms are not assembled"
                 )
-            mid_pts, mid_shape = _midpoint_coords(grid, d, axis)
-            vals = field_of(coef).value(mid_pts).reshape(mid_shape)
+            a = field_of(coef)
+            const = _constant(a)
+            if const is None:
+                mid_pts, mid_shape = _midpoint_coords(grid, d, axis)
+                vals = a.value(mid_pts).reshape(mid_shape)
+            else:  # a number: the same on every face
+                vals = np.full(face_shape(axis), const)
             add_axis_term(vals, axis, (h / dx) ** 2)
         else:
             raise NotImplementedError(
@@ -316,10 +325,8 @@ def assemble(
         sign = 1.0 if variant == "plus" else -1.0
         diag += sign * h
         for axis in range(d):
-            ones_ax = np.ones(
-                tuple(s + 1 if j == axis else s for j, s in enumerate(shape))
-            )
-            add_axis_term(ones_ax, axis, sign * h * (h / dx) ** 2)
+            add_axis_term(np.ones(face_shape(axis)), axis,
+                          sign * h * (h / dx) ** 2)
 
     # potential at the closed box boundary bounds the symbol from below there
     pot = model.coefficients.get(((0,) * d, (0,) * d))

@@ -16,7 +16,10 @@ Sjostrand, Spectral Asymptotics in the Semi-Classical Limit, ch. 9).  A
 sweep builds one `ReducedSymbol`: m and the weight
 omega_d dx^d / sqrt(det G) on a midpoint x grid of `budget` nodes, plus
 the three scalars that the containment check and the hypothesis screen
-read.  No sweep draws random numbers.  `weyl_volume` sums the closed form
+read.  A coefficient that cannot depend on x is a number in the term table
+(`SymbolModel.terms_at`), so where G is made of such coefficients, as for
+every |xi|^2 + V(x), det G and the weight are one number for the whole
+grid.  No sweep draws random numbers.  `weyl_volume` sums the closed form
 over the grid, with the gap to an independent grid of half as many nodes
 per axis as its error; `remainder_functional` sums it at every shell edge
 of its E'-grid, over the nodes whose m lies below the top edge.
@@ -24,6 +27,7 @@ of its E'-grid, over the nodes whose m lies below the top edge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,11 +131,11 @@ def _reduce(model: SymbolModel, k: int):
     nodes per axis, built in chunks of CHUNK_NODES nodes.
 
     w is omega_d dx^d / sqrt(det G), so that sum w (L - m)_+^(d/2) is the
-    volume of {a0 < L}.  The scalars are the lowest level whose sublevel
-    set reaches within 2% of the box (in x: any mass on a node of the
-    boundary band; in xi: |xi*_j| + sqrt((L - m) (G^-1)_jj) past 98% of
-    box_xi), the least m on the boundary band, and the least eigenvalue of
-    G over the grid.  The band is the 2% edge of the x box and always holds
+    volume of {a0 < L}; it is a number when det G is one, else one entry
+    per node.  The scalars are the lowest level whose sublevel set reaches
+    within 2% of the box (in x: any mass on a node of the boundary band; in
+    xi: |xi*_j| + sqrt((L - m) (G^-1)_jj) past 98% of box_xi), the least m
+    on the boundary band, and the least eigenvalue of G over the grid.  The band is the 2% edge of the x box and always holds
     the outermost node of each axis.
     """
     d = model.dimension
@@ -143,7 +147,7 @@ def _reduce(model: SymbolModel, k: int):
     xi_limit = (1.0 - BOUNDARY_MARGIN) * model.box_xi
     ball = math.pi ** (0.5 * d) / math.gamma(0.5 * d + 1.0) * spacing**d
     n = k**d
-    minimum, weight = np.empty(n), np.empty(n)
+    minimum, weight = np.empty(n), None
     reach = boundary_min = ellipticity = math.inf
     for start in range(0, n, CHUNK_NODES):
         idx = np.unravel_index(
@@ -155,8 +159,14 @@ def _reduce(model: SymbolModel, k: int):
         )
         chunk = slice(start, start + x.shape[0])
         minimum[chunk] = m
-        weight[chunk] = ball / np.sqrt(det)
-        room = np.minimum.reduce([
+        m = minimum[chunk]  # m broadcast to the chunk
+        w = ball / np.sqrt(det)
+        if np.ndim(w):  # det G varies with x: one weight per node
+            weight = np.empty(n) if weight is None else weight
+            weight[chunk] = w
+        else:  # det G is a number, the same on every chunk
+            weight = float(w)
+        room = functools.reduce(np.minimum, [
             np.maximum(xi_limit - np.abs(centre[j]), 0.0) ** 2 / inv_diag[j]
             for j in range(d)
         ])
@@ -164,7 +174,7 @@ def _reduce(model: SymbolModel, k: int):
         reach = min(reach, float(np.where(edge, m, m + room).min()))
         if edge.any():
             boundary_min = min(boundary_min, float(m[edge].min()))
-        ellipticity = min(ellipticity, float(least.min()))
+        ellipticity = min(ellipticity, float(np.min(least)))
     return minimum, weight, reach, boundary_min, ellipticity
 
 
@@ -173,7 +183,9 @@ def _sublevel_volumes(minimum, weight, d, levels) -> np.ndarray:
     the nodes whose m lies below the highest level: the others carry no
     mass."""
     keep = minimum < max(levels)
-    m, w = minimum[keep], weight[keep]
+    # a number weight fills one buffer of the kept size, so einsum sees the
+    # operands an array weight would give
+    m, w = minimum[keep], np.broadcast_to(weight, minimum.shape)[keep]
     gap = np.empty_like(m)  # one buffer for every level
     out = np.empty(len(levels))
     for i, level in enumerate(levels):
@@ -192,11 +204,11 @@ class ReducedSymbol:
 
     `budget` counts x nodes: round(budget^(1/d)) per axis, so 1024^2 in
     d = 2 and 2^20 in d = 1 by default.  Each node keeps only the minimum m
-    of its fiber and its weight w; `reach`, `boundary_min` and
-    `ellipticity` are the scalars of `_reduce`.  A second grid with half as
-    many nodes per axis keeps m and w alone; the gap between the two is the
-    error of the Weyl volume.  Every volume of one sweep is measured on the
-    same grid.
+    of its fiber and its weight w, and w is a single number when G is
+    constant; `reach`, `boundary_min` and `ellipticity` are the scalars of
+    `_reduce`.  A second grid with half as many nodes per axis keeps m and
+    w alone; the gap between the two is the error of the Weyl volume.
+    Every volume of one sweep is measured on the same grid.
     """
 
     def __init__(self, model: SymbolModel, budget: int = 2**20):

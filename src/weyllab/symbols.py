@@ -168,6 +168,18 @@ class PolynomialCoefficient(Coefficient):
         return _poly_eval(_poly_derivative(self.terms, (order,)), x)
 
 
+def _constant(coef: Coefficient):
+    """The number a coefficient equals when it cannot depend on x, else
+    None.  Read off the structure, never off values: only a
+    PolynomialCoefficient whose one exponent is the zero tuple is a
+    number."""
+    if isinstance(coef, PolynomialCoefficient) and len(coef.terms) == 1:
+        ((expo, value),) = coef.terms.items()
+        if not any(expo):
+            return value
+    return None
+
+
 @dataclass
 class SymbolModel:
     """Principal symbol with exact derivatives on R^{2d}.
@@ -184,8 +196,8 @@ class SymbolModel:
     box_x: float = 2.0
     box_xi: float = 2.0
     name: str = ""
-    # (mu = nu + nubar, coefficient, xi^mu as a polynomial in xi) per term:
-    # filled in __post_init__
+    # (mu = nu + nubar, coefficient, xi^mu as a polynomial in xi, the
+    # coefficient's `_constant`) per term: filled in __post_init__
     _terms: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -208,7 +220,7 @@ class SymbolModel:
         for (nu, nubar), coef in self.coefficients.items():
             mu = tuple(np.add(nu, nubar))
             xi_mu = PolynomialCoefficient({mu: 1.0}, d)
-            self._terms.append((mu, coef, xi_mu))
+            self._terms.append((mu, coef, xi_mu, _constant(coef)))
 
     # -- construction-time invariants -------------------------------------
 
@@ -233,10 +245,20 @@ class SymbolModel:
     def terms_at(self, x: np.ndarray) -> list:
         """The term table on x nodes of shape (n, d): one (mu, a(x)) per
         coefficient, mu = nu + nubar, so that the symbol is
-        sum a(x) xi^mu.  Raises EvaluationFault, located at the x node, at
-        the first non-finite coefficient value."""
+        sum a(x) xi^mu.  a(x) is an (n,) array, or a Python number for a
+        coefficient that cannot depend on x (see `_constant`); callers
+        combine the two by broadcasting.  Raises EvaluationFault, located
+        at the x node, at the first non-finite coefficient value; a
+        non-finite number faults at x[0]."""
         terms = []
-        for mu, coef, _ in self._terms:
+        for mu, coef, _, const in self._terms:
+            if const is not None:
+                if not math.isfinite(const):
+                    raise EvaluationFault(
+                        "coefficient is a non-finite constant", x[0]
+                    )
+                terms.append((mu, const))
+                continue
             a = coef.value(x)
             bad = ~np.isfinite(a)
             if bad.any():
@@ -256,34 +278,40 @@ class SymbolModel:
         return float(out[0]) if single else out
 
     def gradient(self, v) -> np.ndarray:
+        """The gradient in (x, xi).  A number coefficient has no
+        x-derivatives, so its term adds to the xi part only."""
         d = self.dimension
         pts, single = _as_points(v, 2 * d)
         x, xi = pts[:, :d], pts[:, d:]
         gx = np.zeros((pts.shape[0], d))
         gxi = np.zeros((pts.shape[0], d))
-        for mu, coef, xi_mu in self._terms:
-            mono = xi_mu.value(xi)
-            gx += coef.grad(x) * mono[:, None]
-            gxi += coef.value(x)[:, None] * xi_mu.grad(xi)
+        for mu, coef, xi_mu, const in self._terms:
+            a = const
+            if const is None:
+                gx += coef.grad(x) * xi_mu.value(xi)[:, None]
+                a = coef.value(x)[:, None]
+            gxi += a * xi_mu.grad(xi)
         g = np.concatenate([gx, gxi], axis=1)
         return g[0] if single else g
 
     def hessian(self, v) -> np.ndarray:
+        """The Hessian in (x, xi).  A number coefficient has no
+        x-derivatives, so its term adds to the xi-xi block only."""
         d = self.dimension
         pts, single = _as_points(v, 2 * d)
         x, xi = pts[:, :d], pts[:, d:]
         n = pts.shape[0]
         h = np.zeros((n, 2 * d, 2 * d))
-        for mu, coef, xi_mu in self._terms:
-            a = coef.value(x)
-            ga = coef.grad(x)
-            mono = xi_mu.value(xi)
-            gmono = xi_mu.grad(xi)
-            h[:, :d, :d] += coef.hess(x) * mono[:, None, None]
-            cross = ga[:, :, None] * gmono[:, None, :]
-            h[:, :d, d:] += cross
-            h[:, d:, :d] += np.transpose(cross, (0, 2, 1))
-            h[:, d:, d:] += a[:, None, None] * xi_mu.hess(xi)
+        for mu, coef, xi_mu, const in self._terms:
+            a = const
+            if const is None:
+                mono = xi_mu.value(xi)
+                h[:, :d, :d] += coef.hess(x) * mono[:, None, None]
+                cross = coef.grad(x)[:, :, None] * xi_mu.grad(xi)[:, None, :]
+                h[:, :d, d:] += cross
+                h[:, d:, :d] += np.transpose(cross, (0, 2, 1))
+                a = coef.value(x)[:, None, None]
+            h[:, d:, d:] += a * xi_mu.hess(xi)
         return h[0] if single else h
 
     def in_box(self, pts: np.ndarray) -> np.ndarray:
@@ -322,31 +350,33 @@ def _midpoint_axis(k: int, half: float) -> np.ndarray:
 
 def _quadratic_parts(model: SymbolModel, x: np.ndarray):
     """G, b and c of a0(x, xi) = xi.G(x) xi + b(x).xi + c(x) on x nodes of
-    shape (n, d), as nested lists of (n,) arrays.
+    shape (n, d), as nested lists of (n,) arrays or numbers.
 
     Each term a(x) xi^mu of the term table adds to the part keyed by the
     sorted axes of its monomial: () is c, (j,) is b_j, (j, j) is G_jj and
     (j, k) with j < k is G_jk + G_kj = 2 G_jk.  A second-order symbol has
-    |mu| <= 2 by construction.
+    |mu| <= 2 by construction.  A part made of number terms only, or of
+    none (0.0), is a number.
     """
     d = model.dimension
-    zero = np.zeros(x.shape[0])
     parts = {}
     for mu, a in model.terms_at(x):
         key = tuple(j for j in range(d) for _ in range(mu[j]))
-        parts[key] = parts.get(key, zero) + a
+        parts[key] = parts.get(key, 0.0) + a
     G = [
-        [parts.get((min(j, k), max(j, k)), zero) * (1.0 if j == k else 0.5)
+        [parts.get((min(j, k), max(j, k)), 0.0) * (1.0 if j == k else 0.5)
          for k in range(d)]
         for j in range(d)
     ]
-    b = [parts.get((j,), zero) for j in range(d)]
-    return G, b, parts.get((), zero)
+    b = [parts.get((j,), 0.0) for j in range(d)]
+    return G, b, parts.get((), 0.0)
 
 
 def _ellipsoids(G, b, c):
     """(det G, least eigenvalue of G, diagonal of G^-1, centre xi*, minimum
-    m) elementwise, in closed form for d <= 2.
+    m) elementwise, in closed form for d <= 2.  Parts may be arrays or
+    numbers; each result broadcasts its inputs, so it is a number where
+    they all are.
 
     Raises ValueError where G is not positive definite: there the sublevel
     fibers are not ellipsoids, which contradicts ellipticity."""
@@ -359,7 +389,7 @@ def _ellipsoids(G, b, c):
         (p, q), (_, r) = G
         det = p * r - q * q
         least = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
-    if least.min() <= 0:
+    if np.min(least) <= 0:
         raise ValueError(
             "G(x) is not positive definite, which contradicts ellipticity"
         )
@@ -397,8 +427,11 @@ def find_critical_points(
     d, k = model.dimension, SEED_NODES
     grid = np.meshgrid(*[_midpoint_axis(k, model.box_x)] * d, indexing="ij")
     x = np.stack(grid, axis=-1).reshape(-1, d)
-    centre = _ellipsoids(*_quadratic_parts(model, x))[3]
-    nodes = np.concatenate([x, np.stack(centre, axis=1)], axis=1)
+    nodes = np.empty((len(x), 2 * d))
+    nodes[:, :d] = x
+    # a centre coordinate may be a number; assignment broadcasts it
+    for j, centre in enumerate(_ellipsoids(*_quadratic_parts(model, x))[3]):
+        nodes[:, d + j] = centre
     slope = np.linalg.norm(model.gradient(nodes)[:, :d], axis=1)
     slope = slope.reshape((k,) * d)
 

@@ -284,3 +284,27 @@ def test_flow_bounds_unreachable_threshold_exit_1(tmp_path):
     assert error.startswith("ValueError")
     assert f"threshold cbar h^delta0 = {100 * 0.05**0.41:.6g}" in error
     assert "check_displacement_bounds" in verdict["criteria"][0]["traceback"]
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0])
+def test_oscillatory_decay_mu_outside_its_interval_exit_2(tmp_path, capsys, mu):
+    # the decay check needs delta0 + 1/2 < mu < 1 with its delta0 = 0.25;
+    # mu = 0.5 once ran and exited 1 with a FAIL verdict
+    cfgfile = tmp_path / "decay.cfg"
+    cfgfile.write_text(f"model=harmonic\nenergy=1.0\nmu={mu}\n")
+    out = tmp_path / "out"
+    code = main([
+        "--config", str(cfgfile), "--experiment", "oscillatory_decay",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"config error: mu = {mu} outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", [0.76, 0.8])
+def test_oscillatory_decay_mu_inside_its_interval_accepted(mu):
+    text = f"model=harmonic\nenergy=1.0\nmu={mu}\n"
+    assert parse_config(text, "oscillatory_decay").mu == mu
+    # other experiments do not read mu
+    parse_config(text.replace(f"mu={mu}", "mu=0.5"), "weyl_sweep")

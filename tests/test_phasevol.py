@@ -214,7 +214,9 @@ def test_fiber_coefficients_match_symbol_values(name):
         got = model.value(np.hstack([x, xi]))
         assert np.all(np.abs(got - quadratic) <= 1e-13 * (1.0 + np.abs(got)))
     _, _, _, centre, minimum = phasevol._ellipsoids(G, b, c)
-    at_centre = np.hstack([x, np.stack(centre, axis=1)])
+    at_centre = np.hstack([x, np.zeros_like(x)])
+    for j in range(d):
+        at_centre[:, d + j] = centre[j]  # a number centre broadcasts
     np.testing.assert_allclose(model.value(at_centre), minimum,
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(model.gradient(at_centre)[:, d:], 0.0,
