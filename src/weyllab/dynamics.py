@@ -39,12 +39,13 @@ box symmetric about 0 nodes and weights are exact mirrors), (ii) the phase
 does: every term coefficient for an x axis, the column phase and every mixed
 monomial for a xi axis, and (iii) the amplitude declares the axis in its
 ``even_axes`` attribute.  An amplitude without the attribute is integrated
-whole.  NODE_BUDGET applies to the unfolded rule.
+whole.  NODE_BUDGET applies to the unfolded rule: a rule above it raises
+NodeBudgetExceeded before any node is evaluated, and the decay check
+leaves that h out of its fit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +55,14 @@ from typing import Callable
 import numpy as np
 
 from ._fitting import ExponentFit, fit_loglog
-from .symbols import SymbolModel, _cutoff_band, _poly_eval
+from .symbols import (
+    SymbolModel,
+    _cutoff_band,
+    _finite,
+    _poly_eval,
+    _product_rule,
+    _tensor_grid,
+)
 
 __all__ = [
     "FlowTrajectory",
@@ -386,7 +394,6 @@ class OscillatoryResult:
     h: float
     value: complex
     quadrature_error: float
-    reliable: bool = True
 
 
 def _panel_rule(lo: float, hi: float, panels: int):
@@ -400,16 +407,6 @@ def _panel_rule(lo: float, hi: float, panels: int):
     half = 0.5 * (edges[1] - edges[0])
     pts = (mid[:, None] + half * z[None, :]).ravel()
     wts = np.tile(half * w, panels)
-    return pts, wts
-
-
-def _product_rule(rules):
-    """Nodes (n, k) and weights (n,) of the tensor product of k 1-D rules,
-    the first axis varying slowest."""
-    pts = np.stack(
-        np.meshgrid(*[p for p, _ in rules], indexing="ij"), axis=-1
-    ).reshape(-1, len(rules))
-    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
     return pts, wts
 
 
@@ -438,8 +435,8 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
     d = model.dimension
     x_shape = [len(pts) for pts, _ in rules[:d]]
     xi_shape = [len(pts) for pts, _ in rules[d:]]
-    x_pts, _ = _product_rule(rules[:d])
-    xi_pts, _ = _product_rule(rules[d:])
+    x_pts = _tensor_grid([pts for pts, _ in rules[:d]])
+    xi_pts = _tensor_grid([pts for pts, _ in rules[d:]])
     s = t / h
 
     # p = sum a(x) xi^mu splits into a row phase (mu = 0), a column phase
@@ -537,9 +534,14 @@ def oscillatory_integral(
     ``amplitude.even_axes`` lists coordinates (0 .. 2d-1) on which b is even
     about 0 bit for bit; each of them whose rule and phase are mirrored too
     is folded to its upper half with doubled weights.  A wrong declaration
-    gives a wrong value, so declare only what holds exactly.  A rule over
-    NODE_BUDGET nodes, counted unfolded, falls back to min_panels with
-    ``reliable=False``."""
+    gives a wrong value, so declare only what holds exactly.
+
+    The panels per axis are sized from |grad p| at 512 probes, and are at
+    least ``min_panels``, the count at t = 0; a probe where the gradient is
+    not finite raises EvaluationFault there.  The rule of twice
+    as many panels gives the value and is computed first: when it has more
+    than NODE_BUDGET nodes, counted unfolded, NodeBudgetExceeded propagates
+    before any quadrature is done."""
     d = model.dimension
     if 2 * d > 4:
         raise NotImplementedError("quadrature supports 2d <= 4 only")
@@ -554,7 +556,8 @@ def oscillatory_integral(
     probes = np.stack(
         [rng.uniform(lo, hi, size=512) for lo, hi in support_box], axis=-1
     )
-    gmax = np.abs(model.gradient(probes)).max(axis=0)
+    grad = _finite(model.gradient(probes), probes, "gradient")
+    gmax = np.abs(grad).max(axis=0)
     widths = np.array([hi - lo for lo, hi in support_box])
     osc = np.abs(t) / h * gmax * widths / (2.0 * math.pi)
     panels = int(
@@ -562,22 +565,13 @@ def oscillatory_integral(
     )
 
     prefac = (2.0 * math.pi * h) ** (-d)
-    try:
-        coarse = _tensor_quadrature(model, amplitude, t, h, support_box, panels)
-        fine = _tensor_quadrature(model, amplitude, t, h, support_box, 2 * panels)
-        reliable = True
-    except NodeBudgetExceeded:
-        coarse = _tensor_quadrature(
-            model, amplitude, t, h, support_box, min_panels
-        )
-        fine = coarse
-        reliable = False
+    fine = _tensor_quadrature(model, amplitude, t, h, support_box, 2 * panels)
+    coarse = _tensor_quadrature(model, amplitude, t, h, support_box, panels)
     return OscillatoryResult(
         t=float(t),
         h=float(h),
         value=prefac * fine,
         quadrature_error=prefac * abs(fine - coarse),
-        reliable=reliable,
     )
 
 
@@ -686,7 +680,9 @@ def nonstationary_decay_check(
 
     ``amplitude_factory(h)`` supplies the (possibly h-dependent) amplitude;
     build it off the near-critical set for decay, or across a critical point
-    for the control experiment that must refuse the bound.
+    for the control experiment that must refuse the bound.  An h whose rule
+    exceeds NODE_BUDGET, whose value is 0, or whose quadrature error exceeds
+    5% of the value is excluded from the fit.
     """
     if not (delta0 + 0.5 < mu < 1.0):
         raise ValueError("need delta0 + 1/2 < mu < 1")
@@ -695,15 +691,15 @@ def nonstationary_decay_check(
     mags, used, excluded = [], [], []
     for h in h_grid:
         t = h ** (1.0 - mu)
-        res = oscillatory_integral(
-            model, amplitude_factory(h), t, h, support_box=support_box
-        )
+        try:
+            res = oscillatory_integral(
+                model, amplitude_factory(h), t, h, support_box=support_box
+            )
+        except NodeBudgetExceeded:
+            excluded.append(h)
+            continue
         # a zero value has no logarithm: the fit could not use it
-        if (
-            not res.reliable
-            or res.value == 0
-            or res.quadrature_error > 0.05 * abs(res.value)
-        ):
+        if res.value == 0 or res.quadrature_error > 0.05 * abs(res.value):
             excluded.append(h)
             continue
         mags.append(abs(res.value))

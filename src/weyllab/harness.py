@@ -24,6 +24,7 @@ from .operators import (
     ConfinementFault,
     FactorizationFault,
     GridSpec,
+    SpectrumSlice,
     assemble,
     count_below,
 )
@@ -145,6 +146,14 @@ def _default_grid(model: SymbolModel, h: float, max_points: int) -> GridSpec:
     return GridSpec(model.box_x, min(max(want, 32), max_points))
 
 
+def _count(model, h, delta0, grid, variant, energy) -> SpectrumSlice:
+    """The count below `energy` of the `variant` operator on `grid`, which
+    may be coarser than h/4: assembly checks confinement at `energy`."""
+    op = assemble(model, h, delta0, grid, variant=variant, energy=energy,
+                  strict_resolution=False)
+    return count_below(op, energy)
+
+
 def run_h_sweep(
     model: SymbolModel,
     energy: float,
@@ -192,16 +201,7 @@ def run_h_sweep(
             if isinstance(rem, Exception):
                 raise rem  # a bad h or a failed sup: skip the operator
             grid = _default_grid(model, h, max_grid_points)
-            op = assemble(
-                model,
-                h,
-                delta0,
-                grid,
-                variant=variant,
-                energy=energy,
-                strict_resolution=False,
-            )
-            spectrum = count_below(op, energy)
+            spectrum = _count(model, h, delta0, grid, variant, energy)
             n = spectrum.count
             weyl = (2.0 * math.pi * h) ** (-d) * vol.value
             weyl_se = (2.0 * math.pi * h) ** (-d) * vol.std_error
@@ -297,21 +297,10 @@ def bracketing_check(
     rows = []
     for h in sorted(float(x) for x in h_grid):
         grid = _default_grid(model, h, max_grid_points)
-        counts = {}
-        for variant in ("plus", "raw", "minus"):
-            op = assemble(
-                model,
-                h,
-                delta0,
-                grid,
-                variant=variant,
-                energy=energy,
-                strict_resolution=False,
-            )
-            counts[variant] = count_below(op, energy).count
-        rows.append(
-            BracketRow(h, counts["plus"], counts["raw"], counts["minus"])
-        )
+        rows.append(BracketRow(h, *(
+            _count(model, h, delta0, grid, variant, energy).count
+            for variant in ("plus", "raw", "minus")
+        )))
     return rows
 
 

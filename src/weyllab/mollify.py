@@ -37,6 +37,7 @@ from .symbols import (
     Coefficient,
     PolynomialCoefficient,
     _poly_derivative,
+    _product_rule,
     holder_test_field,
 )
 
@@ -170,12 +171,8 @@ class MollifierKernel:
     def quadrature(self) -> tuple:
         """Tensor Gauss-Legendre rule (points (n, d), weights (n,)) covering
         the support box [-1, 1]^d: 160 nodes in 1-D, 48 per axis above."""
-        d = self.dimension
-        z, w = leggauss(160 if d == 1 else 48)
-        grids = np.meshgrid(*([z] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0)
-        return pts, wts.ravel()
+        rule = leggauss(160 if self.dimension == 1 else 48)
+        return _product_rule([rule] * self.dimension)
 
     @cached_property
     def weights(self) -> np.ndarray:

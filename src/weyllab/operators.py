@@ -26,7 +26,8 @@ block is factored once and counted twice: five factorizations, of an
 eighth of the unknowns four times and a quarter once (Bossavit, "Symmetry,
 groups, and boundary value problems", CMAME 56, 1986; Fassler and Stiefel,
 "Group Theoretical Methods and Their Applications", 1992).  A 1-D matrix,
-and one with no mirror symmetry, is counted as one block, the whole grid.
+and one with no mirror symmetry, is counted as one block: the block map
+that splits no axis, which is the whole grid.
 Each block is built once from the stencil as a sparse matrix, its
 off-diagonal couplings in CSR form and its diagonal as a vector, and T is
 checked by comparing the even-odd block with the odd-even one permuted; no
@@ -66,7 +67,7 @@ from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
 from .mollify import build_mollifier, regularize
-from .symbols import SymbolModel, _constant
+from .symbols import SymbolModel, _constant, _finite, _tensor_grid
 
 __all__ = [
     "GridSpec",
@@ -233,10 +234,7 @@ def _midpoint_coords(grid: GridSpec, d: int, axis: int):
     n = grid.points_per_axis
     faces = grid.spacing * (np.arange(n + 1) - 0.5 * n)
     axes = [faces if j == axis else nodes for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1), tuple(
-        len(a) for a in axes
-    )
+    return _tensor_grid(axes), tuple(len(a) for a in axes)
 
 
 def assemble(
@@ -253,7 +251,10 @@ def assemble(
     variant plus/minus regularizes every coefficient at scale h^delta0 with
     the mollifier of the model's dimension and adds +-h (I - h^2 Laplacian),
     the positive-definite shift that brackets the raw operator between the
-    two smooth ones.  The raw operator builds no kernel.
+    two smooth ones.  The raw operator builds no kernel.  Given `energy`,
+    the potential on the box boundary must exceed it (ConfinementFault).
+    A non-finite coefficient value at a node, a face or a boundary point
+    raises EvaluationFault there.
     """
     if variant not in ("raw", "plus", "minus"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -277,10 +278,8 @@ def assemble(
         # <= 2 unchanged); any other coefficient is convolved by quadrature
         return coef if kernel is None else regularize(coef, h, delta0, kernel)
 
-    nodes = grid.nodes()
     shape = (grid.points_per_axis,) * d
-    mesh = np.meshgrid(*([nodes] * d), indexing="ij")
-    node_pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    node_pts = _tensor_grid([grid.nodes()] * d)
     n_total = node_pts.shape[0]
 
     # the stencil's diagonal terms in the order they are summed: each
@@ -301,7 +300,8 @@ def assemble(
     for (nu, nubar), coef in model.coefficients.items():
         o1, o2 = sum(nu), sum(nubar)
         if o1 == 0 and o2 == 0:
-            diag += field_of(coef).value(node_pts)
+            diag += _finite(field_of(coef).value(node_pts), node_pts,
+                            "potential")
         elif o1 == 1 and o2 == 1:
             axis = int(np.argmax(nu))
             if int(np.argmax(nubar)) != axis:
@@ -312,9 +312,11 @@ def assemble(
             const = _constant(a)
             if const is None:
                 mid_pts, mid_shape = _midpoint_coords(grid, d, axis)
-                vals = a.value(mid_pts).reshape(mid_shape)
+                vals = _finite(a.value(mid_pts), mid_pts,
+                               "coefficient").reshape(mid_shape)
             else:  # a number: the same on every face
-                vals = np.full(face_shape(axis), const)
+                vals = np.full(face_shape(axis),
+                               _finite(const, node_pts, "coefficient"))
             add_axis_term(vals, axis, (h / dx) ** 2)
         else:
             raise NotImplementedError(
@@ -328,30 +330,23 @@ def assemble(
             add_axis_term(np.ones(face_shape(axis)), axis,
                           sign * h * (h / dx) ** 2)
 
-    # potential at the closed box boundary bounds the symbol from below there
+    # the potential on the closed box boundary (201 points along each edge,
+    # both ends of each axis) bounds the symbol from below there
     pot = model.coefficients.get(((0,) * d, (0,) * d))
-    boundary_min = math.inf
-    if pot is not None:
+    if energy is not None and pot is not None:
         edges = np.linspace(-grid.halfwidth, grid.halfwidth, 201)
-        if d == 1:
-            bpts = np.array([[-grid.halfwidth], [grid.halfwidth]])
-        else:
-            bpts = np.concatenate(
-                [
-                    np.stack([np.full_like(edges, s * grid.halfwidth), edges], axis=-1)
-                    for s in (-1, 1)
-                ]
-                + [
-                    np.stack([edges, np.full_like(edges, s * grid.halfwidth)], axis=-1)
-                    for s in (-1, 1)
-                ]
+        ends = np.array([-grid.halfwidth, grid.halfwidth])
+        bpts = np.concatenate([
+            _tensor_grid([ends if j == k else edges for j in range(d)])
+            for k in range(d)
+        ])
+        boundary_min = float(
+            _finite(pot.value(bpts), bpts, "potential").min())
+        if boundary_min < energy + 1e-9:
+            raise ConfinementFault(
+                f"boundary symbol minimum {boundary_min:.4g} does not exceed "
+                f"E = {energy}; enlarge the box"
             )
-        boundary_min = float(pot.value(bpts).min())
-    if energy is not None and boundary_min < energy + 1e-9:
-        raise ConfinementFault(
-            f"boundary symbol minimum {boundary_min:.4g} does not exceed "
-            f"E = {energy}; enlarge the box"
-        )
     return DiscreteOperator(
         h=h,
         grid=grid,
@@ -414,17 +409,21 @@ def _symmetries(op: DiscreteOperator) -> tuple:
 
 
 def _block_map(n: int, parity, half=None) -> tuple:
-    """(columns, reps, weights) of one symmetry block on an n x n grid.
+    """(columns, reps, weights) of one symmetry block on an n^d grid,
+    d = len(parity).
 
-    The block's map S has at most one +-1 entry per node: columns(i, j)
-    gives its column and sign for nodes (i, j), column -1 off the block.
-    parity[k] is +1 or -1 for the even or odd map of a mirrored axis, None
-    for an axis that is not split; the odd map leaves out the centre node.
-    half = +1 or -1 takes the swap-even or swap-odd half of a same-parity
-    block, whose columns are the pairs u <= v (u < v) of axis ranks in
-    row-major order; the swap-odd half leaves out the diagonal.  reps are
-    the (i, j) index arrays of one node per column, in column order, each
-    with sign +1, and weights is diag(S^T S), the orbit sizes.
+    The block's map S has at most one +-1 entry per node: columns(*nodes)
+    gives its column and sign for the nodes' index arrays, column -1 off
+    the block.  parity[k] is +1 or -1 for the even or odd map of a
+    mirrored axis, None for an axis that is not split; the odd map leaves
+    out the centre node.  Without `half` the columns are the tuples of
+    axis ranks in row-major order, so parity (None,) * d gives the whole
+    grid, each node its own column.  half = +1 or -1 takes the swap-even
+    or swap-odd half of a same-parity block on an n x n grid, whose
+    columns are the pairs u <= v (u < v) of axis ranks in row-major order;
+    the swap-odd half leaves out the diagonal.  reps are the index arrays
+    of one node per column, in column order, each with sign +1, and
+    weights is diag(S^T S), the orbit sizes.
     """
     k = np.arange(n)
     ones = np.ones(n, dtype=np.int64)
@@ -439,15 +438,19 @@ def _block_map(n: int, parity, half=None) -> tuple:
         )
         for p in parity
     ]
-    (r0, s0, m0, w0), (r1, s1, m1, w1) = axes
+    ranks, signs, counts, sizes = zip(*axes)
     if half is None:
-        def columns(i, j):
-            sign = s0[i] * s1[j]
-            return np.where(sign != 0, r0[i] * m1 + r1[j], -1), sign
+        def columns(*nodes):
+            sign = math.prod(s[i] for s, i in zip(signs, nodes))
+            col = 0
+            for r, m, i in zip(ranks, counts, nodes):
+                col = col * m + r[i]
+            return np.where(sign != 0, col, -1), sign
 
-        a, b = np.divmod(np.arange(m0 * m1), m1)
-        return columns, (a, b), w0[a] * w1[b]
+        reps = np.unravel_index(np.arange(math.prod(counts)), counts)
+        return columns, reps, math.prod(w[i] for w, i in zip(sizes, reps))
 
+    (r0, s0, m0, w0), (r1, s1, m1, w1) = axes
     odd = int(half == -1)
 
     def columns(i, j):
@@ -462,7 +465,8 @@ def _block_map(n: int, parity, half=None) -> tuple:
 
 
 class _Block(NamedTuple):
-    """One symmetry block B = S^T A S, counted `mult` times."""
+    """One symmetry block B = S^T A S, counted `mult` times: 1 unless
+    `_mixed_pair` counts it for its swap image too."""
 
     couplings: sp.csr_matrix  # the off-diagonal part of B
     diagonal: np.ndarray
@@ -471,7 +475,7 @@ class _Block(NamedTuple):
     red: np.ndarray  # the red half of the red/black colouring
 
 
-def _block(op: DiscreteOperator, block_map, mult: int = 1) -> _Block:
+def _block(op: DiscreteOperator, block_map) -> _Block:
     """One block, by index arithmetic on the stencil.
 
     A S = S M when A commutes with the symmetry, and each representative
@@ -508,25 +512,14 @@ def _block(op: DiscreteOperator, block_map, mult: int = 1) -> _Block:
         raise ValueError("the stencil couples two nodes of one colour: "
                          "it is not bipartite under the red/black colouring")
     couplings = sp.csr_matrix((val, (row, col)), shape=(size, size))
-    return _Block(couplings, own + op.diagonal[reps] * weights, weights,
-                  mult, red)
+    return _Block(couplings, own + op.diagonal[reps] * weights, weights, 1,
+                  red)
 
 
 def _red_nodes(*coords) -> np.ndarray:
     """The red half of the red/black colouring of a 5-point stencil: the
     nodes whose grid (or orbit rank) coordinates have an even sum."""
     return sum(coords) % 2 == 0
-
-
-def _grid_map(n: int, d: int) -> tuple:
-    """(columns, reps, weights) of the whole grid as one block: each node
-    its own column, in row-major order, with weight 1."""
-    shape = (n,) * d
-
-    def columns(*nodes):
-        return np.ravel_multi_index(nodes, shape), np.ones_like(nodes[0])
-
-    return columns, np.unravel_index(np.arange(n**d), shape), np.ones(n**d)
 
 
 def _symmetry_blocks(op: DiscreteOperator) -> list:
@@ -541,16 +534,14 @@ def _symmetry_blocks(op: DiscreteOperator) -> list:
     is block diagonal and S invertible, so by Sylvester's law the inertia
     of A - E I is the sum over the blocks of multiplicity times the
     inertia of S_i^T A S_i - E S_i^T S_i.  A 1-D matrix, and one with no
-    mirrored axis, is the one block A.
+    mirrored axis, is the one block A: the map of parity (None,) * d.
     """
     # a tridiagonal matrix factors without fill: its halves would cost
     # about as much as the whole, plus each block's fixed cost
-    n = op.grid.points_per_axis
-    mirrored, swap = _symmetries(op) if op.dimension >= 2 and n >= 2 else (
-        [], False
+    n, d = op.grid.points_per_axis, op.dimension
+    mirrored, swap = _symmetries(op) if d >= 2 and n >= 2 else (
+        [False] * d, False
     )
-    if not any(mirrored):
-        return [_block(op, _grid_map(n, op.dimension))]
     blocks = []
     for parity in itertools.product(
         *((1, -1) if m else (None,) for m in mirrored)

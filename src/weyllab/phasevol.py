@@ -4,7 +4,7 @@ Everything here reduces to Lebesgue measures on the classical phase space:
 the volume of the sublevel set {a0 < E} (the leading counting term), the
 remainder functional built from the worst thin energy shell
 {|a0 - E'| <= h} near E, the h^delta0-thickened near-critical set, and
-exact 1-D polynomial sublevel measures.
+exact 1-D polynomial sublevel measures, returned as floats.
 
 A second-order symbol is quadratic in the momentum,
 a0 = xi.G(x) xi + b(x).xi + c(x), with G, b and c read off its term table.
@@ -44,7 +44,6 @@ from .symbols import (
 __all__ = [
     "VolumeEstimate",
     "RemainderFunctional",
-    "PolySublevelQuery",
     "SublevelLemmaReport",
     "ContainmentFault",
     "InvariantFault",
@@ -114,13 +113,6 @@ class RemainderFunctional:
         half = self.h ** (1.0 - self.epsilon)
         if abs(self.argmax_energy - self.energy) > half * (1 + 1e-12):
             raise InvariantFault("argmax energy escaped the sup window")
-
-
-@dataclass(frozen=True)
-class PolySublevelQuery:
-    coefficients: tuple
-    threshold: float
-    measure: float
 
 
 # -- momentum ellipsoids on an x grid -------------------------------------------
@@ -394,7 +386,7 @@ def _real_roots(coeffs, lo: float, hi: float):
     return out
 
 
-def poly_sublevel_measure(coeffs, tau: float, interval) -> PolySublevelQuery:
+def poly_sublevel_measure(coeffs, tau: float, interval) -> float:
     """Exact Lebesgue measure of {s in I : |F(s)| < tau} for a real
     polynomial F given by ascending coefficients."""
     if tau <= 0:
@@ -417,9 +409,7 @@ def poly_sublevel_measure(coeffs, tau: float, interval) -> PolySublevelQuery:
     for a, b in zip(grid, grid[1:]):
         if abs(float(np.polyval(desc, 0.5 * (a + b)))) < tau:
             measure += b - a
-    return PolySublevelQuery(
-        coefficients=tuple(coeffs), threshold=tau, measure=measure
-    )
+    return measure
 
 
 @dataclass(frozen=True)
@@ -469,7 +459,7 @@ def verify_sublevel_lemma(
         return (-radius, radius)
 
     measures = {
-        (i, h): poly_sublevel_measure(c, h**delta0, trial_interval(c)).measure
+        (i, h): poly_sublevel_measure(c, h**delta0, trial_interval(c))
         for i, (m, c) in enumerate(polys)
         for h in h_grid
     }
@@ -489,7 +479,7 @@ def verify_sublevel_lemma(
     for m in range(1, LEMMA_MAX_DEGREE + 1):
         ext = extremal(m, tau_max)
         vals = [
-            poly_sublevel_measure(ext, tau_max, trial_interval(ext)).measure
+            poly_sublevel_measure(ext, tau_max, trial_interval(ext))
             / h_max ** (delta0 / m)
         ]
         vals += [

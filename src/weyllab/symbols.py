@@ -12,10 +12,18 @@ random draws: Newton starts from the discrete local minima of |grad_x a0|
 over the fibre centres (x, xi*(x)) on a midpoint x grid of SEED_NODES nodes
 per axis and takes NEWTON_STEPS undamped steps, so two critical points
 within about two grid cells can share one seed.
+
+Two helpers here serve the whole package.  `_tensor_grid` and
+`_product_rule` build every tensor grid and tensor quadrature rule: the
+seed grid, the operators' nodes, faces and boundary points, the mollifier's
+rule and the oscillatory rule.  `_finite` checks every evaluation that
+feeds a count or a quadrature: a non-finite value raises EvaluationFault
+located at its point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,6 +67,32 @@ class EvaluationFault(RuntimeError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def _finite(values, points, what: str):
+    """`values` once every one is finite: the row i of values belongs to
+    points[i], and a number to all of them.  Else EvaluationFault, located
+    at the first point with a non-finite value, points[0] for a number."""
+    bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
+    if len(bad):
+        raise EvaluationFault(f"{what} is not finite", points[bad[0, 0]])
+    return values
+
+
+def _tensor_grid(axes) -> np.ndarray:
+    """The nodes (n, k) of the tensor grid of k 1-D node arrays, the first
+    axis varying slowest, in the order of itertools.product."""
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
+def _product_rule(rules):
+    """Nodes (n, k) and weights (n,) of the tensor product of k 1-D rules
+    (nodes, weights): the nodes of `_tensor_grid`, each weighted by the
+    product of its 1-D weights."""
+    nodes, weights = zip(*rules)
+    return _tensor_grid(nodes), functools.reduce(np.multiply.outer,
+                                                 weights).ravel()
 
 
 def _as_points(v, two_d: int) -> tuple[np.ndarray, bool]:
@@ -250,23 +284,11 @@ class SymbolModel:
         combine the two by broadcasting.  Raises EvaluationFault, located
         at the x node, at the first non-finite coefficient value; a
         non-finite number faults at x[0]."""
-        terms = []
-        for mu, coef, _, const in self._terms:
-            if const is not None:
-                if not math.isfinite(const):
-                    raise EvaluationFault(
-                        "coefficient is a non-finite constant", x[0]
-                    )
-                terms.append((mu, const))
-                continue
-            a = coef.value(x)
-            bad = ~np.isfinite(a)
-            if bad.any():
-                raise EvaluationFault(
-                    "coefficient evaluated to a non-finite value", x[bad][0]
-                )
-            terms.append((mu, a))
-        return terms
+        return [
+            (mu, _finite(coef.value(x) if const is None else const, x,
+                         "coefficient"))
+            for mu, coef, _, const in self._terms
+        ]
 
     def value(self, v) -> np.ndarray:
         d = self.dimension
@@ -425,8 +447,7 @@ def find_critical_points(
     if window <= 0:
         raise ValueError("window must be positive")
     d, k = model.dimension, SEED_NODES
-    grid = np.meshgrid(*[_midpoint_axis(k, model.box_x)] * d, indexing="ij")
-    x = np.stack(grid, axis=-1).reshape(-1, d)
+    x = _tensor_grid([_midpoint_axis(k, model.box_x)] * d)
     nodes = np.empty((len(x), 2 * d))
     nodes[:, :d] = x
     # a centre coordinate may be a number; assignment broadcasts it

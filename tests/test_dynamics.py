@@ -17,6 +17,8 @@ from weyllab.dynamics import (
     ring_amplitude,
 )
 from weyllab.symbols import (
+    Coefficient,
+    EvaluationFault,
     PolynomialCoefficient,
     SymbolModel,
     make_model,
@@ -334,7 +336,6 @@ def test_oscillatory_conjugation(harmonic):
     plus = oscillatory_integral(harmonic, amp, 0.3, 0.01, support_box=box)
     minus = oscillatory_integral(harmonic, amp, -0.3, 0.01, support_box=box)
     assert plus.value == pytest.approx(np.conj(minus.value), abs=1e-8)
-    assert plus.reliable
     assert plus.quadrature_error < 1e-6 * max(abs(plus.value), 1.0)
 
 
@@ -568,8 +569,8 @@ def test_quadrature_reuses_one_buffer_per_worker(harmonic, monkeypatch,
 
 
 def test_allocation_failure_propagates(harmonic):
-    # only the node budget falls back to the coarse rule; a MemoryError of
-    # the amplitude itself is a fault, not an unreliable value
+    # a MemoryError of the amplitude itself is a fault: it reaches the
+    # caller, as an over-budget rule's NodeBudgetExceeded does
     amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
     calls = []
 
@@ -582,6 +583,25 @@ def test_allocation_failure_propagates(harmonic):
     with pytest.raises(MemoryError, match="injected"):
         oscillatory_integral(harmonic, failing, 0.3, 0.01,
                              support_box=[(-1.6, 1.6)] * 2)
+
+
+def test_non_finite_probe_gradient_faults(harmonic):
+    # the panel count is read off |grad p| at random probes: a NaN there
+    # is an evaluation fault at that probe, not a failed int conversion
+    key = ((0,), (0,))
+    pot = harmonic.coefficients[key]
+
+    def grad(x):
+        return np.where(x > 1.5, np.nan, pot.grad(x))
+
+    model = SymbolModel(1, {**harmonic.coefficients,
+                            key: Coefficient(pot.value, grad, pot.hess)},
+                        1.0, 0.5, name="harmonic")
+    with pytest.raises(EvaluationFault, match="gradient is not finite") as fault:
+        oscillatory_integral(model, ring_amplitude([0.0, 0.0], 0.5, 1.5),
+                             0.3, 0.01)
+    assert fault.value.location.shape == (2,)
+    assert fault.value.location[0] > 1.5
 
 
 def test_oscillatory_four_dimensional_product_oracle():
@@ -608,7 +628,6 @@ def test_oscillatory_four_dimensional_product_oracle():
 
     one_d = complex(part(np.cos), part(np.sin))
     ref = one_d**4 / (2 * np.pi * h) ** 2
-    assert res.reliable
     assert abs(res.value - ref) <= 1e-6 * abs(ref)
     assert abs(res.value - ref) <= res.quadrature_error
 
@@ -616,16 +635,22 @@ def test_oscillatory_four_dimensional_product_oracle():
 def test_node_budget_fallback(harmonic, monkeypatch):
     amp = bump_amplitude([0.0, 0.0], 0.8)
     box = [(-0.9, 0.9)] * 2
-    # h = 0.025, t = h^0.2: min_panels = 2 gives 16^2 = 256 nodes, the
-    # coarse rule 16 panels or 128^2 = 16384 nodes
-    monkeypatch.setattr(dynamics, "NODE_BUDGET", 10000)
-    res = oscillatory_integral(harmonic, amp, 0.025**0.2, 0.025,
-                               support_box=box)
-    assert not res.reliable
-    assert res.quadrature_error == 0
-    # the fine rule of h = 0.025 (256^2 = 65536 nodes) is over budget, that
-    # of h = 0.035 (208^2 = 43264 nodes) within it
+    # h = 0.025, t = h^0.2: the coarse rule has 16 panels or 128^2 = 16384
+    # nodes, the fine rule 256^2 = 65536; the fine rule is built first, so
+    # an over-budget call evaluates the amplitude nowhere
+    calls = []
+
+    def recording(*coords, out=None):
+        calls.append(1)
+        return amp(*coords, out=out)
+
     monkeypatch.setattr(dynamics, "NODE_BUDGET", 50000)
+    with pytest.raises(dynamics.NodeBudgetExceeded, match="65536"):
+        oscillatory_integral(harmonic, recording, 0.025**0.2, 0.025,
+                             support_box=box)
+    assert calls == []
+    # the decay check leaves h = 0.025 out and keeps h = 0.035, whose fine
+    # rule (208^2 = 43264 nodes) is within the budget
     rep = nonstationary_decay_check(
         harmonic, lambda h: amp, mu=0.8, n_max=1,
         h_grid=[0.1, 0.07, 0.05, 0.035, 0.025], delta0=0.25,

@@ -212,6 +212,38 @@ def test_sweep_propagates_shape_errors(monkeypatch):
                     volume_budget=2**16, out_of_scope_ok=True)
 
 
+def _nan_strip(pot, x):
+    # NaN on the strip |x1 - 0.31| < 0.02, which holds grid nodes
+    return np.where(np.abs(x[:, 0] - 0.31) < 0.02, np.nan, pot.value(x))
+
+
+def _log_well(pot, x):
+    # + 0.01 log|x1|: -inf on the line x1 = 0, which the boundary crosses
+    with np.errstate(divide="ignore"):
+        return pot.value(x) + 0.01 * np.log(np.abs(x[:, 0]))
+
+
+@pytest.mark.parametrize("broken_value, on_fault", [
+    (_nan_strip, lambda x: abs(x[0] - 0.31) < 0.02),
+    (_log_well, lambda x: x[0] == 0.0),
+])
+def test_sweep_gap_on_non_finite_potential(monkeypatch, broken_value,
+                                           on_fault):
+    # every comparison with NaN is false and -inf passes as a minimum: a
+    # non-finite potential must fault where it is evaluated, not later as
+    # a factorization or confinement fault
+    broken = _break_potential_in_assembly(monkeypatch, broken_value)
+    res = run_h_sweep(broken, 1.0, [0.1], delta0=0.41, max_grid_points=100,
+                      volume_budget=2**16, out_of_scope_ok=True)
+    assert res.records == ()
+    assert [reason for _, reason in res.gaps] == [
+        "EvaluationFault: potential is not finite"]
+    with pytest.raises(symbols.EvaluationFault) as fault:
+        harness.assemble(broken, 0.1, 0.41, operators.GridSpec(2.0, 100),
+                         energy=1.0, strict_resolution=False)
+    assert on_fault(fault.value.location)
+
+
 def test_invariant_faults_are_typed():
     with pytest.raises(phasevol.InvariantFault, match="h floor"):
         _record(0.1, 10, 9.0, 0.01)

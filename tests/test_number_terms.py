@@ -114,3 +114,8 @@ def test_non_finite_number_faults_at_the_first_node():
     with pytest.raises(EvaluationFault) as fault:
         model.value(np.array([[-0.25, 0.0], [1.5, 0.3]]))
     assert np.array_equal(fault.value.location, [-0.25])
+    # assembly fills the faces with the number: it faults at the first node
+    grid = GridSpec(2.0, 100)
+    with pytest.raises(EvaluationFault) as fault:
+        assemble(model, 0.1, 0.41, grid, strict_resolution=False)
+    assert np.array_equal(fault.value.location, grid.nodes()[:1])

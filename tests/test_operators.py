@@ -369,8 +369,8 @@ def test_counter_tables_match_doubling_reference(t0):
 
 def _whole_block(op):
     """The whole grid as one `_block`."""
-    return operators._block(
-        op, operators._grid_map(op.grid.points_per_axis, op.dimension))
+    return operators._block(op, operators._block_map(
+        op.grid.points_per_axis, (None,) * op.dimension))
 
 
 def _shifted_block(block, energy):

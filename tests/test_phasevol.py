@@ -279,14 +279,14 @@ def test_near_critical_volume_rejects_degenerate_centre(h):
 def test_poly_sublevel_linear_exact():
     # |s| < tau on [-1, 1]: measure 2 tau
     q = poly_sublevel_measure([0.0, 1.0], 0.25, (-1.0, 1.0))
-    assert q.measure == pytest.approx(0.5, abs=1e-12)
+    assert q == pytest.approx(0.5, abs=1e-12)
 
 
 def test_poly_sublevel_quadratic_exact():
     # |s^2 - 1/4| < 3/16 on [-1, 1]: s^2 in (1/16, 7/16)
     q = poly_sublevel_measure([-0.25, 0.0, 1.0], 3.0 / 16.0, (-1.0, 1.0))
     expect = 2 * (math.sqrt(7.0 / 16.0) - 0.25)
-    assert q.measure == pytest.approx(expect, abs=1e-10)
+    assert q == pytest.approx(expect, abs=1e-10)
 
 
 def test_poly_sublevel_rejects_bad_input():
@@ -309,7 +309,7 @@ def test_poly_sublevel_matches_dense_scan(degree, lower, lead, tau):
     s = np.linspace(-3.0, 3.0, 200_001)
     vals = np.abs(np.polynomial.polynomial.polyval(s, coeffs))
     approx = np.mean(vals < tau) * 6.0
-    assert q.measure == pytest.approx(approx, abs=2e-3)
+    assert q == pytest.approx(approx, abs=2e-3)
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.01, 0.1, 0.3])
@@ -317,7 +317,7 @@ def test_poly_sublevel_tangency(tau):
     # F = tau - s^2: F - tau = -s^2 touches zero at s = 0 without a sign
     # change, so |F| < tau on all of |s| < sqrt(2 tau) but the point 0
     q = poly_sublevel_measure([tau, 0.0, -1.0], tau, (-1.0, 1.0))
-    assert q.measure == pytest.approx(2.0 * math.sqrt(2.0 * tau), rel=1e-9)
+    assert q == pytest.approx(2.0 * math.sqrt(2.0 * tau), rel=1e-9)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 0.01, 0.1])
@@ -327,7 +327,7 @@ def test_poly_sublevel_triple_root_sign_change(tau):
     # The expanded float coefficients move the triple root by ~1e-6.
     coeffs = [tau - 0.008, 0.12, -0.6, 1.0]
     q = poly_sublevel_measure(coeffs, tau, (-1.0, 1.0))
-    assert q.measure == pytest.approx((2.0 * tau) ** (1.0 / 3.0), rel=1e-5)
+    assert q == pytest.approx((2.0 * tau) ** (1.0 / 3.0), rel=1e-5)
 
 
 @pytest.mark.parametrize("h", [0.1, 1e-3])
@@ -349,8 +349,8 @@ def test_poly_sublevel_degree_15_matches_dense_scan(seed):
     s = np.linspace(-1.0, 1.0, 200_001)
     vals = np.abs(np.polynomial.polynomial.polyval(s, coeffs))
     approx = np.mean(vals < 0.3) * 2.0
-    assert 0.0 < q.measure < 2.0
-    assert q.measure == pytest.approx(approx, abs=2e-3)
+    assert 0.0 < q < 2.0
+    assert q == pytest.approx(approx, abs=2e-3)
 
 
 def test_sublevel_lemma_verification():

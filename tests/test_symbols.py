@@ -1,5 +1,8 @@
 """Symbol models: evaluation, derivatives, boxes, critical points."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +17,31 @@ from weyllab.symbols import (
     EvaluationFault,
     PolynomialCoefficient,
     SymbolModel,
+    _product_rule,
     _schrodinger,
     find_critical_points,
     make_model,
     smooth_cutoff,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+             min_size=1, max_size=4),
+    min_size=1, max_size=3,
+))
+def test_product_rule_orders_nodes_as_itertools_product(rules):
+    # each rule is a list of (node, weight) pairs
+    pts, wts = _product_rule(
+        [(np.array([z for z, _ in r]), np.array([w for _, w in r]))
+         for r in rules])
+    combos = list(itertools.product(*rules))
+    assert pts.shape == (len(combos), len(rules))
+    assert wts.shape == (len(combos),)
+    for row, weight, combo in zip(pts, wts, combos):
+        assert row.tolist() == [z for z, _ in combo]
+        assert weight == math.prod(w for _, w in combo)
 
 
 def test_registry_models_build():
