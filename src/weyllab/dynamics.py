@@ -251,7 +251,9 @@ def integrate_flow(
     trajectory's own norm stays within FLOW_TOL.  ``times`` selects the
     stored snapshots (default: endpoints only), on which the steps land
     exactly; each has the shape of v0, and t = 0 is always stored as exactly
-    v0.  ``integrator_steps`` counts right-hand-side evaluations.
+    v0.  ``integrator_steps`` counts right-hand-side evaluations.  A
+    non-finite slope, at a start or at any stage, raises EvaluationFault
+    at its phase point.
     """
     v0 = np.asarray(v0, dtype=float)
     starts = np.atleast_2d(v0)
@@ -259,7 +261,11 @@ def integrate_flow(
     tol = FLOW_TOL / math.sqrt(n)
 
     def rhs(y):
-        return symplectic_gradient(model, y.reshape(n, dim)).ravel()
+        # a non-finite slope would make every error estimate NaN, and the
+        # step controller would reject every step: fault at the point
+        points = y.reshape(n, dim)
+        return _finite(symplectic_gradient(model, points), points,
+                       "gradient").ravel()
 
     if times is None:
         times = [0.0, t_end]
@@ -324,7 +330,8 @@ def check_displacement_bounds(
 
     Samples v with |grad a0(v)| > cbar h^delta0 (rejection on the box; a
     draw of 4 n_samples candidates that accepts none raises ValueError, and
-    so do cbar <= 0 and n_samples < 1) and flows them all in one batch.  For each v and t:
+    so do cbar <= 0 and n_samples < 1; a candidate whose gradient is not
+    finite raises EvaluationFault there) and flows them all in one batch.  For each v and t:
     (i) |flow_t(v) - v| >= |t grad p(v)|/2 is asserted; the
     constants in (ii) |flow_t(v) - v| <= C1 |t grad p(v)| and (iii)
     |flow_t(v) - v - t J grad p(v)| <= C2 t^2 |grad p(v)| are fitted as the
@@ -339,7 +346,10 @@ def check_displacement_bounds(
     samples = []
     while len(samples) < n_samples:
         cand = model.sample_box(4 * n_samples, rng)
-        gn = np.linalg.norm(model.gradient(cand), axis=1)
+        # |grad p| > thresh is false for NaN: such a candidate would be
+        # dropped without a word
+        gn = np.linalg.norm(_finite(model.gradient(cand), cand, "gradient"),
+                            axis=1)
         kept = cand[gn > thresh]
         if len(kept) == 0:
             raise ValueError(

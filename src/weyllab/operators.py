@@ -28,10 +28,12 @@ groups, and boundary value problems", CMAME 56, 1986; Fassler and Stiefel,
 "Group Theoretical Methods and Their Applications", 1992).  A 1-D matrix,
 and one with no mirror symmetry, is counted as one block: the block map
 that splits no axis, which is the whole grid.
-Each block is built once from the stencil as a sparse matrix, its
-off-diagonal couplings in CSR form and its diagonal as a vector, and T is
-checked by comparing the even-odd block with the odd-even one permuted; no
-count builds the whole matrix.
+Each block is built from the stencil as a sparse matrix, its off-diagonal
+couplings in CSR form and its diagonal as a vector, just before it is
+factored, and dropped once its red pivots and Schur complement (below) are
+formed, so a count holds one block at a time and a shift builds them
+again.  T is checked by comparing the even-odd block with the odd-even one
+permuted, and no count builds the whole matrix.
 
 Every block, and a matrix counted whole, is a 5-point stencil, so its graph
 is bipartite under the red/black colouring by the parity of the node's
@@ -358,19 +360,14 @@ def assemble(
 # -- counting ------------------------------------------------------------------
 
 
-def _sparse_inertia(mat: sp.csc_matrix, bound: float) -> int:
-    """Negative pivots of a symmetric LU of `mat`; a pivot below PIVOT_TOL
-    times `bound`, a bound on the matrix's norm, counts as zero.
-
-    `lu.U` builds a copy of the whole U factor: it is scipy's only way to
-    read the pivots.  The red elimination halves the copy's rows, one per
-    black node, though not its entries: 7.02M over the five D4 blocks of
-    `separable_harmonic_2d` at 639^2, copied in 0.04-0.06 s, against 6.94M
-    unreduced.
+def _factor(mat: sp.csc_matrix):
+    """SuperLU's symmetric LU of `mat`.
 
     Panels of 4 columns, not SuperLU's default, factor the black Schur
-    complements of that operator's D4 blocks about a fifth faster at 639^2
-    and 451^2 on 2 cores, with the same fill and peak memory.
+    complements of `separable_harmonic_2d`'s D4 blocks about a fifth
+    faster at 639^2 and 451^2 on 2 cores, with the same fill and peak
+    memory.  SuperLU keeps its own L and U and reads `mat` no more once it
+    returns, so a caller may drop `mat` before the pivots are read.
     """
     try:
         lu = splu(
@@ -384,6 +381,19 @@ def _sparse_inertia(mat: sp.csc_matrix, bound: float) -> int:
         raise FactorizationFault(str(err)) from err
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationFault("factorization lost symmetric pivoting")
+    return lu
+
+
+def _negative_pivots(lu, bound: float) -> int:
+    """Negative pivots of a `_factor`ed LU; a pivot below PIVOT_TOL times
+    `bound`, a bound on the matrix's norm, counts as zero.
+
+    `lu.U` is scipy's only way to read the pivots, and it builds and
+    caches CSC copies of both L and U.  The red elimination halves their
+    rows, one per black node, though not their entries: U holds 7.02M over
+    the five D4 blocks of `separable_harmonic_2d` at 639^2, against 6.94M
+    unreduced, and the copies of its even-odd block's L and U take 58 MB.
+    """
     du = lu.U.diagonal()
     if np.any(np.abs(du) < PIVOT_TOL * bound):
         raise FactorizationFault("near-zero pivot")
@@ -522,8 +532,10 @@ def _red_nodes(*coords) -> np.ndarray:
     return sum(coords) % 2 == 0
 
 
-def _symmetry_blocks(op: DiscreteOperator) -> list:
-    """The `_block`s of A's symmetry blocks S_i^T A S_i.
+def _block_maps(op: DiscreteOperator):
+    """Yield the maps of A's symmetry blocks S_i^T A S_i, in counting
+    order: (map,) for a block, (even-odd map, odd-even map) for a pair
+    that `_mixed_pair` builds together.
 
     With the mirror group, S_i is the tensor product of an even or odd map
     on each mirrored axis and the identity on the others.  With D4, the
@@ -542,26 +554,37 @@ def _symmetry_blocks(op: DiscreteOperator) -> list:
     mirrored, swap = _symmetries(op) if d >= 2 and n >= 2 else (
         [False] * d, False
     )
-    blocks = []
     for parity in itertools.product(
         *((1, -1) if m else (None,) for m in mirrored)
     ):
         if swap and parity[0] != parity[1]:
             if parity[0] == 1:  # the odd-even block is counted with this one
-                blocks += _mixed_pair(op, parity)
+                yield _block_map(n, parity), _block_map(n, parity[::-1])
             continue
         for half in (1, -1) if swap else (None,):
-            blocks.append(_block(op, _block_map(n, parity, half)))
-    return [b for b in blocks if b.weights.size > 0]
+            block_map = _block_map(n, parity, half)
+            if block_map[2].size > 0:
+                yield (block_map,)
 
 
-def _mixed_pair(op: DiscreteOperator, parity) -> list:
+def _symmetry_blocks(op: DiscreteOperator):
+    """Yield the `_block`s of A's symmetry blocks, each built from the
+    stencil when it is taken: a caller that drops each block before it
+    takes the next holds one block at a time, two while `_mixed_pair`
+    compares the even-odd pair."""
+    for maps in _block_maps(op):
+        blocks = (_mixed_pair(op, *maps) if len(maps) == 2
+                  else [_block(op, *maps)])
+        del maps
+        while blocks:
+            yield blocks.pop(0)
+
+
+def _mixed_pair(op: DiscreteOperator, eo_map, oe_map) -> list:
     """The even-odd block with multiplicity 2 when T * OE * T == EO bit
     for bit, diagonal and weights included; else both blocks, each once.
     T sends the representative (i, j) of EO's column p to node (j, i), in
     OE's column perm[p], so EO must equal OE[perm][:, perm]."""
-    n = op.grid.points_per_axis
-    eo_map, oe_map = (_block_map(n, p) for p in (parity, parity[::-1]))
     eo, oe = _block(op, eo_map), _block(op, oe_map)
     i, j = eo_map[1]
     perm, _ = oe_map[0](j, i)
@@ -572,10 +595,11 @@ def _mixed_pair(op: DiscreteOperator, parity) -> list:
     return [eo, oe]
 
 
-def _pivot_bound(op: DiscreteOperator, energy: float, blocks) -> float:
-    """A bound on the infinity norm of B - E W for every `_block` of `op`:
-    the largest weight times the largest Gershgorin row sum
-    |A_pp - E| + sum over q != p of |A_pq|, read from the stencil arrays.
+def _pivot_bound(op: DiscreteOperator, energy: float, weights) -> float:
+    """A bound on the infinity norm of B - E W for every `_block` of `op`
+    whose weights W are among `weights`: the largest weight times the
+    largest Gershgorin row sum |A_pp - E| + sum over q != p of |A_pq|,
+    read from the stencil arrays.
 
     A row of B - E W is a row of (A - E I) S at a representative node,
     times that node's weight, and S has one +-1 per node, so its absolute
@@ -587,7 +611,7 @@ def _pivot_bound(op: DiscreteOperator, energy: float, blocks) -> float:
         before = (slice(None),) * axis
         rows[before + (slice(0, -1),)] += np.abs(coupling)
         rows[before + (slice(1, None),)] += np.abs(coupling)
-    weight = max(float(b.weights.max()) for b in blocks)
+    weight = max(float(w.max()) for w in weights)
     return weight * float(rows.max())
 
 
@@ -637,34 +661,52 @@ def _eliminate_red(block, energy: float, bound: float) -> tuple:
     return int(np.sum(d < 0.0)), schur
 
 
-def _reduced_inertia(block, energy: float, bound: float) -> int:
-    """Negative inertia of B - E W: the negative red pivots, and the
-    factored black Schur complement's; an empty black half adds 0."""
-    negative, schur = _eliminate_red(block, energy, bound)
-    if schur.shape[0] == 0:
-        return negative
-    return negative + _sparse_inertia(schur, bound)
+def _reduced_inertia(blocks, energy: float, bound: float) -> tuple:
+    """(sum over the `_block`s that `blocks` yields of multiplicity times
+    the negative inertia of B - E W, number of blocks).
+
+    A block's inertia is its negative red pivots and its factored black
+    Schur complement's; an empty black half adds 0.  Each block is dropped
+    once its red pivots and Schur complement are formed, and the Schur
+    complement once SuperLU has factored it, before the pivots are read:
+    a block, its complement, SuperLU's factors and the copies of them that
+    reading the pivots makes are then never held together.
+    """
+    count = size = 0
+    for block in blocks:
+        mult = block.mult
+        negative, schur = _eliminate_red(block, energy, bound)
+        del block
+        if schur.shape[0] > 0:
+            lu = _factor(schur)
+            del schur
+            negative += _negative_pivots(lu, bound)
+            del lu
+        count += mult * negative
+        size += 1
+    return count, size
 
 
-def _count_blocks(blocks, energy: float, bound: float):
+def _count_blocks(blocks, energy: float, bound: float) -> tuple:
     """(sum over the blocks of multiplicity times the negative inertia of
-    B - E' W, shifts).
+    B - E' W, shifts, number of blocks), where `blocks()` yields the
+    `_block`s anew at each threshold E'.
 
     A singular pivot, or one below PIVOT_TOL times `bound` (from
     `_pivot_bound`), red or black, in any block means an eigenvalue sits at
     the threshold E' = energy - shifts * SHIFT_STEP; every block is then
-    factored again at the next shift, so the count uses one threshold.
+    built and factored again at the next shift, so the count uses one
+    threshold.
     """
     pivot_log = []
     for shifts in range(MAX_SHIFTS + 1):
         shifted = energy - shifts * SHIFT_STEP
         try:
-            count = sum(b.mult * _reduced_inertia(b, shifted, bound)
-                        for b in blocks)
+            count, size = _reduced_inertia(blocks(), shifted, bound)
         except FactorizationFault as fault:
             pivot_log.append(str(fault))
             continue
-        return count, shifts
+        return count, shifts, size
     raise FactorizationFault(
         f"factorization failed after {MAX_SHIFTS} shifts: {pivot_log}"
     )
@@ -683,17 +725,20 @@ def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
     so that an eigenvalue at `energy` stays uncounted and every count is
     strict.  A pivot is judged near zero against a bound on the norm of its
     block, not against the other pivots, so one huge pivot after a near tie
-    does not make the rest look small.
+    does not make the rest look small.  The bound's weights come from the
+    block maps, so it is known before any block is built, and the blocks
+    are built one at a time, at each threshold, as they are factored.
     """
-    blocks = _symmetry_blocks(op)
-    count, shifts = _count_blocks(
-        blocks, energy, _pivot_bound(op, energy, blocks))
+    weights = (m[2] for maps in _block_maps(op) for m in maps)
+    count, shifts, blocks = _count_blocks(
+        lambda: _symmetry_blocks(op), energy,
+        _pivot_bound(op, energy, weights))
     return SpectrumSlice(
         threshold=energy,
         count=count,
         method="inertia",
         shifts_applied=shifts,
-        blocks=len(blocks),
+        blocks=blocks,
     )
 
 

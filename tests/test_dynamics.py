@@ -585,21 +585,48 @@ def test_allocation_failure_propagates(harmonic):
                              support_box=[(-1.6, 1.6)] * 2)
 
 
-def test_non_finite_probe_gradient_faults(harmonic):
-    # the panel count is read off |grad p| at random probes: a NaN there
-    # is an evaluation fault at that probe, not a failed int conversion
+def _nan_beyond(harmonic) -> SymbolModel:
+    """`harmonic` with a potential gradient that is NaN for x > 1.5."""
     key = ((0,), (0,))
     pot = harmonic.coefficients[key]
 
     def grad(x):
         return np.where(x > 1.5, np.nan, pot.grad(x))
 
-    model = SymbolModel(1, {**harmonic.coefficients,
-                            key: Coefficient(pot.value, grad, pot.hess)},
-                        1.0, 0.5, name="harmonic")
+    return SymbolModel(1, {**harmonic.coefficients,
+                           key: Coefficient(pot.value, grad, pot.hess)},
+                       1.0, 0.5, name="harmonic")
+
+
+def test_non_finite_probe_gradient_faults(harmonic):
+    # the panel count is read off |grad p| at random probes: a NaN there
+    # is an evaluation fault at that probe, not a failed int conversion
     with pytest.raises(EvaluationFault, match="gradient is not finite") as fault:
-        oscillatory_integral(model, ring_amplitude([0.0, 0.0], 0.5, 1.5),
-                             0.3, 0.01)
+        oscillatory_integral(_nan_beyond(harmonic),
+                             ring_amplitude([0.0, 0.0], 0.5, 1.5), 0.3, 0.01)
+    assert fault.value.location.shape == (2,)
+    assert fault.value.location[0] > 1.5
+
+
+@pytest.mark.parametrize("start", [(1.6, 0.0), (1.4, 1.0)],
+                         ids=["at_the_start", "along_the_flow"])
+def test_non_finite_flow_slope_faults(harmonic, start):
+    # a NaN slope makes every error estimate NaN, which the step controller
+    # rejects forever: the first slope that is not finite, at the start or
+    # at a stage once the orbit of radius 1.72 passes x = 1.5, is an
+    # evaluation fault at its phase point
+    with pytest.raises(EvaluationFault, match="gradient is not finite") as fault:
+        integrate_flow(_nan_beyond(harmonic), start, 1.0)
+    assert fault.value.location.shape == (2,)
+    assert fault.value.location[0] > 1.5
+
+
+def test_non_finite_sample_gradient_faults(harmonic):
+    # |grad p| > threshold is false for NaN: such a candidate was dropped
+    # without a word, and a kept one near x = 1.5 later stalled the flow
+    with pytest.raises(EvaluationFault, match="gradient is not finite") as fault:
+        check_displacement_bounds(_nan_beyond(harmonic), 64, [0.05, 0.1],
+                                  cbar=0.5, delta0=0.25, h=0.01)
     assert fault.value.location.shape == (2,)
     assert fault.value.location[0] > 1.5
 

@@ -1,5 +1,8 @@
 """Grid operators: assembly, inertia counting, smoothed counters."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -379,24 +382,36 @@ def _shifted_block(block, energy):
     return (couplings + sp.diags(diagonal - energy * weights)).tocsc()
 
 
+def _blocks_and_bound(op, energy):
+    """(the list of `op`'s symmetry blocks, their pivot bound at energy)."""
+    blocks = list(operators._symmetry_blocks(op))
+    return blocks, operators._pivot_bound(op, energy,
+                                          [b.weights for b in blocks])
+
+
+def _sparse_inertia(mat, bound):
+    """Negative pivots of a symmetric LU of `mat`."""
+    return operators._negative_pivots(operators._factor(mat), bound)
+
+
 def _full_count(op, energy):
     """Count on the whole matrix, as one block: (count, shifts)."""
-    blocks = [_whole_block(op)]
-    return operators._count_blocks(
-        blocks, energy, operators._pivot_bound(op, energy, blocks))
+    whole = _whole_block(op)
+    count, shifts, _ = operators._count_blocks(
+        lambda: [whole], energy,
+        operators._pivot_bound(op, energy, [whole.weights]))
+    return count, shifts
 
 
 def _unreduced_count(op, energy):
     """(count, shifts) from a symmetric LU of each whole symmetry block
     B - E' W, no red node eliminated, with the same shifted thresholds."""
-    blocks = operators._symmetry_blocks(op)
-    bound = operators._pivot_bound(op, energy, blocks)
+    blocks, bound = _blocks_and_bound(op, energy)
     for shifts in range(operators.MAX_SHIFTS + 1):
         shifted = energy - shifts * operators.SHIFT_STEP
         try:
             return sum(
-                b.mult * operators._sparse_inertia(_shifted_block(b, shifted),
-                                                 bound)
+                b.mult * _sparse_inertia(_shifted_block(b, shifted), bound)
                 for b in blocks
             ), shifts
         except operators.FactorizationFault:
@@ -428,8 +443,7 @@ def test_split_count_matches_full_count(name, n, h, variant):
     assert slc.blocks == BLOCKS[name]
     assert (slc.count, slc.shifts_applied) == _full_count(op, 1.0)
     assert (slc.count, slc.shifts_applied) == _unreduced_count(op, 1.0)
-    blocks = operators._symmetry_blocks(op)
-    bound = operators._pivot_bound(op, 1.0, blocks)
+    blocks, bound = _blocks_and_bound(op, 1.0)
     for block in blocks:
         _, schur = operators._eliminate_red(block, 1.0, bound)
         assert schur.shape[0] == np.sum(~block.red)
@@ -517,10 +531,66 @@ def test_pivot_bound_covers_every_block_norm():
     m = make_model("separable_harmonic_2d")
     op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 63), variant="minus",
                   strict_resolution=False)
-    blocks = operators._symmetry_blocks(op)
-    bound = operators._pivot_bound(op, 1.0, blocks)
+    blocks, bound = _blocks_and_bound(op, 1.0)
     norms = [abs(_shifted_block(b, 1.0)).sum(axis=1).max() for b in blocks]
     assert max(norms) <= bound <= 8.0 * max(norms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 20, 21])
+@pytest.mark.parametrize("potential", [
+    {(2, 0): 1.0, (0, 2): 1.0},  # D4
+    {(2, 0): 1.0, (0, 2): 2.0},  # mirrors, no swap
+    {(2, 0): 1.0, (1, 1): 0.3},  # no symmetry
+])
+def test_pivot_bound_from_the_maps_matches_the_blocks(potential, n):
+    # count_below takes the largest weight from the block maps before any
+    # block is built: the same float as from the built blocks' weights,
+    # also on the grids of n <= 2 nodes per axis, where a block is empty
+    # or an orbit is smaller than the group
+    m = _square_model(potential)
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n), strict_resolution=False)
+    maps = (bm[2] for group in operators._block_maps(op) for bm in group)
+    _, bound = _blocks_and_bound(op, 1.0)
+    assert operators._pivot_bound(op, 1.0, maps) == bound
+
+
+def _tie_operator():
+    """The 5 x 5 diagonal operator of the first shift test, tied at E = 2."""
+    diag = np.ones((5, 5))
+    diag[_orbit(5, 0, 1)] = 2.0 - 0.5 * operators.SHIFT_STEP
+    diag[2, 2] = 2.0
+    return _square_operator(diag)
+
+
+@pytest.mark.parametrize("case", ["d4", "mirrors", "shifted"])
+def test_count_holds_no_block_while_superlu_factors(case, monkeypatch):
+    # each block is built when it is about to be factored and dropped once
+    # its red pivots and Schur complement are formed, and each Schur
+    # complement once SuperLU returns: at every factorization no `_Block`
+    # is alive and the previous factorization's input is gone; a shift
+    # builds the blocks again
+    if case == "shifted":
+        op, energy, blocks, shifts = _tie_operator(), 2.0, 5, 1
+    else:
+        potential = {(2, 0): 1.0, (0, 2): 1.0 if case == "d4" else 2.0}
+        m = _square_model(potential)
+        op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 40),
+                      strict_resolution=False)
+        energy, blocks, shifts = 1.0, 5 if case == "d4" else 4, 0
+    factor, inputs = operators.splu, []
+
+    def checked(mat, **kwargs):
+        assert not [x for x in gc.get_objects()
+                    if isinstance(x, operators._Block)]
+        assert not inputs or inputs[-1]() is None
+        inputs.append(weakref.ref(mat))
+        return factor(mat, **kwargs)
+
+    gc.collect()
+    monkeypatch.setattr(operators, "splu", checked)
+    slc = count_below(op, energy)
+    assert (slc.blocks, slc.shifts_applied) == (blocks, shifts)
+    assert len(inputs) >= blocks - 1
 
 
 @pytest.mark.parametrize(
@@ -696,8 +766,7 @@ def test_schur_complement_matches_dense_reference(name, variant, n):
     m = make_model(name)
     op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n), variant=variant,
                   strict_resolution=False)
-    blocks = operators._symmetry_blocks(op)
-    bound = operators._pivot_bound(op, 1.0, blocks)
+    blocks, bound = _blocks_and_bound(op, 1.0)
     for block in blocks:
         red, black = block.red, ~block.red
         dense = _shifted_block(block, 1.0).toarray()
@@ -721,8 +790,7 @@ def test_tie_on_a_red_node_shifts_every_block():
     diag[_orbit(5, 0, 1)] = 2.0 - 0.5 * operators.SHIFT_STEP
     diag[_orbit(5, 0, 0)] = 2.0
     op = _square_operator(diag)
-    blocks = operators._symmetry_blocks(op)
-    bound = operators._pivot_bound(op, 2.0, blocks)
+    blocks, bound = _blocks_and_bound(op, 2.0)
     with pytest.raises(operators.FactorizationFault, match="red pivot"):
         operators._eliminate_red(blocks[0], 2.0, bound)
     slc = count_below(op, 2.0)
@@ -786,13 +854,13 @@ def test_small_red_pivot_stays_in_the_schur_complement():
     couplings[1, 1:3] = c
     op = _square_operator(diag, couplings)
     blocks = [_whole_block(op)]
-    bound = operators._pivot_bound(op, e, blocks)
+    bound = operators._pivot_bound(op, e, [blocks[0].weights])
     shifted = e - operators.SHIFT_STEP
     negative, schur = operators._eliminate_red(blocks[0], shifted, bound)
     assert negative == 0
     assert schur.shape[0] == np.sum(~blocks[0].red) + 2
     assert (schur != schur.T).nnz == 0
-    assert negative + operators._sparse_inertia(schur, bound) == 1
+    assert negative + _sparse_inertia(schur, bound) == 1
 
 
 def test_swap_check_compares_the_blocks_bit_for_bit(monkeypatch):
@@ -825,10 +893,11 @@ def test_swap_check_compares_the_blocks_bit_for_bit(monkeypatch):
     for n in (20, 21):
         op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, n),
                       strict_resolution=False)
-        assert [b.mult for b in operators._mixed_pair(op, (1, -1))] == [2]
+        maps = [operators._block_map(n, p) for p in ((1, -1), (-1, 1))]
+        assert [b.mult for b in operators._mixed_pair(op, *maps)] == [2]
         for kind in ("column", "value", "diagonal"):
             monkeypatch.setattr(operators, "_block", bent(kind))
-            pair = operators._mixed_pair(op, (1, -1))
+            pair = operators._mixed_pair(op, *maps)
             assert [b.mult for b in pair] == [1, 1]
         # one ulp on one axis-0 coupling and its mirror images, not on
         # the axis-1 coupling the swap maps it onto
@@ -837,4 +906,4 @@ def test_swap_check_compares_the_blocks_bit_for_bit(monkeypatch):
             c0[i, j] = np.nextafter(c0[i, j], np.inf)
         op.couplings = (c0, op.couplings[1])
         assert operators._symmetries(op) == ([True, True], False)
-        assert [b.mult for b in operators._mixed_pair(op, (1, -1))] == [1, 1]
+        assert [b.mult for b in operators._mixed_pair(op, *maps)] == [1, 1]
