@@ -86,12 +86,9 @@ def fit_loglog(xs, ys) -> ExponentFit:
     # 95% confidence half-width for the slope (floating point is fine here)
     lxf = np.array(lx)
     resid = np.array(ly) - (slope * lxf + intercept)
-    if n > 2:
-        s2 = float(resid @ resid) / (n - 2)
-        sxx_c = float(((lxf - lxf.mean()) ** 2).sum())
-        half = _t_quantile(0.975, n - 2) * math.sqrt(s2 / sxx_c)
-    else:
-        half = math.inf
+    s2 = float(resid @ resid) / (n - 2)
+    sxx_c = float(((lxf - lxf.mean()) ** 2).sum())
+    half = _t_quantile(0.975, n - 2) * math.sqrt(s2 / sxx_c)
     return ExponentFit(
         slope=slope,
         intercept=intercept,

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics, harness, operators
+from ._fitting import MIN_POINTS
 from .mollify import (
     EXACT_ANNIHILATION,
     admissible_delta0,
@@ -109,6 +110,12 @@ def _validate(cfg: ExperimentConfig, experiment: Optional[str] = None):
         v.append(
             f"h_points = {cfg.h_points}: the {experiment} exponent fit "
             "needs at least 4 h values"
+        )
+    if experiment in ("weyl_sweep", "critical_sweep", "mollifier_rates") \
+            and cfg.h_min == cfg.h_max:
+        v.append(
+            f"h_min = h_max = {cfg.h_min}: the {experiment} exponent fit "
+            "needs distinct h values"
         )
     if experiment == "oscillatory_decay" and not (
         _DECAY_DELTA0 + 0.5 < cfg.mu < 1.0
@@ -203,16 +210,25 @@ def _sweep_status(ok: bool, res) -> str:
     return "pass" if ok else "fail"
 
 
+def _sweep_slope(res, quantity: str):
+    """The slope of the sweep's fit of `quantity`, or None when gaps left
+    too few records to fit."""
+    if not res.complete and len(res.records) < MIN_POINTS:
+        return None
+    return harness.fit_exponent(res.records, quantity).slope
+
+
 def _exp_weyl_sweep(cfg: ExperimentConfig, out):
     # baseline sweep; d=1 sanity runs allowed
     model, res = _run_sweep(cfg, out, "weyl_sweep.csv", out_of_scope_ok=True)
-    fit = harness.fit_exponent(res.records, "remainder")
+    slope = _sweep_slope(res, "remainder")
     target = 1.0 - model.dimension
     return [
         {
             "name": "weyl_remainder_slope",
-            "status": _sweep_status(abs(fit.slope - target) <= 0.2, res),
-            "slope": fit.slope,
+            "status": _sweep_status(
+                slope is not None and abs(slope - target) <= 0.2, res),
+            "slope": slope,
             "target": target,
             "tolerance": 0.2,
             "gaps": list(res.gaps),
@@ -223,14 +239,14 @@ def _exp_weyl_sweep(cfg: ExperimentConfig, out):
 
 def _exp_critical_sweep(cfg: ExperimentConfig, out):
     _, res = _run_sweep(cfg, out, "critical_sweep.csv")
-    fit = harness.fit_exponent(res.records, "ratio")
-    alt = harness.log_corrected_ratio_fit(res.records)
+    slope = _sweep_slope(res, "ratio")
     return [
         {
             "name": "bounded_remainder_ratio",
-            "status": _sweep_status(abs(fit.slope) <= 0.25, res),
-            "ratio_slope": fit.slope,
-            "log_corrected_slope": alt.slope,
+            "status": _sweep_status(slope is not None and abs(slope) <= 0.25,
+                                    res),
+            "ratio_slope": slope,
+            "log_corrected_slope": _sweep_slope(res, "log_corrected_ratio"),
             "max_ratio": res.max_ratio,
             "tolerance": 0.25,
             "gaps": list(res.gaps),
@@ -426,7 +442,11 @@ def run(cfg: ExperimentConfig, experiment: str) -> int:
         )
         return 2
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        sys.stderr.write(f"cannot create output directory: {exc}\n")
+        return 2
     try:
         criteria = EXPERIMENTS[experiment](cfg, out)
     except Exception as exc:

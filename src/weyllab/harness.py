@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "check_hypotheses",
     "run_h_sweep",
     "fit_exponent",
-    "log_corrected_ratio_fit",
     "bracketing_check",
     "acceptance_report",
     "sweep_csv_text",
@@ -241,31 +240,19 @@ _SELECTORS = {
     "remainder": lambda r: abs(r.remainder),
     "r_value": lambda r: r.r_value,
     "ratio": lambda r: r.ratio,
-    "count": lambda r: float(r.count),
+    # the ratio against R(h) log(1/h): boundedness over a finite h-range
+    # cannot distinguish the clean remainder rate from one carrying a
+    # log(1/h) factor, so this fit is reported alongside the plain one
+    # without adjudicating between them
+    "log_corrected_ratio": lambda r: r.ratio / math.log(1.0 / r.h),
 }
 
 
-def fit_exponent(
-    records: Sequence[SweepRecord],
-    quantity: Union[str, Callable[[SweepRecord], float]],
-) -> ExponentFit:
-    """OLS slope of log(quantity) against log(h) over the sweep records."""
-    sel = _SELECTORS[quantity] if isinstance(quantity, str) else quantity
-    hs = [r.h for r in records]
-    ys = [sel(r) for r in records]
-    return fit_loglog(hs, ys)
-
-
-def log_corrected_ratio_fit(records: Sequence[SweepRecord]) -> ExponentFit:
-    """Slope of the ratio recomputed against R(h) log(1/h).
-
-    Boundedness over a finite h-range cannot distinguish the clean remainder
-    rate from one carrying a log(1/h) factor; this alternative fit is
-    reported alongside the plain one without adjudicating between them.
-    """
-    hs = [r.h for r in records]
-    ys = [r.ratio / math.log(1.0 / r.h) for r in records]
-    return fit_loglog(hs, ys)
+def fit_exponent(records: Sequence[SweepRecord], quantity: str) -> ExponentFit:
+    """OLS slope of log(quantity) against log(h) over the sweep records,
+    for a quantity named in `_SELECTORS`."""
+    sel = _SELECTORS[quantity]
+    return fit_loglog([r.h for r in records], [sel(r) for r in records])
 
 
 @dataclass(frozen=True)

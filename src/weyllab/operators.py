@@ -567,19 +567,6 @@ def _block_maps(op: DiscreteOperator):
                 yield (block_map,)
 
 
-def _symmetry_blocks(op: DiscreteOperator):
-    """Yield the `_block`s of A's symmetry blocks, each built from the
-    stencil when it is taken: a caller that drops each block before it
-    takes the next holds one block at a time, two while `_mixed_pair`
-    compares the even-odd pair."""
-    for maps in _block_maps(op):
-        blocks = (_mixed_pair(op, *maps) if len(maps) == 2
-                  else [_block(op, *maps)])
-        del maps
-        while blocks:
-            yield blocks.pop(0)
-
-
 def _mixed_pair(op: DiscreteOperator, eo_map, oe_map) -> list:
     """The even-odd block with multiplicity 2 when T * OE * T == EO bit
     for bit, diagonal and weights included; else both blocks, each once.
@@ -661,57 +648,6 @@ def _eliminate_red(block, energy: float, bound: float) -> tuple:
     return int(np.sum(d < 0.0)), schur
 
 
-def _reduced_inertia(blocks, energy: float, bound: float) -> tuple:
-    """(sum over the `_block`s that `blocks` yields of multiplicity times
-    the negative inertia of B - E W, number of blocks).
-
-    A block's inertia is its negative red pivots and its factored black
-    Schur complement's; an empty black half adds 0.  Each block is dropped
-    once its red pivots and Schur complement are formed, and the Schur
-    complement once SuperLU has factored it, before the pivots are read:
-    a block, its complement, SuperLU's factors and the copies of them that
-    reading the pivots makes are then never held together.
-    """
-    count = size = 0
-    for block in blocks:
-        mult = block.mult
-        negative, schur = _eliminate_red(block, energy, bound)
-        del block
-        if schur.shape[0] > 0:
-            lu = _factor(schur)
-            del schur
-            negative += _negative_pivots(lu, bound)
-            del lu
-        count += mult * negative
-        size += 1
-    return count, size
-
-
-def _count_blocks(blocks, energy: float, bound: float) -> tuple:
-    """(sum over the blocks of multiplicity times the negative inertia of
-    B - E' W, shifts, number of blocks), where `blocks()` yields the
-    `_block`s anew at each threshold E'.
-
-    A singular pivot, or one below PIVOT_TOL times `bound` (from
-    `_pivot_bound`), red or black, in any block means an eigenvalue sits at
-    the threshold E' = energy - shifts * SHIFT_STEP; every block is then
-    built and factored again at the next shift, so the count uses one
-    threshold.
-    """
-    pivot_log = []
-    for shifts in range(MAX_SHIFTS + 1):
-        shifted = energy - shifts * SHIFT_STEP
-        try:
-            count, size = _reduced_inertia(blocks(), shifted, bound)
-        except FactorizationFault as fault:
-            pivot_log.append(str(fault))
-            continue
-        return count, shifts, size
-    raise FactorizationFault(
-        f"factorization failed after {MAX_SHIFTS} shifts: {pivot_log}"
-    )
-
-
 def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
     """Exact number of eigenvalues below `energy` via matrix inertia.
 
@@ -719,26 +655,60 @@ def count_below(op: DiscreteOperator, energy: float) -> SpectrumSlice:
     summed, each times its multiplicity.  In each block the red nodes are
     eliminated in closed form: their pivots are the block's red diagonal,
     and only the black Schur complement is factored (Haynsworth's inertia
-    additivity), so SuperLU sees about half the unknowns.  A singular or
-    near-singular pivot, red or black, means an eigenvalue sits at the
-    threshold; the threshold then moves down by SHIFT_STEP for every block,
-    so that an eigenvalue at `energy` stays uncounted and every count is
-    strict.  A pivot is judged near zero against a bound on the norm of its
-    block, not against the other pivots, so one huge pivot after a near tie
-    does not make the rest look small.  The bound's weights come from the
-    block maps, so it is known before any block is built, and the blocks
-    are built one at a time, at each threshold, as they are factored.
+    additivity), so SuperLU sees about half the unknowns; an empty black
+    half adds 0.  A singular or near-singular pivot, red or black, means an
+    eigenvalue sits at the threshold; the threshold then moves down by
+    SHIFT_STEP and every block is built and factored again, so that an
+    eigenvalue at `energy` stays uncounted and every count is strict and
+    uses one threshold.  A pivot is judged near zero against a bound on the
+    norm of its block, not against the other pivots, so one huge pivot
+    after a near tie does not make the rest look small.  The bound's
+    weights come from the block maps, so it is known before any block is
+    built.
+
+    Each block is built from the stencil just before it is factored and
+    dropped once its red pivots and Schur complement are formed, and the
+    Schur complement once SuperLU has factored it, before the pivots are
+    read: a block, its complement, SuperLU's factors and the copies of them
+    that reading the pivots makes are then never held together.
     """
     weights = (m[2] for maps in _block_maps(op) for m in maps)
-    count, shifts, blocks = _count_blocks(
-        lambda: _symmetry_blocks(op), energy,
-        _pivot_bound(op, energy, weights))
-    return SpectrumSlice(
-        threshold=energy,
-        count=count,
-        method="inertia",
-        shifts_applied=shifts,
-        blocks=blocks,
+    bound = _pivot_bound(op, energy, weights)
+    pivot_log = []
+    for shifts in range(MAX_SHIFTS + 1):
+        shifted = energy - shifts * SHIFT_STEP
+        count = size = 0
+        try:
+            for maps in _block_maps(op):
+                blocks = (_mixed_pair(op, *maps) if len(maps) == 2
+                          else [_block(op, *maps)])
+                del maps
+                while blocks:
+                    block = blocks.pop(0)
+                    mult = block.mult
+                    negative, schur = _eliminate_red(block, shifted, bound)
+                    del block
+                    if schur.shape[0] > 0:
+                        lu = _factor(schur)
+                        del schur
+                        negative += _negative_pivots(lu, bound)
+                        del lu
+                    count += mult * negative
+                    size += 1
+        except FactorizationFault as fault:
+            pivot_log.append(str(fault))
+            # drop what the faulted block left before the next threshold
+            blocks = block = schur = lu = None
+            continue
+        return SpectrumSlice(
+            threshold=energy,
+            count=count,
+            method="inertia",
+            shifts_applied=shifts,
+            blocks=size,
+        )
+    raise FactorizationFault(
+        f"factorization failed after {MAX_SHIFTS} shifts: {pivot_log}"
     )
 
 
@@ -748,6 +718,8 @@ def _banded_eigenvalues(op: DiscreteOperator, hi: float) -> np.ndarray:
     band[0] = op.diagonal
     band[1, : n - 1] = op.couplings[0]
     lo = float(band[0].min() - 2.0 * np.abs(band[1]).max() - 1.0)
+    if hi <= lo:  # below the Gershgorin bound: no eigenvalue
+        return np.empty(0)
     vals = eigvals_banded(
         band, lower=True, select="v", select_range=(lo, hi)
     )

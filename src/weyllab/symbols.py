@@ -226,7 +226,6 @@ class SymbolModel:
     dimension: int
     coefficients: dict[tuple, Coefficient]
     ellipticity_constant: float
-    holder_exponent: float
     box_x: float = 2.0
     box_xi: float = 2.0
     name: str = ""
@@ -238,8 +237,6 @@ class SymbolModel:
         d = self.dimension
         if d < 1:
             raise ValueError("dimension must be positive")
-        if not (0.0 < self.holder_exponent < 1.0):
-            raise ValueError("holder_exponent must lie in (0, 1)")
         norm = {}
         for (nu, nubar), coef in self.coefficients.items():
             nu, nubar = tuple(nu), tuple(nubar)
@@ -599,7 +596,6 @@ def _schrodinger(name, d, potential, box, overrides) -> SymbolModel:
         dimension=d,
         coefficients=coeffs,
         ellipticity_constant=1.0,
-        holder_exponent=0.5,
         box_x=box,
         box_xi=box,
         name=name,
@@ -622,7 +618,6 @@ MODEL_REGISTRY: dict[str, Callable[..., SymbolModel]] = {
     ),
     # a0 = xi^2 + x^2 + holder_test_field(r0), Hoelder exponent r0
     "holder_test": lambda r0=0.5, **kw: _schrodinger(
-        "holder_test", 1, _holder_coefficient(r0), 2.5,
-        {"holder_exponent": r0, **kw},
+        "holder_test", 1, _holder_coefficient(r0), 2.5, kw
     ),
 }

@@ -22,7 +22,6 @@ from weyllab.dynamics import (
 from weyllab.harness import (
     bracketing_check,
     fit_exponent,
-    log_corrected_ratio_fit,
     run_h_sweep,
     sweep_csv_text,
 )
@@ -97,7 +96,7 @@ def test_criterion_2_critical_sharp_remainder(critical_sweep):
     res = critical_sweep
     assert res.complete, res.gaps
     fit = fit_exponent(res.records, "ratio")
-    alt = log_corrected_ratio_fit(res.records)
+    alt = fit_exponent(res.records, "log_corrected_ratio")
     ok = _report(
         "2 (critical-energy sharp remainder)",
         abs(fit.slope) <= 0.25,

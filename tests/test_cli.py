@@ -308,3 +308,58 @@ def test_oscillatory_decay_mu_inside_its_interval_accepted(mu):
     assert parse_config(text, "oscillatory_decay").mu == mu
     # other experiments do not read mu
     parse_config(text.replace(f"mu={mu}", "mu=0.5"), "weyl_sweep")
+
+
+@pytest.mark.parametrize("experiment", ["weyl_sweep", "critical_sweep"])
+def test_sweep_with_too_few_records_reports_its_gaps(tmp_path, experiment):
+    # at E = 2.95 the minus sweep's sublevel set reaches the box at three
+    # of four h values: one record is too few to fit, so the criterion is
+    # partial with the gaps and null slopes, not a fit error
+    cfg = parse_config(
+        "model=double_well_2d\nenergy=2.95\nvariant=minus\n"
+        f"h_min=0.07\nh_max=0.1\nh_points=4\nout_dir={tmp_path}\n",
+        experiment,
+    )
+    assert run(cfg, experiment) == 1
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["verdict"] == "PARTIAL"
+    criterion = verdict["criteria"][0]
+    assert criterion["status"] == "partial"
+    assert len(criterion["gaps"]) == 3
+    assert all("ContainmentFault" in why for _, why in criterion["gaps"])
+    slopes = {"weyl_sweep": ["slope"],
+              "critical_sweep": ["ratio_slope", "log_corrected_slope"]}
+    assert all(criterion[key] is None for key in slopes[experiment])
+
+
+@pytest.mark.parametrize(
+    "experiment", ["weyl_sweep", "critical_sweep", "mollifier_rates"])
+def test_fitted_experiments_need_distinct_h_exit_2(tmp_path, capsys,
+                                                   experiment):
+    # h_min = h_max once ran the whole experiment and exited 1 with
+    # "degenerate fit: all abscissae coincide"
+    cfgfile = tmp_path / "one_h.cfg"
+    cfgfile.write_text("model=harmonic\nenergy=1.0\nh_min=0.05\nh_max=0.05\n")
+    out = tmp_path / "out"
+    code = main([
+        "--config", str(cfgfile), "--experiment", experiment,
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "config error: h_min = h_max = 0.05" in capsys.readouterr().err
+    assert not out.exists()
+    parse_config(cfgfile.read_text(), "flow_bounds")  # reads h_min alone
+
+
+def test_uncreatable_out_exit_2(tmp_path, capsys):
+    # an --out under a regular file once ended in NotADirectoryError
+    cfgfile = tmp_path / "ok.cfg"
+    cfgfile.write_text("model=harmonic\nenergy=1.0\ntrials=40\n")
+    code = main([
+        "--config", str(cfgfile), "--experiment", "sublevel_lemma",
+        "--out", str(cfgfile / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot create output directory")
+    assert err.count("\n") == 1

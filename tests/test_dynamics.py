@@ -104,8 +104,7 @@ def _blowup_model():
         ((0,), (0,)): PolynomialCoefficient({(4,): -1.0}, 1),
     }
     return SymbolModel(dimension=1, coefficients=coeffs,
-                       ellipticity_constant=1.0, holder_exponent=0.5,
-                       name="blowup")
+                       ellipticity_constant=1.0, name="blowup")
 
 
 @pytest.mark.parametrize("v0", [[1.0, 1.0], [[1.0, 1.0], [0.5, 0.2]]])
@@ -375,8 +374,7 @@ def _mixed_model():
         ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
     }
     return SymbolModel(dimension=1, coefficients=coeffs,
-                       ellipticity_constant=1.0, holder_exponent=0.5,
-                       name="mixed_kinetic")
+                       ellipticity_constant=1.0, name="mixed_kinetic")
 
 
 @pytest.mark.parametrize("t, h", [(0.0, 0.02), (0.3, 0.01), (1.0, 0.005)])
@@ -472,8 +470,7 @@ def _one_dimensional_model(potential, momentum=0.0):
         for pair in (((1,), (0,)), ((0,), (1,))):
             coeffs[pair] = PolynomialCoefficient({(0,): momentum}, 1)
     return SymbolModel(dimension=1, coefficients=coeffs,
-                       ellipticity_constant=1.0, holder_exponent=0.5,
-                       name="one_dimensional")
+                       ellipticity_constant=1.0, name="one_dimensional")
 
 
 @pytest.mark.parametrize("case, folded", [
@@ -595,7 +592,7 @@ def _nan_beyond(harmonic) -> SymbolModel:
 
     return SymbolModel(1, {**harmonic.coefficients,
                            key: Coefficient(pot.value, grad, pot.hess)},
-                       1.0, 0.5, name="harmonic")
+                       1.0, name="harmonic")
 
 
 def test_non_finite_probe_gradient_faults(harmonic):

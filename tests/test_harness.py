@@ -13,7 +13,6 @@ from weyllab.harness import (
     acceptance_report,
     check_hypotheses,
     fit_exponent,
-    log_corrected_ratio_fit,
     run_h_sweep,
     sweep_csv_text,
 )
@@ -105,7 +104,7 @@ def test_fit_exponent_selectors():
     assert fit_exponent(recs, "r_value").slope == pytest.approx(1.0, abs=1e-9)
     assert fit_exponent(recs, "remainder").slope == pytest.approx(-1.0,
                                                                   abs=0.1)
-    log_corrected_ratio_fit(recs)  # smoke: defined and finite
+    fit_exponent(recs, "log_corrected_ratio")  # smoke: defined and finite
 
 
 def test_empty_h_grid():
@@ -178,7 +177,7 @@ def _break_potential_in_assembly(monkeypatch, broken_value):
     coeffs[pot_key] = Coefficient(value, pot.grad, pot.hess)
     broken = SymbolModel(
         m.dimension, coeffs, m.ellipticity_constant,
-        m.holder_exponent, m.box_x, m.box_xi, m.name,
+        m.box_x, m.box_xi, m.name,
     )
 
     def assemble(*args, **kwargs):
@@ -284,7 +283,6 @@ def test_check_hypotheses_enforces_ellipticity():
                 ((0, 0), (0, 0)): poly({(2, 0): 1.0, (0, 2): 1.0}),
             },
             ellipticity_constant=constant,
-            holder_exponent=0.5,
         )
 
     problems = check_hypotheses(model(1.0), 1.0)

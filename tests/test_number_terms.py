@@ -105,7 +105,6 @@ def test_non_finite_number_faults_at_the_first_node():
             ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
         },
         ellipticity_constant=1.0,
-        holder_exponent=0.5,
     )
     x = np.array([[0.5], [1.5]])
     with pytest.raises(EvaluationFault) as fault:

@@ -1,7 +1,9 @@
 """Grid operators: assembly, inertia counting, smoothed counters."""
 
 import gc
+import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +214,15 @@ def test_eigenvalues_below_matches_count(harmonic):
     assert np.all(np.diff(slc.eigenvalues) >= 0)
 
 
+def test_eigenvalues_below_the_spectrum(harmonic):
+    # below the Gershgorin bound the banded solver's range is empty: no
+    # eigenvalue, as the inertia count says, not a select_range error
+    op = assemble(harmonic, 0.1, 0.41, GridSpec(harmonic.box_x, 200))
+    slc = eigenvalues_below(op, -100.0)
+    assert slc.count == count_below(op, -100.0).count == 0
+    assert slc.eigenvalues.size == 0
+
+
 def _diagonal_operator(entries) -> DiscreteOperator:
     return DiscreteOperator(
         h=0.1,
@@ -295,7 +306,6 @@ def test_assemble_rejects_three_dimensions():
         dimension=d,
         coefficients=coeffs,
         ellipticity_constant=1.0,
-        holder_exponent=0.5,
         name="harmonic_3d",
     )
     with pytest.raises(NotImplementedError, match="d = 3"):
@@ -382,9 +392,18 @@ def _shifted_block(block, energy):
     return (couplings + sp.diags(diagonal - energy * weights)).tocsc()
 
 
+def _symmetry_blocks(op):
+    """The list of `op`'s symmetry blocks, in counting order."""
+    return [
+        block for maps in operators._block_maps(op)
+        for block in (operators._mixed_pair(op, *maps) if len(maps) == 2
+                      else [operators._block(op, *maps)])
+    ]
+
+
 def _blocks_and_bound(op, energy):
     """(the list of `op`'s symmetry blocks, their pivot bound at energy)."""
-    blocks = list(operators._symmetry_blocks(op))
+    blocks = _symmetry_blocks(op)
     return blocks, operators._pivot_bound(op, energy,
                                           [b.weights for b in blocks])
 
@@ -395,12 +414,13 @@ def _sparse_inertia(mat, bound):
 
 
 def _full_count(op, energy):
-    """Count on the whole matrix, as one block: (count, shifts)."""
-    whole = _whole_block(op)
-    count, shifts, _ = operators._count_blocks(
-        lambda: [whole], energy,
-        operators._pivot_bound(op, energy, [whole.weights]))
-    return count, shifts
+    """`count_below` on the whole matrix, as one block: (count, shifts)."""
+    whole = operators._block_map(op.grid.points_per_axis,
+                                 (None,) * op.dimension)
+    with mock.patch.object(operators, "_block_maps", lambda _: [(whole,)]):
+        slc = count_below(op, energy)
+    assert slc.blocks == 1
+    return slc.count, slc.shifts_applied
 
 
 def _unreduced_count(op, energy):
@@ -468,7 +488,7 @@ def _orbit(n, i, j):
 
 
 def _block_sizes(op):
-    return [(b.weights.size, b.mult) for b in operators._symmetry_blocks(op)]
+    return [(b.weights.size, b.mult) for b in _symmetry_blocks(op)]
 
 
 @pytest.mark.parametrize("tie", [2.0, np.nextafter(2.0, 3.0)])
@@ -593,6 +613,33 @@ def test_count_holds_no_block_while_superlu_factors(case, monkeypatch):
     assert len(inputs) >= blocks - 1
 
 
+def test_shift_holds_no_factors_of_the_faulted_threshold(monkeypatch):
+    # a near-zero black pivot moves the threshold; the factors it was read
+    # from are dropped before the next threshold factors anything
+    m = _square_model({(2, 0): 1.0, (0, 2): 1.0})
+    op = assemble(m, 0.1, 0.41, GridSpec(m.box_x, 40),
+                  strict_resolution=False)
+    factor, pivots = operators._factor, operators._negative_pivots
+    factored = []
+
+    def checked(mat):
+        # the previous factors are held only by `factored` and the call
+        held = sys.getrefcount(factored[-1]) if factored else 2
+        assert held == 2
+        factored.append(factor(mat))
+        return factored[-1]
+
+    def tie_once(lu, bound):
+        if len(factored) == 1:
+            raise operators.FactorizationFault("near-zero pivot")
+        return pivots(lu, bound)
+
+    monkeypatch.setattr(operators, "_factor", checked)
+    monkeypatch.setattr(operators, "_negative_pivots", tie_once)
+    slc = count_below(op, 1.0)
+    assert (slc.shifts_applied, slc.blocks, len(factored)) == (1, 5, 6)
+
+
 @pytest.mark.parametrize(
     "odd_terms, blocks",
     [
@@ -624,7 +671,7 @@ def _square_model(potential_terms, kinetic=(1.0, 1.0)) -> SymbolModel:
     coeffs[((0, 0), (0, 0))] = PolynomialCoefficient(potential_terms, 2)
     return SymbolModel(
         base.dimension, coeffs, base.ellipticity_constant,
-        base.holder_exponent, base.box_x, base.box_xi, "square_variant",
+        base.box_x, base.box_xi, "square_variant",
     )
 
 
@@ -818,7 +865,7 @@ def test_blocks_without_black_nodes():
     diag[1, 1] = centre
     couplings = np.full((2, 3), -0.3)
     op = _square_operator(diag, couplings)
-    blocks = operators._symmetry_blocks(op)
+    blocks = _symmetry_blocks(op)
     assert [np.sum(~b.red) for b in blocks] == [1, 1, 1, 0]
     lam = np.linalg.eigvalsh(op.matrix.toarray())
     for energy in (0.5, 1.0, 1.5, 2.5):
@@ -907,3 +954,4 @@ def test_swap_check_compares_the_blocks_bit_for_bit(monkeypatch):
         op.couplings = (c0, op.couplings[1])
         assert operators._symmetries(op) == ([True, True], False)
         assert [b.mult for b in operators._mixed_pair(op, *maps)] == [1, 1]
+

@@ -128,7 +128,6 @@ def _shifted_harmonic(shift, potential, **box):
             ((0,), (0,)): poly(potential),
         },
         ellipticity_constant=1.0,
-        holder_exponent=0.5,
         **box,
     )
 
@@ -234,7 +233,6 @@ def test_fourth_order_symbol_rejected():
                 ((0,), (0,)): PolynomialCoefficient({(2,): 1.0}, 1),
             },
             ellipticity_constant=1.0,
-            holder_exponent=0.5,
         )
 
 

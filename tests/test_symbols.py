@@ -242,7 +242,6 @@ def test_non_finite_coefficient_faults_at_its_x_node():
             ((0,), (0,)): potential,
         },
         ellipticity_constant=1.0,
-        holder_exponent=0.5,
     )
     box = [(-2.0, 2.0), (-2.0, 2.0)]
     calls = {
