@@ -211,9 +211,12 @@ def _sweep_status(ok: bool, res) -> str:
 
 
 def _sweep_slope(res, quantity: str):
-    """The slope of the sweep's fit of `quantity`, or None when gaps left
-    too few records to fit."""
-    if not res.complete and len(res.records) < MIN_POINTS:
+    """The slope of the sweep's fit of `quantity`, or None when fewer than
+    MIN_POINTS records have a positive value of it to fit: gaps left too
+    few records, or the energy lies below the spectrum, where every count
+    and volume is 0."""
+    select = harness._SELECTORS[quantity]
+    if sum(select(r) > 0 for r in res.records) < MIN_POINTS:
         return None
     return harness.fit_exponent(res.records, quantity).slope
 
@@ -260,11 +263,11 @@ def _exp_mollifier_rates(cfg: ExperimentConfig, out):
     h_grid = np.geomspace(cfg.h_max, cfg.h_min, max(cfg.h_points, 6))
     rows, ok = [], True
     for order in range(4):
-        got = fit_smoothing_exponents(a, order, h_grid, cfg.delta0, r0=cfg.r0)
-        if got == EXACT_ANNIHILATION:
+        fit, _ = fit_smoothing_exponents(a, order, h_grid, cfg.delta0,
+                                         r0=cfg.r0)
+        if fit == EXACT_ANNIHILATION:
             rows.append({"order": order, "exact": True})
             continue
-        fit, _ = got
         target = (2.0 + cfg.r0 - order) * cfg.delta0
         hit = abs(fit.slope - target) <= 0.2
         ok = ok and hit

@@ -88,6 +88,8 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = min(os.cpu_count() or 1, 4)
 NODES_PER_PANEL = 8
+# panels per axis of the coarse oscillatory rule at least, the count at t = 0
+MIN_PANELS = 2
 
 # Dormand-Prince 5(4): row i < 6 of _DP_A gives stage i from stages 0 .. i-1,
 # row 6 the 5th-order step, whose slope is stage 6 and the next step's
@@ -530,7 +532,6 @@ def oscillatory_integral(
     t: float,
     h: float,
     support_box=None,
-    min_panels: int = 2,
 ) -> OscillatoryResult:
     """(2 pi h)^(-d) integral of exp(i t p(v)/h) amplitude(v) over phase
     space, by tensor Gauss-Legendre with >= 12 nodes per oscillation and a
@@ -547,7 +548,7 @@ def oscillatory_integral(
     gives a wrong value, so declare only what holds exactly.
 
     The panels per axis are sized from |grad p| at 512 probes, and are at
-    least ``min_panels``, the count at t = 0; a probe where the gradient is
+    least MIN_PANELS, the count at t = 0; a probe where the gradient is
     not finite raises EvaluationFault there.  The rule of twice
     as many panels gives the value and is computed first: when it has more
     than NODE_BUDGET nodes, counted unfolded, NodeBudgetExceeded propagates
@@ -571,7 +572,7 @@ def oscillatory_integral(
     widths = np.array([hi - lo for lo, hi in support_box])
     osc = np.abs(t) / h * gmax * widths / (2.0 * math.pi)
     panels = int(
-        max(min_panels, math.ceil(float(osc.max()) * 12.0 / NODES_PER_PANEL) + 1)
+        max(MIN_PANELS, math.ceil(float(osc.max()) * 12.0 / NODES_PER_PANEL) + 1)
     )
 
     prefac = (2.0 * math.pi * h) ** (-d)

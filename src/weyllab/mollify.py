@@ -15,10 +15,13 @@ under the integral:
 
 with kernel moments m_alpha = integral of y^alpha gamma(y) (m_0 = 1 and the
 odd and second moments are 0 by construction), so a polynomial of degree <= 2
-comes back with identical terms.  Every other coefficient is convolved by a
-tensor Gauss-Legendre rule whose weights are corrected so that its moments of
-order <= 2 are exactly (1, 0, 0), like the kernel's.  The kernel owns that
-rule: it is computed once, on the first convolution, and serves every h.
+comes back with identical terms.  Every other coefficient is convolved by
+the kernel's own rule, the radial Gauss-Legendre rule that also solves for
+(c0, c2): its nodes are mirror pairs +-r_i u_j, so its mass is 1 and its
+moments of order 1-2 are 0 to rounding with no correction, the odd ones
+exactly.  Each pair is summed before it is weighted, so a coefficient that
+is even about 0 regularizes to bit-identical values at x and -x.  The
+kernel builds the rule on the first convolution, and it serves every h.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._fitting import ExponentFit, fit_loglog
+from ._fitting import fit_loglog
 from .symbols import (
     Coefficient,
     PolynomialCoefficient,
     _poly_derivative,
-    _product_rule,
     holder_test_field,
 )
 
@@ -53,7 +55,10 @@ __all__ = [
 ]
 
 MOMENT_TOL = 1e-10
-RADIAL_NODES = 128
+RADIAL_NODES = 80
+# directions of the 2-D rule on the upper half circle; their negations
+# give the other half
+HALF_DIRECTIONS = 14
 CONVOLVE_CHUNK = 4096  # evaluation points per block of a convolution
 # fit_smoothing_exponents: the Philox key of its points and their window
 SAMPLE_SEED = 7
@@ -100,21 +105,6 @@ def _radial_integral(d: int, k: int, c0: float = 1.0, c2: float = 0.0) -> float:
     return _sphere_area(d) * float(val)
 
 
-def _profile_derivatives(z: np.ndarray, c0: float, c2: float):
-    """Orders 0..2 of the 1-D kernel profile g = q e^phi inside its support,
-    with q = c0 + c2 z^2 and phi = -1 / (1 - z^2)."""
-    w = 1.0 - z * z
-    ephi = np.exp(-1.0 / w)
-    dphi = -2.0 * z / (w * w)
-    d2phi = -2.0 * (1.0 + 3.0 * z * z) / w**3
-    q, dq, d2q = c0 + c2 * z * z, 2.0 * c2 * z, 2.0 * c2
-    return (
-        q * ephi,
-        (dq + q * dphi) * ephi,
-        (d2q + 2.0 * dq * dphi + q * (d2phi + dphi * dphi)) * ephi,
-    )
-
-
 @dataclass(frozen=True)
 class MollifierKernel:
     """Kernel on the unit ball of R^d with unit mass and two vanishing
@@ -133,21 +123,27 @@ class MollifierKernel:
         return (self.c0 + self.c2 * r**2) * _bump(r)
 
     def profile_derivative(self, order: int) -> Callable:
-        """d^k/dz^k of the 1-D kernel, k <= 2 (only defined for d = 1)."""
+        """d^k/dz^k of the 1-D kernel g = q e^phi, k <= 1 (only defined for
+        d = 1), with q = c0 + c2 z^2 and phi = -1 / (1 - z^2)."""
         if self.dimension != 1:
             raise NotImplementedError("profile derivatives are 1-D only")
-        if order > 2:
-            raise ValueError("kernel derivative orders above 2 are unused")
+        if order > 1:
+            raise ValueError("kernel derivative orders above 1 are unused")
+        if order == 0:
+            return lambda z: self(np.asarray(z, dtype=float)[..., None])
         c0, c2 = self.c0, self.c2
 
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            inside = np.abs(x) < 1.0 - 1e-12
-            out[inside] = _profile_derivatives(x[inside], c0, c2)[order]
+        def g1(z):
+            z = np.asarray(z, dtype=float)
+            out = np.zeros_like(z)
+            inside = np.abs(z) < 1.0 - 1e-12
+            y = z[inside]
+            w = 1.0 - y * y
+            q, dq, dphi = c0 + c2 * y * y, 2.0 * c2 * y, -2.0 * y / (w * w)
+            out[inside] = (dq + q * dphi) * np.exp(-1.0 / w)
             return out
 
-        return g
+        return g1
 
     def moment(self, alpha: tuple) -> float:
         """m_alpha = integral of y^alpha gamma(y): a sphere factor times one
@@ -168,25 +164,40 @@ class MollifierKernel:
         return sphere * _radial_integral(d, order, self.c0, self.c2)
 
     @cached_property
-    def quadrature(self) -> tuple:
-        """Tensor Gauss-Legendre rule (points (n, d), weights (n,)) covering
-        the support box [-1, 1]^d: 160 nodes in 1-D, 48 per axis above."""
-        rule = leggauss(160 if self.dimension == 1 else 48)
-        return _product_rule([rule] * self.dimension)
+    def rule(self) -> tuple:
+        """The kernel's quadrature rule as mirror pairs: nodes z, (n, d),
+        each standing for +z and -z, and one weight per pair's node,
+        omega_i r_i^(d-1) |S^(d-1)| over the rule's directions.  The radii
+        r_i and weights omega_i are the radial rule that solved for (c0,
+        c2); the directions are +-1 in 1-D and, in 2-D, the angles
+        pi j / HALF_DIRECTIONS and their negations."""
+        d = self.dimension
+        r, w = _radial_rule()
+        if d == 1:
+            u = np.ones((1, 1))
+        elif d == 2:
+            theta = math.pi * np.arange(HALF_DIRECTIONS) / HALF_DIRECTIONS
+            u = np.column_stack([np.cos(theta), np.sin(theta)])
+        else:
+            raise NotImplementedError(f"the rule covers d <= 2; got d = {d}")
+        nodes = (r[:, None, None] * u).reshape(-1, d)
+        per_radius = w * r ** (d - 1) * _sphere_area(d) / (2 * len(u))
+        return nodes, np.repeat(per_radius, len(u))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Kernel values times the rule's weights, corrected so that the
-        moments of order <= 2 are exactly (1, 0, 0)."""
-        pts, wts = self.quadrature
-        return _exact_low_moments(pts, wts * self(pts))
+        """The rule's weights times the kernel at each pair's node, the
+        same at +z and -z."""
+        nodes, wts = self.rule
+        return wts * self(nodes)
 
     @cached_property
-    def derivative_weights(self) -> tuple:
-        """The rule's weights times g' and g'' at its nodes (1-D only): they
-        move one or two derivatives from the coefficient onto the kernel."""
-        pts, wts = self.quadrature
-        return tuple(wts * self.profile_derivative(k)(pts[:, 0]) for k in (1, 2))
+    def derivative_weights(self) -> np.ndarray:
+        """The rule's weights times g' at each pair's node z (1-D only); the
+        weight at -z is its negation.  They move one derivative from the
+        coefficient onto the kernel."""
+        nodes, wts = self.rule
+        return wts * self.profile_derivative(1)(nodes[:, 0])
 
 
 @lru_cache(maxsize=None)
@@ -218,30 +229,6 @@ def build_mollifier(d: int) -> MollifierKernel:
     return kernel
 
 
-def _exact_low_moments(pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Least change of the weights w, measured relative to |w|, that makes
-    the rule's moments of order <= 2 exactly the kernel's: mass 1, first and
-    second moments 0.  Quadratics are then reproduced even where the tensor
-    rule has not converged.  Each weight is scaled by a positive factor, so
-    zero weights stay zero and no weight changes sign."""
-    d = pts.shape[1]
-    phi = np.column_stack(
-        [np.ones(len(w))]
-        + [pts[:, j] for j in range(d)]
-        + [pts[:, j] * pts[:, k] for j in range(d) for k in range(j, d)]
-    )
-    target = np.zeros(phi.shape[1])
-    target[0] = 1.0
-    gram = phi.T @ (np.abs(w)[:, None] * phi)
-    lam = np.linalg.solve(gram, target - phi.T @ w)
-    factor = 1.0 + np.sign(w) * (phi @ lam)
-    if not np.all(factor > 0.0):
-        raise MollifierConstructionFault(
-            "moment correction would flip the sign of a quadrature weight"
-        )
-    return w * factor
-
-
 def _derivative_1d(a: Coefficient, order: int) -> Callable:
     """x -> d^order a(x) of a 1-D coefficient, order <= 2."""
     return (
@@ -265,23 +252,25 @@ class RegularizedCoefficient:
     scale: float
     kernel: MollifierKernel
 
-    def _convolve(self, fn, x, weights) -> np.ndarray:
-        """sum_i weights_i fn(x - s z_i) over the kernel's nodes z_i."""
+    def _convolve(self, fn, x, weights, odd: bool = False) -> np.ndarray:
+        """sum_i weights_i (fn(x - s z_i) + fn(x + s z_i)) over the kernel's
+        pair nodes z_i, or the difference of the two for odd weights.  Each
+        pair is combined before it is weighted, and each point's weighted
+        sum is taken by the same loop over the nodes whatever its row, so a
+        coefficient that is even about 0 has bit-identical (odd: negated)
+        values at x and -x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, d = x.shape
-        nodes = self.kernel.quadrature[0]
-        first = fn(x[:1] - self.scale * nodes[:1])
-        out_shape = (n,) + np.shape(first)[1:]
-        out = np.empty(out_shape)
+        steps = self.scale * self.kernel.rule[0]
+        tail = np.shape(fn(x[:1]))[1:]
+        out = np.empty((n,) + tail)
         for lo in range(0, n, CONVOLVE_CHUNK):
-            blk = x[lo : lo + CONVOLVE_CHUNK]
-            shifted = blk[:, None, :] - self.scale * nodes[None, :, :]
-            vals = fn(shifted.reshape(-1, d)).reshape(
-                (blk.shape[0], nodes.shape[0]) + out_shape[1:]
-            )
-            out[lo : lo + blk.shape[0]] = np.tensordot(
-                vals, weights, axes=([1], [0])
-            )
+            blk = x[lo : lo + CONVOLVE_CHUNK, None, :]
+            k = blk.shape[0]
+            shifted = np.stack((blk - steps, blk + steps), axis=1)
+            vals = fn(shifted.reshape(-1, d)).reshape((k, 2, -1) + tail)
+            pairs = vals[:, 0] - vals[:, 1] if odd else vals[:, 0] + vals[:, 1]
+            out[lo : lo + k] = np.einsum("km...,m->k...", pairs, weights)
         return out
 
     def value(self, x) -> np.ndarray:
@@ -294,21 +283,20 @@ class RegularizedCoefficient:
         return self._convolve(self.base.hess, x, self.kernel.weights)
 
     def derivative(self, x, order: int) -> np.ndarray:
-        """1-D derivative of arbitrary order <= 4.
+        """1-D derivative of order <= 3.
 
-        Orders up to 2 differentiate the base coefficient; higher orders move
-        the excess onto the kernel and pay a factor h^(-delta0) per order.
+        Orders up to 2 differentiate the base coefficient; order 3 moves
+        one derivative onto the kernel and pays a factor h^(-delta0).
         """
         if self.kernel.dimension != 1:
             raise NotImplementedError("high-order derivatives are 1-D only")
-        excess = max(order - 2, 0)
-        if excess > 2:
-            raise ValueError("derivative orders above 4 are unused")
-        fn = _derivative_1d(self.base, order - excess)
-        if not excess:
+        if order > 3:
+            raise ValueError("derivative orders above 3 are unused")
+        fn = _derivative_1d(self.base, min(order, 2))
+        if order <= 2:
             return self._convolve(fn, x, self.kernel.weights)
-        w = self.kernel.derivative_weights[excess - 1]
-        return self._convolve(fn, x, w) * self.scale ** (-excess)
+        g1 = self.kernel.derivative_weights
+        return self._convolve(fn, x, g1, odd=True) / self.scale
 
 
 def _regularize_polynomial(
@@ -371,9 +359,9 @@ def fit_smoothing_exponents(
 ):
     """Measured decay/growth exponent of the regularization error.
 
-    For |alpha| <= 2 fits sup|d^alpha (a_h - a)| against h; for |alpha| >= 3
-    fits sup|d^alpha a_h|.  Returns (ExponentFit, sup_norms) or the string
-    marker for exact annihilation (e.g. polynomial inputs).
+    For orders <= 2 fits sup|d^k (a_h - a)| against h; for order 3 fits
+    sup|d^3 a_h|.  Returns (ExponentFit, sup_norms), or (EXACT_ANNIHILATION,
+    sup_norms) when the error vanishes to rounding (e.g. polynomial inputs).
 
     The sampling window SAMPLE_DOMAIN sits inside the plateau of the
     test-field cutoff: there the error is governed by the Hoelder seminorm
@@ -381,27 +369,23 @@ def fit_smoothing_exponents(
     smooth-error term with a large constant that masks the asymptotic rate
     until h is impractically small.
     """
-    if derivative_order > 4:
-        raise ValueError("derivative orders above 4 are unsupported")
+    if derivative_order > 3:
+        raise ValueError("derivative orders above 3 are unsupported")
     h_grid = sorted(float(h) for h in h_grid)
     if len(h_grid) < 4:
         raise ValueError("need at least 4 h values")
     kernel = build_mollifier(1)
     pts = _sample_points(n_samples, *SAMPLE_DOMAIN)
 
-    exact = None
+    exact = 0.0
     if derivative_order <= 2:
         exact = _derivative_1d(a, derivative_order)(pts)
-
     sups = []
     for h in h_grid:
         reg = regularize(a, h, delta0, kernel, r0)
         approx = reg.derivative(pts, derivative_order)
-        if exact is not None:
-            sups.append(float(np.abs(approx - exact).max()))
-        else:
-            sups.append(float(np.abs(approx).max()))
-    scale = max(1.0, float(np.abs(exact).max()) if exact is not None else 1.0)
+        sups.append(float(np.abs(approx - exact).max()))
+    scale = max(1.0, float(np.abs(exact).max()))
     if max(sups) < 1e-11 * scale:
         return EXACT_ANNIHILATION, sups
     fit = fit_loglog(h_grid, sups)

@@ -15,8 +15,8 @@ within about two grid cells can share one seed.
 
 Two helpers here serve the whole package.  `_tensor_grid` and
 `_product_rule` build every tensor grid and tensor quadrature rule: the
-seed grid, the operators' nodes, faces and boundary points, the mollifier's
-rule and the oscillatory rule.  `_finite` checks every evaluation that
+seed grid, the operators' nodes, faces and boundary points, and the
+oscillatory rule.  `_finite` checks every evaluation that
 feeds a count or a quadrature: a non-finite value raises EvaluationFault
 located at its point.
 """
@@ -192,12 +192,12 @@ class PolynomialCoefficient(Coefficient):
         super().__init__(value, grad, hess)
 
     def derivative(self, x, order: int) -> np.ndarray:
-        """1-D derivative of order <= 4, the surface fit_smoothing_exponents
+        """1-D derivative of order <= 3, the surface fit_smoothing_exponents
         reads from a regularized coefficient."""
         if self.dimension != 1:
             raise NotImplementedError("high-order derivatives are 1-D only")
-        if order > 4:
-            raise ValueError("derivative orders above 4 are unused")
+        if order > 3:
+            raise ValueError("derivative orders above 3 are unused")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return _poly_eval(_poly_derivative(self.terms, (order,)), x)
 
@@ -616,8 +616,8 @@ MODEL_REGISTRY: dict[str, Callable[..., SymbolModel]] = {
         "double_well_2d", 2,
         {(4, 0): 1.0, (2, 0): -2.0, (0, 0): 1.0, (0, 2): 1.0}, 1.8, kw,
     ),
-    # a0 = xi^2 + x^2 + holder_test_field(r0), Hoelder exponent r0
-    "holder_test": lambda r0=0.5, **kw: _schrodinger(
-        "holder_test", 1, _holder_coefficient(r0), 2.5, kw
+    # a0 = xi^2 + x^2 + holder_test_field(0.5), Hoelder exponent 0.5
+    "holder_test": lambda **kw: _schrodinger(
+        "holder_test", 1, _holder_coefficient(0.5), 2.5, kw
     ),
 }

@@ -136,7 +136,7 @@ def test_criterion_4_mollifier_rates():
     slopes, targets = [], []
     for order in range(4):
         got = fit_smoothing_exponents(a, order, h_grid, delta0, r0=r0)
-        assert got != EXACT_ANNIHILATION
+        assert got[0] != EXACT_ANNIHILATION
         slopes.append(got[0].slope)
         targets.append((2.0 + r0 - order) * delta0)
     errs = [abs(s - t) for s, t in zip(slopes, targets)]

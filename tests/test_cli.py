@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -363,3 +364,114 @@ def test_uncreatable_out_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("cannot create output directory")
     assert err.count("\n") == 1
+
+
+def _criterion(out):
+    (criterion,) = json.loads((out / "verdict.json").read_text())["criteria"]
+    assert "error" not in criterion and "traceback" not in criterion
+    return criterion
+
+
+# experiment: (small config, exit code, criterion, status, keys of the
+# criterion that the benchmark's oracles read).  The sweeps' grids are too
+# coarse for their finite-h surrogates to be meaningful; their statuses are
+# pinned so that a changed count or fit shows here.
+SMALL_RUNS = {
+    "weyl_sweep": (
+        "model=harmonic\nenergy=1.0\nh_max=0.1\nh_min=0.05\nh_points=4\n",
+        1, "weyl_remainder_slope", "fail", ["slope", "gaps"]),
+    "critical_sweep": (
+        "model=double_well_2d\nenergy=1.0\nvariant=plus\nh_max=0.1\n"
+        "h_min=0.07\nh_points=4\n",
+        0, "bounded_remainder_ratio", "pass", ["ratio_slope", "gaps"]),
+    "mollifier_rates": (
+        "model=holder_test\nenergy=1.0\nh_max=0.1\nh_min=0.01\n",
+        0, "mollifier_rates", "pass", ["rows"]),
+    "sublevel_lemma": (
+        "model=harmonic\nenergy=1.0\ntrials=10\n",
+        0, "polynomial_sublevel_bound", "pass",
+        ["constants", "trials", "violations"]),
+    "flow_bounds": (
+        "model=double_well_2d\nenergy=1.0\nh_min=0.05\n",
+        0, "flow_displacement_bounds", "pass", ["t0", "c1", "c2", "violations"]),
+    "oscillatory_decay": (
+        "model=harmonic\nenergy=1.0\nmu=0.76\n",
+        0, "nonstationary_phase_decay", "pass",
+        ["decay_slope", "control_slope", "kappa"]),
+    "smoothed_counting": (
+        "model=harmonic\nenergy=1.0\n",
+        0, "smoothed_vs_sharp_count", "pass", ["rows"]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_experiment_runs(tmp_path, experiment):
+    text, code, name, status, keys = SMALL_RUNS[experiment]
+    cfg = parse_config(text + f"out_dir={tmp_path}\n", experiment)
+    assert run(cfg, experiment) == code
+    criterion = _criterion(tmp_path)
+    assert (criterion["name"], criterion["status"]) == (name, status)
+    assert all(criterion[key] is not None for key in keys)
+    if experiment in ("weyl_sweep", "critical_sweep"):
+        header = (tmp_path / f"{experiment}.csv").read_text().split("\n")[0]
+        assert {"h", "energy", "count", "weyl", "weyl_std_error", "r_value",
+                "grid_points", "seed"} <= set(header.split(","))
+    elif experiment == "mollifier_rates":
+        rows = criterion["rows"]
+        assert [r["order"] for r in rows] == [0, 1, 2, 3]
+        assert all(math.isfinite(r["slope"]) for r in rows)
+        assert [r["target"] for r in rows] == [
+            (2.5 - k) * 0.41 for k in range(4)]
+    elif experiment == "smoothed_counting":
+        assert [r["h"] for r in criterion["rows"]] == [0.05, 0.035, 0.025]
+        assert all(isinstance(r["sharp"], int) for r in criterion["rows"])
+    elif experiment == "sublevel_lemma":
+        assert [m for m, _ in criterion["constants"]] == [1, 2, 3, 4, 5]
+    elif experiment == "flow_bounds":
+        assert criterion["t0"] == 0.1
+        assert math.isfinite(criterion["c1"]) and math.isfinite(criterion["c2"])
+
+
+BELOW_THE_SPECTRUM = {
+    "weyl_sweep": "model=harmonic\nenergy=-1\n",
+    "critical_sweep": "model=double_well_2d\nenergy=-0.5\nvariant=minus\n"
+                      "h_max=0.1\nh_min=0.07\nh_points=4\n",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BELOW_THE_SPECTRUM))
+def test_sweep_below_the_spectrum_fails_without_a_fit_error(
+        tmp_path, experiment):
+    # every record counts 0 eigenvalues against a Weyl volume of 0, so
+    # nothing is positive to fit: the criterion fails with null slopes
+    # rather than with a fit error
+    text = BELOW_THE_SPECTRUM[experiment] + f"out_dir={tmp_path}\n"
+    cfg = parse_config(text, experiment)
+    assert run(cfg, experiment) == 1
+    criterion = _criterion(tmp_path)
+    assert criterion["status"] == "fail"
+    assert criterion["gaps"] == []
+    slopes = {"weyl_sweep": ["slope"],
+              "critical_sweep": ["ratio_slope", "log_corrected_slope"]}
+    assert all(criterion[key] is None for key in slopes[experiment])
+    rows = (tmp_path / f"{experiment}.csv").read_text().split("\n")[1:-1]
+    assert len(rows) == cfg.h_points
+    assert all(row.split(",")[2:4] == ["0", "0.0"] for row in rows)
+
+
+def test_mollifier_rates_report_exact_annihilation(tmp_path):
+    # r0 = 2: the test field is x^4 on the sampling window, so orders 1 and
+    # 2 are reproduced exactly; they are reported as exact, not fitted
+    cfg = parse_config(
+        "model=holder_test\nenergy=1.0\nr0=2\nh_max=0.1\nh_min=0.01\n"
+        f"out_dir={tmp_path}\n", "mollifier_rates")
+    code = run(cfg, "mollifier_rates")
+    criterion = _criterion(tmp_path)
+    rows = criterion["rows"]
+    assert [r["order"] for r in rows] == [0, 1, 2, 3]
+    assert rows[1:3] == [{"order": 1, "exact": True},
+                         {"order": 2, "exact": True}]
+    assert rows[0]["slope"] == pytest.approx(4.0 * 0.41, abs=0.2)
+    ok = all(r["ok"] for r in rows if "exact" not in r)
+    assert criterion["status"] == ("pass" if ok else "fail")
+    assert code == (0 if ok else 1)

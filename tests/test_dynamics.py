@@ -317,11 +317,12 @@ def test_radial_amplitudes_reject_stale_calls(factory):
         amp(*pts.T, pts[:, 0])
 
 
-def test_oscillatory_t_zero_radial_oracle(harmonic):
+def test_oscillatory_t_zero_radial_oracle(harmonic, monkeypatch):
     amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
     h = 0.01
+    monkeypatch.setattr(dynamics, "MIN_PANELS", 16)
     res = oscillatory_integral(harmonic, amp, 0.0, h,
-                               support_box=[(-1.6, 1.6)] * 2, min_panels=16)
+                               support_box=[(-1.6, 1.6)] * 2)
     ref = 2 * np.pi * quad(
         lambda r: amp(r, 0.0) * r, 0.4, 1.6, limit=200
     )[0] / (2 * np.pi * h)
@@ -338,12 +339,13 @@ def test_oscillatory_conjugation(harmonic):
     assert plus.quadrature_error < 1e-6 * max(abs(plus.value), 1.0)
 
 
-def test_oscillatory_triangle_bound(harmonic):
+def test_oscillatory_triangle_bound(harmonic, monkeypatch):
     # |J| <= (2 pi h)^(-d) * integral of |b|, the t = 0 value
     amp = bump_amplitude([0.0, 0.0], 0.8)
     box = [(-0.9, 0.9)] * 2
-    at0 = oscillatory_integral(harmonic, amp, 0.0, 0.02, support_box=box,
-                               min_panels=16)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "MIN_PANELS", 16)
+        at0 = oscillatory_integral(harmonic, amp, 0.0, 0.02, support_box=box)
     osc = oscillatory_integral(harmonic, amp, 0.5, 0.02, support_box=box)
     assert abs(osc.value) <= at0.value.real * (1 + 1e-9)
 
@@ -628,7 +630,7 @@ def test_non_finite_sample_gradient_faults(harmonic):
     assert fault.value.location[0] > 1.5
 
 
-def test_oscillatory_four_dimensional_product_oracle():
+def test_oscillatory_four_dimensional_product_oracle(monkeypatch):
     # p = |v|^2 and a product amplitude: the integral factors into four
     # copies of the 1-D integral of exp(i t v^2 / h) chi(v)
     model = make_model("separable_harmonic_2d")
@@ -639,8 +641,9 @@ def test_oscillatory_four_dimensional_product_oracle():
             np.multiply, [smooth_cutoff(x, 0.1, 0.6) for x in coords])
         return out
 
+    monkeypatch.setattr(dynamics, "MIN_PANELS", 4)
     res = oscillatory_integral(model, amp, t, h,
-                               support_box=[(-0.7, 0.7)] * 4, min_panels=4)
+                               support_box=[(-0.7, 0.7)] * 4)
 
     def chi(v):
         return float(smooth_cutoff(np.array([v]), 0.1, 0.6)[0])

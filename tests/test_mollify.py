@@ -34,17 +34,19 @@ def test_admissible_delta0_open_interval():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_kernel_moments(d):
-    # construction itself validates defects at 1e-10 by the radial
-    # Gauss-Legendre rule and raises on failure; here we re-measure with the
-    # tensor rule, which converges more slowly in d=2
-    tol = 1e-8 if d == 1 else 1e-6
+    # the convolution rule is the radial rule that solves for (c0, c2), in
+    # mirror pairs: mass 1 and moments 1-2 equal 0 to rounding, with no
+    # correction of the weights
+    tol = 1e-14
     kernel = build_mollifier(d)
-    pts, wts = kernel.quadrature
-    vals = wts * kernel(pts)
+    nodes = kernel.rule[0]
+    pts = np.concatenate([nodes, -nodes])
+    vals = np.concatenate([kernel.weights, kernel.weights])
     assert abs(vals.sum() - 1.0) <= tol  # unit mass
     for j in range(d):
         assert abs((vals * pts[:, j]).sum()) <= tol
-        assert abs((vals * pts[:, j] ** 2).sum()) <= tol
+        for k in range(d):
+            assert abs((vals * pts[:, j] * pts[:, k]).sum()) <= tol
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -66,25 +68,58 @@ def test_one_kernel_per_dimension():
 
 
 def test_quadrature_rule_built_once_per_kernel(monkeypatch):
-    # six h values and orders 0-3 share one rule, one moment correction and
-    # one set of profile-derivative weights
-    calls = {"leggauss": 0, "_exact_low_moments": 0}
-    for name in calls:
-        original = getattr(mollify, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(mollify, name, counting)
+    # six h values and orders 0-3 share one rule, one set of kernel weights
+    # and one set of g' weights
     kernel = build_mollifier.__wrapped__(1)  # fresh, not the cached one
+    calls = {"_radial_rule": 0, "__call__": 0, "profile_derivative": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(mollify, "_radial_rule")
+    counting(mollify.MollifierKernel, "__call__")
+    counting(mollify.MollifierKernel, "profile_derivative")
     a = holder_test_field(0.5)
     x = np.linspace(-0.5, 0.5, 11)[:, None]
     for h in np.geomspace(0.1, 0.01, 6):
         reg = regularize(a, h, 0.41, kernel)
         for order in range(4):
             reg.derivative(x, order)
-    assert calls == {"leggauss": 1, "_exact_low_moments": 1}
+    assert calls == {"_radial_rule": 1, "__call__": 1, "profile_derivative": 1}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.01])
+def test_even_coefficient_regularizes_mirror_exactly(h):
+    # each mirror pair is summed before it is weighted, so an even base
+    # gives bit-identical values at x and -x, and its odd derivatives
+    # exactly negated ones, wherever x and -x sit in the block.  Within
+    # 0.6 + h^0.41 < 1 of 0 the field's cutoff is 1, so every derivative
+    # of the base (its second by central differences) is even or odd bit
+    # for bit
+    reg = regularize(holder_test_field(0.5), h, 0.41, build_mollifier(1))
+    x = np.random.default_rng(5).uniform(0.0, 0.6, (37, 1))
+    x = np.concatenate([x, -x[::-1]])
+    for order in range(4):
+        got = reg.derivative(x, order)
+        np.testing.assert_array_equal(got, (-1) ** order * got[::-1])
+
+
+def test_derivative_orders_above_three_are_refused():
+    x = np.array([[0.1]])
+    reg = regularize(holder_test_field(0.5), 0.1, 0.41, build_mollifier(1))
+    poly = PolynomialCoefficient({(4,): 1.0}, 1)
+    with pytest.raises(ValueError, match="above 3"):
+        reg.derivative(x, 4)
+    with pytest.raises(ValueError, match="above 3"):
+        poly.derivative(x, 4)
+    with pytest.raises(ValueError, match="above 3"):
+        fit_smoothing_exponents(poly, 4, [0.1, 0.07, 0.05, 0.035], 0.41)
 
 
 def test_kernel_compact_support():
@@ -171,7 +206,7 @@ def test_polynomial_models_assemble_without_quadrature(monkeypatch):
         assert op.size == 16**m.dimension
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1])
 def test_profile_derivative_matches_central_difference(order):
     kernel = build_mollifier(1)
     lower = kernel.profile_derivative(order - 1)
