@@ -39,9 +39,15 @@ box symmetric about 0 nodes and weights are exact mirrors), (ii) the phase
 does: every term coefficient for an x axis, the column phase and every mixed
 monomial for a xi axis, and (iii) the amplitude declares the axis in its
 ``even_axes`` attribute.  An amplitude without the attribute is integrated
-whole.  NODE_BUDGET applies to the unfolded rule: a rule above it raises
-NodeBudgetExceeded before any node is evaluated, and the decay check
-leaves that h out of its fit.
+whole.  The swap (x, xi) -> (xi, x) is folded as well when the amplitude
+declares ``swap_even``, no term is mixed, and after the mirror folds the x
+rule equals the xi rule and the row phase the column phase, bit for bit:
+the amplitude matrix is then symmetric and u = v, so a chunk of rows
+[lo, hi) evaluates the columns from lo on only, weights the strict lower
+triangle of its leading square 0 and its diagonal 1/2, and counts its sum
+twice; the rule is then cut into at least 16 chunks.  NODE_BUDGET applies
+to the unfolded rule: a rule above it raises NodeBudgetExceeded before any
+node is evaluated, and the decay check leaves that h out of its fit.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._fitting import ExponentFit, fit_loglog
+from ._fitting import MIN_POINTS, ExponentFit, fit_loglog
 from .symbols import (
     SymbolModel,
     _cutoff_band,
@@ -489,31 +495,51 @@ def _tensor_quadrature(model, amplitude, t, h, box, panels):
     col = _upper_half(col, xi_shape, xi_fold)
     mixed = [(_upper_half(a, x_shape, x_fold),
               _upper_half(mono, xi_shape, xi_fold)) for a, mono in mixed]
+    # fold the swap (x, xi) -> (xi, x) when the amplitude declares it and
+    # rule and phase are the same on rows and columns bit for bit: the
+    # amplitude matrix is then symmetric and u = v, so its upper triangle,
+    # diagonal halved, sums to half the integral
+    swap = (getattr(amplitude, "swap_even", False) and not mixed
+            and np.array_equal(x_pts, xi_pts)
+            and np.array_equal(x_wts, xi_wts) and np.array_equal(row, col))
     u = x_wts * np.exp(1j * s * row)
     v = xi_wts * np.exp(1j * s * col)
     # a real amplitude matrix times v as one real product with (Re v, Im v)
     v_pair = np.stack([v.real, v.imag], axis=1)
     m = len(xi_pts)
     chunk = min(max(1, CHUNK_POINTS // m), len(x_pts))
+    if swap:
+        # over k chunks the triangle leaves (k + 1)/2k of the nodes to
+        # evaluate: at least 16 chunks, at most 17/32
+        chunk = min(chunk, -(-len(x_pts) // 16))
+        # weights 0 below, 1/2 on and 1 above the diagonal of a chunk's
+        # leading square; halving and doubling are exact
+        upper = np.triu(np.ones((chunk, chunk)), 1) + 0.5 * np.eye(chunk)
+    scale = 2.0 if swap else 1.0
     starts = range(0, len(x_pts), chunk)
     workers = min(_WORKERS, len(starts))
     xi_cols = [xi_pts[None, :, k] for k in range(d)]
 
     def partial_sums(first):
         # chunks first, first + workers, ... in order, each x nodes
-        # [lo, lo + chunk) times every xi node, into one reused buffer
-        buf = np.empty((chunk, m))
+        # [lo, lo + chunk) times every xi node (from xi node lo on, under the
+        # swap fold), into one reused buffer
+        buf = np.empty(chunk * m)
         sums = []
         for lo in starts[first::workers]:
             rows = slice(lo, lo + chunk)
             x_cols = [x_pts[rows, k, None] for k in range(d)]
-            amp = amplitude(*x_cols, *xi_cols, out=buf[: len(x_cols[0])])
+            n, c0 = len(x_cols[0]), lo if swap else 0
+            out = buf[: n * (m - c0)].reshape(n, m - c0)
+            amp = amplitude(*x_cols, *(c[:, c0:] for c in xi_cols), out=out)
             if mixed:
                 phase = sum(np.multiply.outer(a[rows], mono) for a, mono in mixed)
                 sums.append(u[rows] @ ((amp * np.exp(1j * s * phase)) @ v))
-            else:
-                re, im = (amp @ v_pair).T
-                sums.append(u[rows] @ (re + 1j * im))
+                continue
+            if swap:
+                amp[:, :n] *= upper[:n, :n]
+            re, im = (amp @ v_pair[c0:]).T
+            sums.append(scale * (u[rows] @ (re + 1j * im)))
         return sums
 
     # fixed chunk boundaries and an in-order sum: the result does not depend
@@ -544,8 +570,12 @@ def oscillatory_integral(
     (rows, m) buffer, reused for all of its chunks.  An optional attribute
     ``amplitude.even_axes`` lists coordinates (0 .. 2d-1) on which b is even
     about 0 bit for bit; each of them whose rule and phase are mirrored too
-    is folded to its upper half with doubled weights.  A wrong declaration
-    gives a wrong value, so declare only what holds exactly.
+    is folded to its upper half with doubled weights.  An optional true
+    ``amplitude.swap_even`` declares b(x, xi) == b(xi, x) bit for bit;
+    when the x and xi rules and the row and column phases are equal too and
+    no term is mixed, only the upper triangle of the amplitude matrix is
+    evaluated.  A wrong declaration gives a wrong value, so declare only
+    what holds exactly.
 
     The panels per axis are sized from |grad p| at 512 probes, and are at
     least MIN_PANELS, the count at t = 0; a probe where the gradient is
@@ -608,11 +638,15 @@ def _radius(coords, center, out):
     return np.sqrt(r2, out=out)
 
 
-def _centred_axes(center) -> tuple:
-    """The coordinates on which a radial amplitude about ``center`` is even
-    bit for bit: those where the centre is exactly 0, since _radius squares
-    x - 0 = x and (-x)^2 == x^2 exactly."""
-    return tuple(k for k, c in enumerate(center) if c == 0.0)
+def _declare_symmetries(amp, center):
+    """Set a radial amplitude's ``even_axes``: the coordinates where
+    ``center`` is exactly 0, since _radius squares x - 0 = x and
+    (-x)^2 == x^2 exactly.  Set ``swap_even`` in a 2-D phase space whose
+    centre coordinates are equal: there _radius adds two squares, and that
+    sum commutes exactly (with four terms the swap reorders it)."""
+    amp.even_axes = tuple(k for k, c in enumerate(center) if c == 0.0)
+    amp.swap_even = bool(len(center) == 2 and center[0] == center[1])
+    return amp
 
 
 def ring_amplitude(center, r_inner: float, r_outer: float):
@@ -622,7 +656,9 @@ def ring_amplitude(center, r_inner: float, r_outer: float):
     The amplitude is called as ``amp(*coords, out=None)`` with one
     broadcastable array per coordinate of ``center``.  Its ``even_axes`` are
     the coordinates where ``center`` is exactly 0: on the mirror of such a
-    coordinate it returns the same values bit for bit."""
+    coordinate it returns the same values bit for bit.  It is ``swap_even``
+    when ``center`` has two equal coordinates: b(x, xi) == b(xi, x) bit for
+    bit."""
     center = np.asarray(center, dtype=float)
     w = 0.25 * (r_outer - r_inner)
 
@@ -636,15 +672,14 @@ def ring_amplitude(center, r_inner: float, r_outer: float):
         np.put(r, down[0], np.take(r, down[0]) * down[1])
         return r
 
-    amp.even_axes = _centred_axes(center)
-    return amp
+    return _declare_symmetries(amp, center)
 
 
 def bump_amplitude(center, radius: float):
     """Smooth bump of |v - center|, 1 inside radius/2, 0 outside radius.
 
-    Called as ``amp(*coords, out=None)``, and declares ``even_axes``, like
-    ring_amplitude."""
+    Called as ``amp(*coords, out=None)``, and declares ``even_axes`` and
+    ``swap_even``, like ring_amplitude."""
     center = np.asarray(center, dtype=float)
 
     def amp(*coords, out=None):
@@ -654,8 +689,7 @@ def bump_amplitude(center, radius: float):
         np.put(r, *band)
         return r
 
-    amp.even_axes = _centred_axes(center)
-    return amp
+    return _declare_symmetries(amp, center)
 
 
 @dataclass(frozen=True)
@@ -666,7 +700,7 @@ class DecayReport:
     n_max: int
     h_grid: tuple
     magnitudes: tuple
-    fit: ExponentFit
+    fit: ExponentFit | None
     required: dict
     satisfied: dict
     excluded: tuple
@@ -693,7 +727,8 @@ def nonstationary_decay_check(
     build it off the near-critical set for decay, or across a critical point
     for the control experiment that must refuse the bound.  An h whose rule
     exceeds NODE_BUDGET, whose value is 0, or whose quadrature error exceeds
-    5% of the value is excluded from the fit.
+    5% of the value is excluded from the fit.  When fewer than MIN_POINTS
+    h remain, the report's ``fit`` is None and no order is satisfied.
     """
     if not (delta0 + 0.5 < mu < 1.0):
         raise ValueError("need delta0 + 1/2 < mu < 1")
@@ -715,9 +750,10 @@ def nonstationary_decay_check(
             continue
         mags.append(abs(res.value))
         used.append(h)
-    fit = fit_loglog(used, mags)
+    fit = fit_loglog(used, mags) if len(used) >= MIN_POINTS else None
     required = {n: n * kappa for n in range(1, n_max + 1)}
-    satisfied = {n: fit.slope >= required[n] for n in required}
+    satisfied = {n: fit is not None and fit.slope >= required[n]
+                 for n in required}
     return DecayReport(
         mu=mu,
         delta0=delta0,

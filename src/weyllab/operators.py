@@ -51,7 +51,13 @@ The smoothed counter replaces the sharp indicator of a window Z = [E1, E2] by
 f(lambda) = integral over Z of gamma_h(lambda - mu), where gamma_h is the
 inverse h-Fourier transform of a self-convolved bump.  Self-convolution makes
 gamma_h a positive multiple of |bump-hat|^2, so positivity is structural, and
-the unit mass equals the self-convolution at zero.
+the unit mass equals the self-convolution at zero.  The table of
+|bump-hat|^2 at 8001 points zeta_k = k dzeta is one real FFT: the bump
+sampled at t_n = n delta, delta = 2 pi / (FFT_SIZE dzeta), wrapped into
+FFT_SIZE points, gives bump-hat(zeta_k) as delta times the real part of bin
+k.  This trapezoid rule is spectrally exact for a C-infinity bump that
+vanishes to all orders at its ends (Trefethen and Weideman, SIAM Rev. 56,
+2014), and its aliases lie about 16 table widths above the table.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvals_banded
 from scipy.sparse.linalg import splu
 
@@ -91,6 +96,8 @@ MAX_SHIFTS = 3
 PIVOT_TOL = 1e-13
 MASS_TOL = 1e-8
 TAIL_CUTOFF = 1e-10
+# points of the real FFT that builds the smoother's transform table
+FFT_SIZE = 2**17
 
 
 class ResolutionFault(RuntimeError):
@@ -759,28 +766,36 @@ def _counter_tables(t0: float):
     integral from -infinity (by symmetry), total = Psi(+infinity).
     """
     half = t0 / 2.0
-    t_nodes, t_wts = leggauss(512)
-    t_nodes = t_nodes * half
-    t_wts = t_wts * half
-    g0 = np.exp(-1.0 / (1.0 - (t_nodes / half) ** 2))
-    conv0 = float(np.dot(t_wts, g0 * g0))  # (g0*g0)(0), the normalizer
 
-    def ghat(z):
-        return (np.cos(np.outer(z, t_nodes)) * (t_wts * g0)).sum(axis=1)
+    def samples(z_max):
+        # the bump at t_n = n delta, n >= 0, |t_n| < half; delta makes
+        # zeta_k t_n = 2 pi k n / FFT_SIZE on the table's grid zeta_k
+        delta = 2.0 * math.pi * 8000.0 / (FFT_SIZE * z_max)
+        t = delta * np.arange(math.ceil(half / delta))
+        return delta, np.exp(-1.0 / (1.0 - (t / half) ** 2))
+
+    def ghat(delta, g0, z):
+        # trapezoid sum of the even bump against cos(z t) over every t_n
+        return delta * (g0[0] + 2.0 * (g0[1:] * np.cos(
+            np.multiply.outer(z, delta * np.arange(1, len(g0))))).sum(-1))
 
     # double z_max until Phi has decayed there: the table's first and last
     # rows are Phi(0) and Phi(z_max), so only those two are evaluated
     z_max = 16.0 / t0
     for _ in range(11):
-        g = ghat([0.0, z_max])
-        ends = g * g / conv0
-        if ends[1] < 1e-16 * ends[0]:
+        delta, g0 = samples(z_max)
+        g = ghat(delta, g0, np.array([0.0, z_max]))
+        if g[1] * g[1] < 1e-16 * g[0] * g[0]:
             break
         z_max *= 2.0
     zeta = np.linspace(0.0, z_max, 8001)
-    # row blocks: the whole 8001 x 512 cosine table is 33 MB, held twice
-    # while it is weighted, and would set the process's peak memory
-    g = np.concatenate([ghat(z) for z in np.array_split(zeta, 8)])
+    # the whole table at once: the bump wrapped into FFT_SIZE points, both
+    # signs of n, and its real FFT's first 8001 bins
+    wrapped = np.zeros(FFT_SIZE)
+    wrapped[: len(g0)] = g0
+    wrapped[FFT_SIZE - len(g0) + 1:] = g0[:0:-1]
+    g = delta * np.fft.rfft(wrapped)[:8001].real
+    conv0 = delta * float(np.dot(wrapped, wrapped))  # (g0*g0)(0)
     phi = g * g / conv0
     psi_half = np.concatenate(
         [[0.0], np.cumsum(0.5 * (phi[1:] + phi[:-1]) * np.diff(zeta))]
@@ -810,7 +825,8 @@ class MollifiedCounter:
         if self.mass_defect > MASS_TOL:
             raise ValueError(
                 f"smoothing kernel mass defect {self.mass_defect:.2e} "
-                f"exceeds {MASS_TOL}; raise the node budget"
+                f"exceeds {MASS_TOL}; raise FFT_SIZE, the smoother's "
+                f"transform points (now {FFT_SIZE})"
             )
 
     def _psi(self, zeta) -> np.ndarray:

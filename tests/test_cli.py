@@ -333,6 +333,25 @@ def test_sweep_with_too_few_records_reports_its_gaps(tmp_path, experiment):
     assert all(criterion[key] is None for key in slopes[experiment])
 
 
+def test_oscillatory_decay_with_too_few_h_is_partial(tmp_path, monkeypatch):
+    # every rule over the node budget leaves no h to fit: the criterion is
+    # partial with null slopes and each check's excluded h, not a fit error
+    monkeypatch.setattr(weyllab.dynamics, "NODE_BUDGET", 1)
+    cfg = parse_config(f"model=harmonic\nenergy=1.0\nmu=0.76\n"
+                       f"out_dir={tmp_path}\n", "oscillatory_decay")
+    assert run(cfg, "oscillatory_decay") == 1
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["verdict"] == "PARTIAL"
+    criterion = verdict["criteria"][0]
+    assert criterion["name"] == "nonstationary_phase_decay"
+    assert criterion["status"] == "partial"
+    assert criterion["decay_slope"] is None
+    assert criterion["control_slope"] is None
+    assert len(criterion["decay_excluded"]) == 6
+    assert len(criterion["control_excluded"]) == 6
+    assert "traceback" not in criterion
+
+
 @pytest.mark.parametrize(
     "experiment", ["weyl_sweep", "critical_sweep", "mollifier_rates"])
 def test_fitted_experiments_need_distinct_h_exit_2(tmp_path, capsys,

@@ -461,6 +461,87 @@ def test_fold_matches_unfolded(name, t, h):
     assert abs(folded - whole) <= 1e-13 * abs(whole)
 
 
+def _counting(amp, swap=True):
+    """(wrapper of amp, list of the node counts it evaluated); the wrapper
+    forwards even_axes, and swap_even only when ``swap``."""
+    nodes = []
+
+    def counted(*coords, out=None):
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        nodes.append(math.prod(shape))
+        return amp(*coords, out=out)
+
+    counted.even_axes = amp.even_axes
+    if swap:
+        counted.swap_even = amp.swap_even
+    return counted, nodes
+
+
+@pytest.mark.parametrize("h", [0.01, 0.001])
+@pytest.mark.parametrize("name", ["ring", "bump"])
+def test_swap_fold_matches_unfolded(harmonic, name, h):
+    # the oscillatory_decay amplitudes at t = h^0.24: b(x, xi) = b(xi, x)
+    # and p = x^2 + xi^2, so the upper triangle of the amplitude matrix,
+    # diagonal halved, sums to half the integral
+    if name == "ring":
+        amp, box = ring_amplitude([0.0, 0.0], 0.5, 1.5), [(-1.6, 1.6)] * 2
+    else:
+        amp, box = bump_amplitude([0.0, 0.0], 0.8), [(-0.9, 0.9)] * 2
+    assert amp.swap_even
+    t = h ** 0.24
+    folded, folded_nodes = _counting(amp)
+    whole, whole_nodes = _counting(amp, swap=False)
+    got = oscillatory_integral(harmonic, folded, t, h, support_box=box)
+    want = oscillatory_integral(harmonic, whole, t, h, support_box=box)
+    assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+    assert sum(folded_nodes) <= 0.55 * sum(whole_nodes)
+
+
+@pytest.mark.parametrize("case", [
+    "off_diagonal_centre", "row_phase_differs", "x_rule_differs",
+    "four_dimensional"])
+def test_swap_fold_only_where_proven(harmonic, case):
+    # each case breaks one condition of the swap fold: the amplitude's own
+    # declaration (a centre off the diagonal, or d = 2), the phase (V = 2
+    # x^2 against xi^2) or the rule (a box that differs on x and xi); the
+    # fold stays off, with every node evaluated and the same value
+    model, box, panels = harmonic, [(-1.6, 1.6)] * 2, 40
+    amp = ring_amplitude([0.0, 0.0], 0.5, 1.5)
+    if case == "off_diagonal_centre":
+        amp = ring_amplitude([0.3, 0.0], 0.5, 1.5)
+    elif case == "row_phase_differs":
+        model = _one_dimensional_model({2: 2.0})
+    elif case == "x_rule_differs":
+        box = [(-1.5, 1.5), (-1.6, 1.6)]
+    elif case == "four_dimensional":
+        model = make_model("separable_harmonic_2d")
+        amp = bump_amplitude([0.0] * 4, 0.8)
+        box, panels = [(-0.9, 0.9)] * 4, 2
+    declared, declared_nodes = _counting(amp)
+    stripped, stripped_nodes = _counting(amp, swap=False)
+    got = dynamics._tensor_quadrature(model, declared, 0.3, 0.01, box, panels)
+    want = dynamics._tensor_quadrature(model, stripped, 0.3, 0.01, box,
+                                       panels)
+    assert declared_nodes == stripped_nodes
+    assert got == want
+
+
+def test_decay_check_without_enough_h_has_no_fit(harmonic, monkeypatch):
+    # every rule over the node budget: each h is excluded before any
+    # quadrature, and the report has no fit instead of a fit error
+    monkeypatch.setattr(dynamics, "NODE_BUDGET", 1)
+    hs = [0.1, 0.07, 0.05, 0.035]
+    rep = nonstationary_decay_check(
+        harmonic, lambda h: bump_amplitude([0.0, 0.0], 0.8), mu=0.8,
+        n_max=2, h_grid=hs, delta0=0.25, support_box=[(-0.9, 0.9)] * 2,
+    )
+    assert rep.fit is None
+    assert rep.excluded == tuple(sorted(hs))
+    assert rep.h_grid == ()
+    assert rep.satisfied == {1: False, 2: False}
+    assert not rep.all_orders_ok
+
+
 def _one_dimensional_model(potential, momentum=0.0):
     # xi^2 + 2 momentum xi + V(x), V given as {power: coefficient}
     coeffs = {
@@ -555,6 +636,7 @@ def test_quadrature_reuses_one_buffer_per_worker(harmonic, monkeypatch,
         return amp(*coords, out=out)
 
     recording.even_axes = amp.even_axes
+    recording.swap_even = amp.swap_even
     got = dynamics._tensor_quadrature(harmonic, recording, 0.3, 0.01, box, 256)
     assert len(outs) >= 3
     buffers = []

@@ -371,10 +371,16 @@ def _counter_tables_by_doubling(t0):
 
 @pytest.mark.parametrize("t0", [0.1, 0.5, 1.0, 2.0, 3.7])
 def test_counter_tables_match_doubling_reference(t0):
-    got = operators._counter_tables.__wrapped__(t0)
-    want = _counter_tables_by_doubling(t0)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    # the trapezoid rule of the FFT table is spectrally exact for the bump,
+    # which vanishes to all orders at its ends: the same zeta grid, and the
+    # 512-node Gauss-Legendre table to rounding
+    zeta, phi, psi_half, total = operators._counter_tables.__wrapped__(t0)
+    want_zeta, want_phi, want_psi, want_total = _counter_tables_by_doubling(t0)
+    assert np.array_equal(zeta, want_zeta)
+    assert np.abs(phi - want_phi).max() <= 1e-14 * want_phi[0]
+    assert np.abs(psi_half - want_psi).max() <= 1e-14
+    assert abs(total - want_total) <= 1e-14
+    assert abs(total - 1.0) <= 1e-13
 
 
 # -- reflection blocks ---------------------------------------------------------
